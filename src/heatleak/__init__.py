@@ -38,6 +38,7 @@ from .passivity import (
     delta_B_alpha,
     energy_basis_values,
     generic_F_delta,
+    observable_table,
     second_law_delta,
 )
 from .shots import (

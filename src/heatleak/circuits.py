@@ -204,15 +204,26 @@ def build_protocol(config: ProtocolConfig) -> Circuit:
     )
 
 
-def run_circuit(circuit: Circuit, upto_stage: str = "iii") -> DensityOperator:
-    """Evolve the thermal product initial state through gates up to a stage."""
-    if upto_stage not in STAGES:
-        raise RegisterError(f"unknown stage {upto_stage!r}")
+def evolve_stages(circuit: Circuit) -> dict[str, DensityOperator]:
+    """Evolve the thermal product initial state once through every gate,
+    snapshotting the state at each stage marker."""
     state = None
     for label in circuit.register:
         q = thermal_qubit(circuit.init_betas[label])
         state = q if state is None else tensor(state, q)
-    for gate in circuit.gates[: circuit.stage_markers[upto_stage]]:
-        targets = [circuit.qubit_index(lbl) for lbl in gate.targets]
-        state = apply_unitary(state, gate.unitary(), targets)
-    return state
+    snapshots = {}
+    done = 0
+    for stage in STAGES:  # markers are non-decreasing in stage order
+        for gate in circuit.gates[done : circuit.stage_markers[stage]]:
+            targets = [circuit.qubit_index(lbl) for lbl in gate.targets]
+            state = apply_unitary(state, gate.unitary(), targets)
+        done = circuit.stage_markers[stage]
+        snapshots[stage] = state
+    return snapshots
+
+
+def run_circuit(circuit: Circuit, upto_stage: str = "iii") -> DensityOperator:
+    """Evolve the thermal product initial state through gates up to a stage."""
+    if upto_stage not in STAGES:
+        raise RegisterError(f"unknown stage {upto_stage!r}")
+    return evolve_stages(circuit)[upto_stage]

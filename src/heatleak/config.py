@@ -106,20 +106,23 @@ class ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    data = dict(data)
-    kwargs = {}
-    if "protocol" in data:
-        kwargs["protocol"] = ProtocolConfig(**data.pop("protocol"))
-    if "spam" in data:
-        kwargs["spam"] = SpamModel(**data.pop("spam"))
-    if "bootstrap" in data:
-        kwargs["bootstrap"] = BootstrapConfig(**data.pop("bootstrap"))
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(data) - known
+    if not isinstance(data, dict):
+        raise ShotsError("config must be a JSON object")
+    kwargs = dict(data)
+    unknown = set(kwargs) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ShotsError(f"unknown config fields {sorted(unknown)}")
-    kwargs.update(data)
-    return ExperimentConfig(**kwargs)
+    for name, cls in (("protocol", ProtocolConfig), ("spam", SpamModel),
+                      ("bootstrap", BootstrapConfig)):
+        if name in kwargs:
+            try:
+                kwargs[name] = cls(**kwargs[name])
+            except TypeError as exc:
+                raise ShotsError(f"config field {name!r}: {exc}") from exc
+    try:
+        return ExperimentConfig(**kwargs)
+    except TypeError as exc:
+        raise ShotsError(f"invalid config: {exc}") from exc
 
 
 def load_config(path: str) -> ExperimentConfig:

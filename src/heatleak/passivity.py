@@ -105,19 +105,34 @@ def delta_B_alpha(initial, final, B: GlobalPassivityOperator, alpha: float) -> f
 
 
 def second_law_delta(initial, final, betas) -> float:
-    """sum_j beta_j * (change of <H_j>); identical to delta_B_alpha at alpha=1
-    because the constant shift cancels in the difference."""
-    betas = dict(betas)
-    n = len(betas)
-    p0 = np.asarray(initial, dtype=float)
-    pf = np.asarray(final, dtype=float)
-    if p0.shape != (2**n,) or pf.shape != (2**n,):
-        raise PassivityError("distribution length does not match beta count")
-    total = 0.0
-    for pos, (label, beta) in enumerate(betas.items()):
-        h = energy_basis_values(n, pos)
-        total += beta * float(np.dot(pf - p0, h))
-    return total
+    """sum_j beta_j * (change of <H_j>): the alpha = 1 column of the table,
+    since the constant shift of B cancels in the difference."""
+    return delta_B_alpha(initial, final, build_B(betas, 1.0), 1.0)
+
+
+def observable_table(B: GlobalPassivityOperator, alpha_grid, a_values=None,
+                     xi_grid=None) -> np.ndarray:
+    """Per-outcome values V[outcome, column] of every observable tested.
+
+    With n = len(alpha_grid), the columns are, in order:
+
+    * ``V[:, :n]``     sgn(alpha) * B^alpha per alpha (global passivity),
+    * ``V[:, n]``      B itself (second law),
+    * ``V[:, n + 1:]`` B + xi * A per xi (deformation; none when xi_grid is
+      None or empty).
+
+    Each channel's value is the change in expectation of its columns,
+    ``(pf - p0) @ V``; a strictly negative entry certifies a leak.
+    """
+    alpha_grid = np.asarray(alpha_grid, dtype=float)
+    if np.any(alpha_grid == 0.0):
+        raise PassivityError("alpha grid must exclude 0")
+    b = B.basis_values[:, None]
+    parts = [np.sign(alpha_grid) * b**alpha_grid, b]
+    if xi_grid is not None and len(xi_grid):
+        a = np.asarray(a_values, dtype=float)[:, None]
+        parts.append(b + a * np.asarray(xi_grid, dtype=float))
+    return np.hstack(parts)
 
 
 def generic_F_delta(initial, final, F_values) -> float:
@@ -305,13 +320,8 @@ def _grid_crossings(f, grid, values) -> list[float]:
 def alpha_sweep(initial, final, B: GlobalPassivityOperator, grid) -> SweepResult:
     """delta<B^alpha> over an alpha grid with bisection-refined zero crossings."""
     grid = np.asarray(grid, dtype=float)
-    if np.any(grid == 0.0):
-        raise PassivityError("alpha grid must exclude 0")
-    p0 = np.asarray(initial, dtype=float)
-    pf = np.asarray(final, dtype=float)
-    diff = pf - p0
-    # (outcomes, grid) power table evaluated in one shot
-    values = np.sign(grid) * (diff @ (B.basis_values[:, None] ** grid[None, :]))
+    diff = np.asarray(final, dtype=float) - np.asarray(initial, dtype=float)
+    values = diff @ observable_table(B, grid)[:, : len(grid)]
 
     def f(alpha):
         if alpha == 0.0:
@@ -381,9 +391,5 @@ def deformation_raw_values(
     initial, final, B: GlobalPassivityOperator, a_values, grid
 ) -> np.ndarray:
     """Raw deformed form delta<B> + xi*delta<A> per grid point."""
-    p0 = np.asarray(initial, dtype=float)
-    pf = np.asarray(final, dtype=float)
-    diff = pf - p0
-    d_b = float(np.dot(diff, B.basis_values))
-    d_a = float(np.dot(diff, np.asarray(a_values, dtype=float)))
-    return d_b + np.asarray(grid, dtype=float) * d_a
+    diff = np.asarray(final, dtype=float) - np.asarray(initial, dtype=float)
+    return diff @ observable_table(B, [], a_values, grid)[:, 1:]

@@ -8,30 +8,32 @@ against stage i through three channels:
 * ``deformation``       delta<B> + xi*delta<H_h> >= 0 on the admissible
                         xi interval (variant B, or any explicit xi grid).
 
-Each channel's strength is its worst violation measured in bootstrap
-standard errors; a verdict fires when any strength reaches the configured
-significance.
+Every channel value is the change in expectation of one column of
+``passivity.observable_table``, so one bootstrap of ``(pf - p0) @ V`` serves
+all three.  Each channel's strength is its worst violation measured in
+bootstrap standard errors; a verdict fires when any strength reaches the
+configured significance.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .circuits import build_protocol, run_circuit
+from .circuits import build_protocol, evolve_stages
 from .config import ExperimentConfig, config_from_dict
 from .passivity import (
-    GlobalPassivityOperator,
+    SweepResult,
     alpha_sweep,
     build_B,
     deformation_bounds,
-    deformation_raw_values,
     deformation_sweep,
     energy_basis_values,
-    second_law_delta,
+    observable_table,
 )
 from .recordio import read_records, write_json, write_records, write_sweep_csv
 from .register import measure_distribution
@@ -51,6 +53,7 @@ ALPHA_THRESHOLD_SEED_ROLE = 200
 XI_THRESHOLD_SEED_ROLE = 300
 
 CHANNELS = ("second-law", "global-passivity", "deformation")
+MEASURED = ("c", "h")
 
 
 @dataclass
@@ -66,63 +69,77 @@ class Verdict:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "detected": self.detected,
-            "channel": self.channel,
-            "strength": self.strength,
-            "channel_strengths": self.channel_strengths,
-            "thresholds": self.thresholds,
-            "significance": self.significance,
-            "notes": self.notes,
-        }
+        return asdict(self)
+
+
+def _distributions(circuit) -> dict[str, np.ndarray]:
+    targets = [circuit.qubit_index(lbl) for lbl in circuit.measured]
+    return {
+        stage: measure_distribution(state, targets)
+        for stage, state in evolve_stages(circuit).items()
+    }
 
 
 def stage_distributions(config: ExperimentConfig) -> dict[str, np.ndarray]:
     """Exact measured-qubit distributions at the three stages (no SPAM)."""
-    circuit = build_protocol(config.protocol)
-    targets = [circuit.qubit_index(lbl) for lbl in circuit.measured]
-    out = {}
-    for stage in ("i", "ii", "iii"):
-        state = run_circuit(circuit, upto_stage=stage)
-        out[stage] = measure_distribution(state, targets)
-    return out
+    return _distributions(build_protocol(config.protocol))
 
 
-def _operator(config: ExperimentConfig) -> GlobalPassivityOperator:
-    return build_B(
+@dataclass(frozen=True)
+class Sweep:
+    """One parameter sweep of a channel and how its outputs are written.
+
+    point(p0, pf) returns the point-estimate SweepResult; columns is the
+    sweep's slice of the observable table; CI columns in the CSV are the
+    bootstrap CI of the table values divided by ci_divisor.
+    """
+
+    channel: str
+    prefix: str
+    point: Callable[[np.ndarray, np.ndarray], SweepResult]
+    columns: slice
+    ci_divisor: float
+    seed_role: int
+
+
+def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep]]:
+    """The observable table and the sweeps this config runs."""
+    B = build_B(
         {"c": config.protocol.beta_c, "h": config.protocol.beta_h}, config.epsilon
     )
-
-
-def _xi_machinery(config: ExperimentConfig, B: GlobalPassivityOperator):
-    a_values = energy_basis_values(2, 1)  # deformation observable H_h
-    bounds = deformation_bounds(B.basis_values, a_values)
-    grid = config.resolve_xi_grid(bounds.xi_min, bounds.xi_max)
-    return a_values, bounds, grid
+    alpha_grid = np.asarray(config.alpha_grid, dtype=float)
+    n_alpha = len(alpha_grid)
+    sweeps = [Sweep(
+        "global-passivity", "alpha",
+        lambda p0, pf: alpha_sweep(p0, pf, B, alpha_grid),
+        slice(0, n_alpha), 1.0, ALPHA_THRESHOLD_SEED_ROLE,
+    )]
+    a_values = xi_grid = None
+    if config.wants_deformation():
+        a_values = energy_basis_values(2, 1)  # deformation observable H_h
+        bounds = deformation_bounds(B.basis_values, a_values)
+        xi_grid = config.resolve_xi_grid(bounds.xi_min, bounds.xi_max)
+        sweeps.append(Sweep(
+            "deformation", "xi",
+            lambda p0, pf: deformation_sweep(p0, pf, B, a_values, xi_grid),
+            # the CSV margin lhs - rhs is the raw form over beta_c > 0
+            slice(n_alpha + 1, None), B.betas["c"], XI_THRESHOLD_SEED_ROLE,
+        ))
+    return observable_table(B, alpha_grid, a_values, xi_grid), sweeps
 
 
 def run_exact(config: ExperimentConfig, out_dir: str) -> dict:
     """Exact theory curves and stage distributions, written as CSV/JSON."""
     os.makedirs(out_dir, exist_ok=True)
     dists = stage_distributions(config)
-    B = _operator(config)
-    grid = np.asarray(config.alpha_grid, dtype=float)
     paths = {}
     sweeps = {}
-    for stage in ("ii", "iii"):
-        sweep = alpha_sweep(dists["i"], dists[stage], B, grid)
-        path = os.path.join(out_dir, f"alpha_sweep_i_to_{stage}.csv")
-        write_sweep_csv(path, sweep)
-        paths[f"alpha_i_{stage}"] = path
-        sweeps[f"alpha_i_{stage}"] = sweep
-    if config.wants_deformation():
-        a_values, _, xi_grid = _xi_machinery(config, B)
+    for sweep in _plan(config)[1]:
         for stage in ("ii", "iii"):
-            sweep = deformation_sweep(dists["i"], dists[stage], B, a_values, xi_grid)
-            path = os.path.join(out_dir, f"xi_sweep_i_to_{stage}.csv")
-            write_sweep_csv(path, sweep)
-            paths[f"xi_i_{stage}"] = path
-            sweeps[f"xi_i_{stage}"] = sweep
+            key = f"{sweep.prefix}_i_{stage}"
+            sweeps[key] = sweep.point(dists["i"], dists[stage])
+            paths[key] = os.path.join(out_dir, f"{sweep.prefix}_sweep_i_to_{stage}.csv")
+            write_sweep_csv(paths[key], sweeps[key])
     dist_path = os.path.join(out_dir, "stage_distributions.json")
     write_json(
         dist_path,
@@ -143,21 +160,19 @@ def run_simulate(config: ExperimentConfig, out_dir: str) -> str:
     SWAP is disabled).
     """
     os.makedirs(out_dir, exist_ok=True)
-    dists = stage_distributions(config)
     circuit = build_protocol(config.protocol)
-    records = []
-    for stage in ("i", "ii", "iii"):
-        dist = apply_spam(dists[stage], config.spam)
-        records.append(
-            sample_shots(
-                dist,
-                config.shots_per_stage,
-                derive_seed(config.seed, STAGE_SEED_ROLE[stage]),
-                stage=stage,
-                qubits=circuit.measured,
-                meta={"variant": config.protocol.variant},
-            )
+    dists = _distributions(circuit)
+    records = [
+        sample_shots(
+            apply_spam(dists[stage], config.spam),
+            config.shots_per_stage,
+            derive_seed(config.seed, role),
+            stage=stage,
+            qubits=circuit.measured,
+            meta={"variant": config.protocol.variant},
         )
+        for stage, role in STAGE_SEED_ROLE.items()
+    ]
     path = os.path.join(out_dir, "records.jsonl")
     write_records(path, config.to_dict(), records)
     return path
@@ -181,13 +196,7 @@ def _threshold_entry(test: str, stage: str, result) -> dict:
         "no_crossing_resamples": result.no_crossing_resamples,
     }
     if result.found:
-        est = result.estimate
-        entry.update(
-            value=est.value,
-            ci_low=est.ci_low,
-            ci_high=est.ci_high,
-            std_error=est.std_error,
-        )
+        entry.update(asdict(result.estimate))  # value, ci_low, ci_high, std_error
     return entry
 
 
@@ -203,123 +212,71 @@ def analyze_records(header_config: dict, records, config: ExperimentConfig | Non
     os.makedirs(out_dir, exist_ok=True)
     by_stage = {}
     for rec in records:
+        if rec.stage not in STAGE_SEED_ROLE:
+            raise ShotsError(f"unknown record stage {rec.stage!r}")
         if rec.stage in by_stage:
             raise ShotsError(f"duplicate records for stage {rec.stage}")
         if rec.num_measured != 2:
             raise ShotsError("analysis expects two measured qubits per record")
+        if rec.qubits is not None and tuple(rec.qubits) != MEASURED:
+            raise ShotsError(
+                f"stage {rec.stage} record measures qubits {list(rec.qubits)}, "
+                f"expected {list(MEASURED)}"
+            )
         by_stage[rec.stage] = rec
     if "i" not in by_stage or not ({"ii", "iii"} & set(by_stage)):
         raise ShotsError("records must contain stage i and at least one of ii/iii")
 
-    B = _operator(config)
-    alpha_grid = np.asarray(config.alpha_grid, dtype=float)
-    want_xi = config.wants_deformation()
-    if want_xi:
-        a_values, _, xi_grid = _xi_machinery(config, B)
-    n_alpha = len(alpha_grid)
-
+    table, sweeps = _plan(config)
     strengths = {name: 0.0 for name in CHANNELS}
     thresholds = []
     notes = []
     rec_i = by_stage["i"]
 
+    def bootstrap(stage_idx: int, seed_role: int) -> BootstrapConfig:
+        return BootstrapConfig(
+            resamples=config.bootstrap.resamples,
+            confidence=config.bootstrap.confidence,
+            seed=derive_seed(config.seed, seed_role + stage_idx),
+        )
+
+    def worst(channel: str, estimates) -> None:
+        strengths[channel] = max(
+            strengths[channel],
+            max(_strength(e.value, e.std_error) for e in estimates),
+        )
+
     for stage_idx, stage in enumerate(("ii", "iii")):
         if stage not in by_stage:
             continue
         rec_f = by_stage[stage]
-
-        def statistic(recs):
-            p0 = recs[0].probabilities()
-            pf = recs[1].probabilities()
-            sweep = alpha_sweep(p0, pf, B, alpha_grid)
-            parts = [sweep.lhs, [second_law_delta(p0, pf, B.betas)]]
-            if want_xi:
-                parts.append(deformation_raw_values(p0, pf, B, a_values, xi_grid))
-            return np.concatenate(parts)
-
-        bs = BootstrapConfig(
-            resamples=config.bootstrap.resamples,
-            confidence=config.bootstrap.confidence,
-            seed=derive_seed(config.seed, CI_SEED_ROLE + stage_idx),
+        estimates = bootstrap_statistic(
+            [rec_i, rec_f],
+            lambda recs: (recs[1].probabilities() - recs[0].probabilities()) @ table,
+            bootstrap(stage_idx, CI_SEED_ROLE),
         )
-        estimates = bootstrap_statistic([rec_i, rec_f], statistic, bs)
-
-        alpha_est = estimates[:n_alpha]
-        point_sweep = alpha_sweep(
-            rec_i.probabilities(), rec_f.probabilities(), B, alpha_grid
-        )
-        point_sweep.ci_low = np.array([e.ci_low for e in alpha_est])
-        point_sweep.ci_high = np.array([e.ci_high for e in alpha_est])
-        write_sweep_csv(
-            os.path.join(out_dir, f"alpha_sweep_i_to_{stage}.csv"), point_sweep
-        )
-        strengths["global-passivity"] = max(
-            strengths["global-passivity"],
-            max(_strength(e.value, e.std_error) for e in alpha_est),
-        )
-
-        sl = estimates[n_alpha]
-        strengths["second-law"] = max(
-            strengths["second-law"], _strength(sl.value, sl.std_error)
-        )
-
-        if len(point_sweep.thresholds) == 1:
-            tbs = BootstrapConfig(
-                resamples=config.bootstrap.resamples,
-                confidence=config.bootstrap.confidence,
-                seed=derive_seed(config.seed, ALPHA_THRESHOLD_SEED_ROLE + stage_idx),
-            )
-            res = threshold_with_uncertainty(
-                rec_i,
-                rec_f,
-                lambda ri, rf: alpha_sweep(
-                    ri.probabilities(), rf.probabilities(), B, alpha_grid
-                ),
-                tbs,
-            )
-            thresholds.append(_threshold_entry("global-passivity", stage, res))
-        elif len(point_sweep.thresholds) > 1:
-            notes.append(
-                f"alpha sweep i->{stage} has {len(point_sweep.thresholds)} "
-                "sign crossings; no threshold reported"
-            )
-
-        if want_xi:
-            xi_est = estimates[n_alpha + 1 :]
-            xi_point = deformation_sweep(
-                rec_i.probabilities(), rec_f.probabilities(), B, a_values, xi_grid
-            )
-            # CI columns bound the violation margin lhs - rhs, which shares
-            # its sign with the raw form for beta_c > 0
-            beta_c = B.betas["c"]
-            xi_point.ci_low = np.array([e.ci_low / beta_c for e in xi_est])
-            xi_point.ci_high = np.array([e.ci_high / beta_c for e in xi_est])
+        worst("second-law", [estimates[len(config.alpha_grid)]])
+        for sweep in sweeps:
+            est = estimates[sweep.columns]
+            point = sweep.point(rec_i.probabilities(), rec_f.probabilities())
+            point.ci_low = np.array([e.ci_low / sweep.ci_divisor for e in est])
+            point.ci_high = np.array([e.ci_high / sweep.ci_divisor for e in est])
             write_sweep_csv(
-                os.path.join(out_dir, f"xi_sweep_i_to_{stage}.csv"), xi_point
+                os.path.join(out_dir, f"{sweep.prefix}_sweep_i_to_{stage}.csv"),
+                point,
             )
-            strengths["deformation"] = max(
-                strengths["deformation"],
-                max(_strength(e.value, e.std_error) for e in xi_est),
-            )
-            if len(xi_point.thresholds) == 1:
-                tbs = BootstrapConfig(
-                    resamples=config.bootstrap.resamples,
-                    confidence=config.bootstrap.confidence,
-                    seed=derive_seed(config.seed, XI_THRESHOLD_SEED_ROLE + stage_idx),
-                )
+            worst(sweep.channel, est)
+            if len(point.thresholds) == 1:
                 res = threshold_with_uncertainty(
-                    rec_i,
-                    rec_f,
-                    lambda ri, rf: deformation_sweep(
-                        ri.probabilities(), rf.probabilities(), B, a_values, xi_grid
-                    ),
-                    tbs,
+                    rec_i, rec_f,
+                    lambda ri, rf: sweep.point(ri.probabilities(), rf.probabilities()),
+                    bootstrap(stage_idx, sweep.seed_role),
                 )
-                thresholds.append(_threshold_entry("deformation", stage, res))
-            elif len(xi_point.thresholds) > 1:
+                thresholds.append(_threshold_entry(sweep.channel, stage, res))
+            elif len(point.thresholds) > 1:
                 notes.append(
-                    f"xi sweep i->{stage} has {len(xi_point.thresholds)} "
-                    "sign crossings; no threshold reported"
+                    f"{sweep.prefix} sweep i->{stage} has "
+                    f"{len(point.thresholds)} sign crossings; no threshold reported"
                 )
 
     strength = max(strengths.values())

@@ -311,3 +311,66 @@ def test_full_pipeline_determinism(tmp_path):
         a = open(os.path.join(outs[0], fname), "rb").read()
         b = open(os.path.join(outs[1], fname), "rb").read()
         assert a == b, f"{fname} differs between identical runs"
+
+
+# ------------------------------------------------------- hostile record files
+
+def _edited_records(tmp_path, edit):
+    """Simulate a small A run, pass its parsed lines through edit, return path."""
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--variant", "A", "--seed", "5", "--shots-per-stage",
+                 "400", "--resamples", "100", "--out", out]) == 0
+    lines = [json.loads(t) for t in open(os.path.join(out, "records.jsonl"))]
+    path = tmp_path / "edited.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in edit(lines)))
+    return str(path)
+
+
+def test_cli_analyze_unknown_protocol_field_exit_one(tmp_path, capsys):
+    def edit(lines):
+        lines[0]["config"]["protocol"]["bogus"] = 1
+        return lines
+
+    rc = main(["analyze", _edited_records(tmp_path, edit), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "protocol" in err and "bogus" in err
+
+
+def test_cli_analyze_unknown_stage_exit_one(tmp_path, capsys):
+    def edit(lines):
+        return lines + [dict(lines[-1], stage="iv")]
+
+    rc = main(["analyze", _edited_records(tmp_path, edit), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "'iv'" in capsys.readouterr().err
+
+
+def test_cli_analyze_wrong_qubit_labels_exit_one(tmp_path, capsys):
+    def edit(lines):
+        return lines[:1] + [dict(rec, qubits=["x", "y"]) for rec in lines[1:]]
+
+    rc = main(["analyze", _edited_records(tmp_path, edit), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "['x', 'y']" in capsys.readouterr().err
+
+
+def test_cli_analyze_accepts_records_without_qubits(tmp_path):
+    def edit(lines):
+        return lines[:1] + [
+            {k: v for k, v in rec.items() if k != "qubits"} for rec in lines[1:]
+        ]
+
+    out = str(tmp_path / "run")
+    rc = main(["analyze", _edited_records(tmp_path, edit), "--out", out])
+    assert rc in (0, 2)
+    assert os.path.exists(os.path.join(out, "verdict.json"))
+
+
+def test_config_rejects_malformed_sections():
+    with pytest.raises(ShotsError, match="'spam'"):
+        config_from_dict({"spam": {"flip_0_to_1": 0.1, "turbo": 1}})
+    with pytest.raises(ShotsError, match="'bootstrap'"):
+        config_from_dict({"bootstrap": 5})
+    with pytest.raises(ShotsError, match="invalid config"):
+        config_from_dict({"shots_per_stage": "many"})

@@ -21,6 +21,7 @@ from heatleak import (
     thermal_qubit,
 )
 from heatleak.passivity import deformation_raw_values
+from heatleak.passivity import observable_table
 
 from conftest import haar_unitary
 from oracles import (
@@ -400,3 +401,25 @@ def test_deformed_inequality_holds_for_unitaries(rng):
         pf = measure_distribution(final, [0, 1])
         raw = deformation_raw_values(p0, pf, B, a_values, grid)
         assert raw.min() >= -1e-9
+
+
+# --------------------------------------------------------- observable_table
+
+@pytest.mark.parametrize("betas", [{"c": 2.23, "h": 0.43}, {"c": 1.627, "h": 1.099}])
+def test_observable_table_slices_match_channel_functions(rng, betas):
+    B = build_B(betas, 1e-3)
+    bounds = deformation_bounds(B.basis_values, A_VALUES_HH)
+    xi_grid = np.linspace(bounds.xi_min, bounds.xi_max, 41)
+    table = observable_table(B, GRID, A_VALUES_HH, xi_grid)
+    n = len(GRID)
+    assert table.shape == (4, n + 1 + len(xi_grid))
+    assert observable_table(B, GRID, A_VALUES_HH, None).shape == (4, n + 1)
+    for _ in range(50):
+        p0 = rng.dirichlet(np.ones(4))
+        pf = rng.dirichlet(np.ones(4))
+        values = (pf - p0) @ table
+        assert np.allclose(values[:n], alpha_sweep(p0, pf, B, GRID).lhs,
+                           rtol=0, atol=1e-12)
+        assert abs(values[n] - second_law_delta(p0, pf, betas)) < 1e-12
+        raw = deformation_raw_values(p0, pf, B, A_VALUES_HH, xi_grid)
+        assert np.allclose(values[n + 1:], raw, rtol=0, atol=1e-12)
