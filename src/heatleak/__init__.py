@@ -29,6 +29,7 @@ from .passivity import (
     GlobalPassivityOperator,
     PassivityError,
     SweepResult,
+    alpha_observable,
     alpha_sweep,
     b_alpha_values,
     build_B,
@@ -40,6 +41,8 @@ from .passivity import (
     generic_F_delta,
     observable_table,
     second_law_delta,
+    sweep_crossings,
+    xi_observable,
 )
 from .shots import (
     BootstrapConfig,
@@ -49,9 +52,11 @@ from .shots import (
     SpamModel,
     ThresholdResult,
     apply_spam,
+    bootstrap_change,
     bootstrap_statistic,
     estimate_expectation,
     sample_shots,
+    threshold_bootstrap,
     threshold_with_uncertainty,
 )
 from .config import ExperimentConfig, load_config, reference_protocol

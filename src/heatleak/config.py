@@ -57,15 +57,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.shots_per_stage <= 0:
             raise ShotsError("shots_per_stage must be positive")
+        if self.seed < 0:
+            raise ShotsError("seed must be non-negative")
         if self.epsilon <= 0 or not math.isfinite(self.epsilon):
             raise ShotsError("epsilon must be positive and finite")
+        if not len(self.alpha_grid):
+            raise ShotsError("alpha grid must not be empty")
         if any(a == 0.0 for a in self.alpha_grid):
             raise ShotsError("alpha grid must exclude 0")
         if isinstance(self.xi_grid, str) and self.xi_grid != "auto":
             raise ShotsError(f'xi_grid must be a list, "auto" or null')
         if isinstance(self.xi_grid, list):
             self._check_explicit_xi_grid()
-        if self.significance <= 0:
+        if not self.significance > 0:
             raise ShotsError("significance must be positive")
 
     def _check_explicit_xi_grid(self):
@@ -105,6 +109,50 @@ class ExperimentConfig:
         return d
 
 
+# numeric fields per config section ("" is the top level): integers, then
+# reals; reals must not be NaN, and only the inverse temperatures may be
+# infinite (exact pure states)
+_NUMERIC_FIELDS = {
+    "": (("shots_per_stage", "seed"), ("epsilon", "significance")),
+    "protocol": ((), ("beta_c", "beta_h", "beta_e", "phi", "theta")),
+    "spam": ((), ("flip_0_to_1", "flip_1_to_0")),
+    "bootstrap": (("resamples", "seed"), ("confidence",)),
+}
+_INFINITE_OK = ("beta_c", "beta_h", "beta_e")
+
+
+def _is_number(value, integer: bool, infinite_ok: bool = False) -> bool:
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        return False
+    return not isinstance(value, float) or (
+        not math.isnan(value) and (infinite_ok or math.isfinite(value)))
+
+
+def _check_types(data: dict) -> None:
+    """Reject mistyped numeric fields before they reach numpy."""
+    for section, (integers, reals) in _NUMERIC_FIELDS.items():
+        fields = data.get(section, {}) if section else data
+        if not isinstance(fields, dict):
+            continue  # reported when the section is built
+        for names, integer in ((integers, True), (reals, False)):
+            for name in names:
+                if name in fields and not _is_number(fields[name], integer,
+                                                     name in _INFINITE_OK):
+                    label = f"{section}.{name}" if section else name
+                    kind = "an integer" if integer else "a number"
+                    raise ShotsError(f"invalid config: {label!r} must be {kind}, "
+                                     f"got {fields[name]!r}")
+    for name in ("alpha_grid", "xi_grid"):
+        if name not in data or (name == "xi_grid" and data[name] in (None, "auto")):
+            continue
+        grid = data[name]
+        if not isinstance(grid, list) or not grid or not all(
+                _is_number(x, integer=False) for x in grid):
+            raise ShotsError(f"invalid config: {name!r} must be a non-empty list "
+                             f"of finite numbers, got {grid!r}")
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ShotsError("config must be a JSON object")
@@ -112,6 +160,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     unknown = set(kwargs) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ShotsError(f"unknown config fields {sorted(unknown)}")
+    _check_types(kwargs)
     for name, cls in (("protocol", ProtocolConfig), ("spam", SpamModel),
                       ("bootstrap", BootstrapConfig)):
         if name in kwargs:

@@ -266,55 +266,110 @@ class SweepResult:
         return self.lhs < self.rhs
 
 
-def _bisect_crossing(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Sign-change location of f on [lo, hi] by plain bisection."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
+# Sign detection takes the rows of a sweep in blocks of about this many grid
+# values, so no intermediate ever spans every row of a large resample matrix.
+_BLOCK_VALUES = 1 << 13
+
+
+def alpha_observable(B: GlobalPassivityOperator):
+    """sgn(alpha) * B^alpha as a function of alpha, per-outcome values on a
+    new last axis (alpha = 0 gives the zero observable)."""
+    b = B.basis_values
+
+    def observable(alpha):
+        alpha = np.asarray(alpha, dtype=float)[..., None]
+        return np.sign(alpha) * b**alpha
+
+    return observable
+
+
+def xi_observable(B: GlobalPassivityOperator):
+    """Normal-form deformation observable H_c + ((beta_h + xi)/beta_c) * H_h
+    as a function of xi, like alpha_observable.  Its expectation change has
+    the sign of the raw form delta<B> + xi*delta<H_h> for beta_c > 0."""
+    if set(B.betas) != {"c", "h"}:
+        raise PassivityError("deformation sweep requires B on qubits c and h")
+    beta_c, beta_h = B.betas["c"], B.betas["h"]
+    if beta_c <= 0:
+        raise PassivityError("the normal form divides by beta_c; need beta_c > 0")
+    e_c, e_h = energy_basis_values(2, 0), energy_basis_values(2, 1)
+
+    def observable(xi):
+        return e_c + ((beta_h + np.asarray(xi, dtype=float)) / beta_c)[..., None] * e_h
+
+    return observable
+
+
+def sweep_crossings(observable, diffs, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Every sign crossing of diffs[r] @ observable(x) along the grid, per row.
+
+    diffs holds one final-minus-initial outcome distribution per row.
+    Returns (rows, locations), ordered by row and by grid position within a
+    row.  Exact zeros at grid points are skipped when pairing signs, so an
+    all-zero row (identity evolution) has no crossings while a -,0,+ pattern
+    still yields the single crossing at the touching point.  Each bracket is
+    then refined by bisection.
+    """
+    diffs = np.atleast_2d(np.asarray(diffs, dtype=float))
+    grid = np.asarray(grid, dtype=float)
+    columns = observable(grid).T
+    positions = np.arange(len(grid))
+    step = max(1, _BLOCK_VALUES // max(1, len(grid)))
+    rows, lo, hi = [], [], []
+    for start in range(0, len(diffs), step):
+        values = diffs[start:start + step] @ columns
+        nonzero = values != 0.0
+        # position of the last nonzero value at or before each grid point
+        last = np.where(nonzero, positions, -1)
+        np.maximum.accumulate(last, axis=1, out=last)
+        prev = last[:, :-1]
+        prev_values = np.take_along_axis(values, np.maximum(prev, 0), axis=1)
+        changes = nonzero[:, 1:] & (prev >= 0) & (prev_values * values[:, 1:] < 0)
+        r, k = np.nonzero(changes)
+        rows.append(r + start)
+        lo.append(grid[prev[r, k]])
+        hi.append(grid[k + 1])
+    rows = np.concatenate(rows)
+    if not rows.size:
+        return rows, np.empty(0)
+    return rows, _refine(observable, diffs[rows], np.concatenate(lo),
+                         np.concatenate(hi))
+
+
+def _refine(observable, diffs, lo, hi, tol: float = 1e-12) -> np.ndarray:
+    """Sign-change location in each bracket [lo, hi] by plain bisection.
+
+    A bracket spanning the excluded alpha = 0 point is refined on the half
+    that actually changes sign (the margin -> 0 at alpha -> 0), or reported
+    at 0 when neither half does.  Per bracket, bisection stops at an exact
+    zero, at width < tol, or after 200 steps.
+    """
+    def margin(d, x):
+        return np.einsum("ij,ij->i", d, observable(x))
+
+    span = np.flatnonzero((lo < 0.0) & (0.0 < hi))
+    if span.size:
+        d = diffs[span]
+        left = margin(d, lo[span]) * margin(d, np.full(span.size, -1e-12)) < 0
+        right = ~left & (margin(d, np.full(span.size, 1e-12)) * margin(d, hi[span]) < 0)
+        lo[span] = np.where(left, lo[span], np.where(right, 1e-12, 0.0))
+        hi[span] = np.where(left, -1e-12, np.where(right, hi[span], 0.0))
+    # a finished bracket is collapsed onto its result, which bisection keeps
+    f_lo = margin(diffs, lo)
+    np.copyto(hi, lo, where=f_lo == 0.0)
+    np.copyto(lo, hi, where=(margin(diffs, hi) == 0.0) & (f_lo != 0.0))
+    negative = f_lo < 0
     for _ in range(200):
-        if hi - lo < tol:
+        narrow = hi - lo < tol
+        if narrow.all():
             break
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
+        f_mid = margin(diffs, mid)
+        stop = narrow | (f_mid == 0.0)
+        up = ((f_mid < 0) == negative) | stop
+        np.copyto(lo, mid, where=up)
+        np.copyto(hi, mid, where=~up | stop)
     return 0.5 * (lo + hi)
-
-
-def _grid_crossings(f, grid, values) -> list[float]:
-    """Refine every sign change along the grid by bisection.
-
-    Exact zeros at grid points are skipped when pairing signs, so an
-    all-zero sweep (identity evolution) reports no crossings while a
-    -,0,+ pattern still yields the single crossing at the touching point.
-    """
-    crossings = []
-    prev = None
-    for k in range(len(grid)):
-        if values[k] == 0.0:
-            continue
-        if prev is not None and values[prev] * values[k] < 0:
-            lo, hi = float(grid[prev]), float(grid[k])
-            if lo < 0.0 < hi:
-                # bracket spans the excluded alpha = 0 point; refine on the
-                # half that actually changes sign (f -> 0 at alpha -> 0)
-                for sub in ((lo, -1e-12), (1e-12, hi)):
-                    if f(sub[0]) * f(sub[1]) < 0:
-                        crossings.append(_bisect_crossing(f, *sub))
-                        break
-                else:
-                    crossings.append(0.0)
-            else:
-                crossings.append(_bisect_crossing(f, lo, hi))
-        prev = k
-    return crossings
 
 
 def alpha_sweep(initial, final, B: GlobalPassivityOperator, grid) -> SweepResult:
@@ -322,19 +377,13 @@ def alpha_sweep(initial, final, B: GlobalPassivityOperator, grid) -> SweepResult
     grid = np.asarray(grid, dtype=float)
     diff = np.asarray(final, dtype=float) - np.asarray(initial, dtype=float)
     values = diff @ observable_table(B, grid)[:, : len(grid)]
-
-    def f(alpha):
-        if alpha == 0.0:
-            return 0.0
-        return float(np.dot(diff, np.sign(alpha) * B.basis_values**alpha))
-
-    crossings = _grid_crossings(f, grid, values)
+    _, crossings = sweep_crossings(alpha_observable(B), diff, grid)
     return SweepResult(
         parameter_name="alpha",
         grid=grid,
         lhs=values,
         rhs=np.zeros_like(values),
-        thresholds=[(c, 0.0) for c in crossings],
+        thresholds=[(float(c), 0.0) for c in crossings],
     )
 
 
@@ -349,11 +398,8 @@ def deformation_sweep(
     Requires B built on exactly the two qubits c and h with A = H on one of
     them (any commuting diagonal A is accepted for the raw form).
     """
-    if set(B.betas) != {"c", "h"}:
-        raise PassivityError("deformation sweep requires B on qubits c and h")
+    observable = xi_observable(B)
     beta_c, beta_h = B.betas["c"], B.betas["h"]
-    if beta_c <= 0:
-        raise PassivityError("the normal form divides by beta_c; need beta_c > 0")
     a = np.asarray(a_values, dtype=float)
     bounds = deformation_bounds(B.basis_values, a)
     grid = np.asarray(grid, dtype=float)
@@ -373,17 +419,13 @@ def deformation_sweep(
     d_hh = float(np.dot(diff, energy_basis_values(2, 1)))
     lhs = np.full_like(grid, d_hc)
     rhs = -((beta_h + grid) / beta_c) * d_hh
-
-    def g(xi):
-        return d_hc + ((beta_h + xi) / beta_c) * d_hh
-
-    crossings = _grid_crossings(g, grid, lhs - rhs)
+    _, crossings = sweep_crossings(observable, diff, grid)
     return SweepResult(
         parameter_name="xi",
         grid=grid,
         lhs=lhs,
         rhs=rhs,
-        thresholds=[(c, 0.0) for c in crossings],
+        thresholds=[(float(c), 0.0) for c in crossings],
     )
 
 

@@ -28,12 +28,14 @@ from .circuits import build_protocol, evolve_stages
 from .config import ExperimentConfig, config_from_dict
 from .passivity import (
     SweepResult,
+    alpha_observable,
     alpha_sweep,
     build_B,
     deformation_bounds,
     deformation_sweep,
     energy_basis_values,
     observable_table,
+    xi_observable,
 )
 from .recordio import read_records, write_json, write_records, write_sweep_csv
 from .register import measure_distribution
@@ -41,10 +43,10 @@ from .shots import (
     BootstrapConfig,
     ShotsError,
     apply_spam,
-    bootstrap_statistic,
+    bootstrap_change,
     derive_seed,
     sample_shots,
-    threshold_with_uncertainty,
+    threshold_bootstrap,
 )
 
 STAGE_SEED_ROLE = {"i": 0, "ii": 1, "iii": 2}
@@ -89,7 +91,8 @@ def stage_distributions(config: ExperimentConfig) -> dict[str, np.ndarray]:
 class Sweep:
     """One parameter sweep of a channel and how its outputs are written.
 
-    point(p0, pf) returns the point-estimate SweepResult; columns is the
+    point(p0, pf) returns the point-estimate SweepResult; its thresholds are
+    the sign crossings of (pf - p0) @ observable(x) over grid; columns is the
     sweep's slice of the observable table; CI columns in the CSV are the
     bootstrap CI of the table values divided by ci_divisor.
     """
@@ -97,6 +100,8 @@ class Sweep:
     channel: str
     prefix: str
     point: Callable[[np.ndarray, np.ndarray], SweepResult]
+    observable: Callable[[np.ndarray], np.ndarray]
+    grid: np.ndarray
     columns: slice
     ci_divisor: float
     seed_role: int
@@ -112,6 +117,7 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep]]:
     sweeps = [Sweep(
         "global-passivity", "alpha",
         lambda p0, pf: alpha_sweep(p0, pf, B, alpha_grid),
+        alpha_observable(B), alpha_grid,
         slice(0, n_alpha), 1.0, ALPHA_THRESHOLD_SEED_ROLE,
     )]
     a_values = xi_grid = None
@@ -122,6 +128,7 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep]]:
         sweeps.append(Sweep(
             "deformation", "xi",
             lambda p0, pf: deformation_sweep(p0, pf, B, a_values, xi_grid),
+            xi_observable(B), xi_grid,
             # the CSV margin lhs - rhs is the raw form over beta_c > 0
             slice(n_alpha + 1, None), B.betas["c"], XI_THRESHOLD_SEED_ROLE,
         ))
@@ -240,22 +247,24 @@ def analyze_records(header_config: dict, records, config: ExperimentConfig | Non
             seed=derive_seed(config.seed, seed_role + stage_idx),
         )
 
-    def worst(channel: str, estimates) -> None:
-        strengths[channel] = max(
-            strengths[channel],
-            max(_strength(e.value, e.std_error) for e in estimates),
-        )
+    def worst(channel: str, estimates, resolution) -> None:
+        # a zero-width bootstrap (all shots in one outcome) is no sharper
+        # than moving one shot, so sigma is floored at that resolution
+        strengths[channel] = max(strengths[channel], max(
+            _strength(e.value, max(e.std_error, r))
+            for e, r in zip(estimates, resolution)
+        ))
 
+    n_alpha = len(config.alpha_grid)
     for stage_idx, stage in enumerate(("ii", "iii")):
         if stage not in by_stage:
             continue
         rec_f = by_stage[stage]
-        estimates = bootstrap_statistic(
-            [rec_i, rec_f],
-            lambda recs: (recs[1].probabilities() - recs[0].probabilities()) @ table,
-            bootstrap(stage_idx, CI_SEED_ROLE),
-        )
-        worst("second-law", [estimates[len(config.alpha_grid)]])
+        estimates = bootstrap_change(rec_i, rec_f, table,
+                                     bootstrap(stage_idx, CI_SEED_ROLE))
+        resolution = (np.ptp(table, axis=0) / min(rec_i.shots, rec_f.shots)).tolist()
+        second_law = slice(n_alpha, n_alpha + 1)
+        worst("second-law", estimates[second_law], resolution[second_law])
         for sweep in sweeps:
             est = estimates[sweep.columns]
             point = sweep.point(rec_i.probabilities(), rec_f.probabilities())
@@ -265,11 +274,10 @@ def analyze_records(header_config: dict, records, config: ExperimentConfig | Non
                 os.path.join(out_dir, f"{sweep.prefix}_sweep_i_to_{stage}.csv"),
                 point,
             )
-            worst(sweep.channel, est)
+            worst(sweep.channel, est, resolution[sweep.columns])
             if len(point.thresholds) == 1:
-                res = threshold_with_uncertainty(
-                    rec_i, rec_f,
-                    lambda ri, rf: sweep.point(ri.probabilities(), rf.probabilities()),
+                res = threshold_bootstrap(
+                    rec_i, rec_f, sweep.observable, sweep.grid,
                     bootstrap(stage_idx, sweep.seed_role),
                 )
                 thresholds.append(_threshold_entry(sweep.channel, stage, res))

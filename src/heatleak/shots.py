@@ -8,14 +8,21 @@ seed, independently of evaluation order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .passivity import sweep_crossings
+
 
 class ShotsError(ValueError):
     """Invalid shot record or statistics configuration."""
+
+
+# table columns per matrix product in bootstrap_change
+_BLOCK_COLUMNS = 16
 
 
 def derive_seed(root: int, *path: int) -> int:
@@ -24,6 +31,7 @@ def derive_seed(root: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+@functools.lru_cache(maxsize=None)
 def outcome_labels(num_qubits: int) -> tuple[str, ...]:
     """Bitstring labels in binary-index order, e.g. ('00','01','10','11')."""
     return tuple(format(k, f"0{num_qubits}b") for k in range(2**num_qubits))
@@ -189,19 +197,49 @@ def _resample_matrices(records, config: BootstrapConfig) -> list[np.ndarray]:
     draws = []
     for j, rec in enumerate(records):
         rng = np.random.default_rng(derive_seed(config.seed, j))
-        draws.append(rng.multinomial(rec.shots, rec.probabilities(),
-                                     size=config.resamples))
+        draw = rng.multinomial(rec.shots, rec.probabilities(), size=config.resamples)
+        totals = draw.sum(axis=1)
+        bad = np.flatnonzero(totals != rec.shots)
+        if bad.size:
+            raise ShotsError(
+                f"resample {bad[0]} of record {j} has {totals[bad[0]]} shots, "
+                f"expected {rec.shots}"
+            )
+        draws.append(draw)
     return draws
+
+
+def _summarize(point, stats: np.ndarray, confidence: float) -> list[EstimateWithCI]:
+    """Estimates from point values and (resamples, k) resample statistics.
+
+    CIs are empirical quantiles at (1 +- confidence)/2, widened to enclose
+    the point estimate if needed; std_error is the resample standard
+    deviation (0 for a single resample).
+    """
+    lo_q = (1.0 - confidence) / 2.0
+    std = stats.std(axis=0, ddof=1) if len(stats) > 1 else np.zeros(stats.shape[1])
+    # one partition of a column-major copy serves both quantiles
+    ci_low, ci_high = np.quantile(stats.T.copy(), [lo_q, 1.0 - lo_q], axis=1,
+                                  overwrite_input=True)
+    return [
+        EstimateWithCI(
+            value=float(point[k]),
+            ci_low=float(min(ci_low[k], point[k])),
+            ci_high=float(max(ci_high[k], point[k])),
+            std_error=float(std[k]),
+        )
+        for k in range(len(point))
+    ]
 
 
 def bootstrap_statistic(records, statistic, config: BootstrapConfig) -> list[EstimateWithCI]:
     """Non-parametric bootstrap of a vector statistic of shot records.
 
     Every resample redraws each record's counts from a multinomial with its
-    empirical rates and the same shot total, then recomputes the statistic.
-    CIs are empirical quantiles at (1 +- confidence)/2 (widened to enclose
-    the point estimate if needed); std_error is the resample standard
-    deviation.
+    empirical rates and the same shot total, then recomputes the statistic
+    on rebuilt records (see _summarize for the CIs).  bootstrap_change does
+    the same for the expectation changes of a table of observables, without
+    building a record per resample.
     """
     records = list(records)
     if not records:
@@ -218,19 +256,35 @@ def bootstrap_statistic(records, statistic, config: BootstrapConfig) -> list[Est
                 f"statistic failed on resample {r}: {exc!r}; "
                 f"counts={[d[r].tolist() for d in draws]}"
             ) from exc
-    lo_q = (1.0 - config.confidence) / 2.0
-    ci_low = np.quantile(stats, lo_q, axis=0)
-    ci_high = np.quantile(stats, 1.0 - lo_q, axis=0)
-    std = stats.std(axis=0, ddof=1)
-    return [
-        EstimateWithCI(
-            value=float(point[k]),
-            ci_low=float(min(ci_low[k], point[k])),
-            ci_high=float(max(ci_high[k], point[k])),
-            std_error=float(std[k]),
-        )
-        for k in range(len(point))
-    ]
+    return _summarize(point, stats, config.confidence)
+
+
+def bootstrap_change(initial: ShotRecord, final: ShotRecord, table,
+                     config: BootstrapConfig) -> list[EstimateWithCI]:
+    """Bootstrap of (p_final - p_initial) @ table, one estimate per column.
+
+    Equal to bootstrap_statistic of that statistic with the same config, but
+    each stage's resamples stay one (resamples, outcomes) count matrix, so
+    the resample statistics are matrix products, taken a block of
+    _BLOCK_COLUMNS table columns at a time to bound their memory.
+    """
+    table = np.asarray(table, dtype=float)
+    point = (final.probabilities() - initial.probabilities()) @ table
+    counts_i, counts_f = _resample_matrices([initial, final], config)
+    diffs = counts_f / final.shots - counts_i / initial.shots
+    estimates = []
+    for start in range(0, table.shape[1], _BLOCK_COLUMNS):
+        columns = slice(start, start + _BLOCK_COLUMNS)
+        stats = diffs @ table[:, columns]
+        bad = np.flatnonzero(~np.isfinite(stats).all(axis=1))
+        if bad.size:
+            r = bad[0]
+            raise ShotsError(
+                f"statistic is not finite on resample {r}; "
+                f"counts={[counts_i[r].tolist(), counts_f[r].tolist()]}"
+            )
+        estimates += _summarize(point[columns], stats, config.confidence)
+    return estimates
 
 
 @dataclass(frozen=True)
@@ -248,6 +302,34 @@ class ThresholdResult:
     no_crossing_resamples: int
 
 
+def _threshold(initial: ShotRecord, final: ShotRecord, point_crossings,
+               resampled_nearest, config: BootstrapConfig) -> ThresholdResult:
+    """Threshold from the point crossings and, per resample, the crossing
+    nearest the point one (NaN for none) from resampled_nearest(draws, center)."""
+    if not len(point_crossings):
+        return ThresholdResult(
+            found=False, estimate=None,
+            resamples=config.resamples, no_crossing_resamples=0,
+        )
+    if len(point_crossings) > 1:
+        raise ShotsError(
+            f"point-estimate sweep has {len(point_crossings)} sign crossings "
+            f"at {list(point_crossings)}; threshold is ambiguous"
+        )
+    center = float(point_crossings[0])
+    nearest = resampled_nearest(_resample_matrices([initial, final], config), center)
+    locations = nearest[~np.isnan(nearest)]
+    missing = config.resamples - len(locations)
+    if not len(locations):
+        estimate = EstimateWithCI(center, center, center, math.nan)
+    else:
+        (estimate,) = _summarize([center], locations[:, None], config.confidence)
+    return ThresholdResult(
+        found=True, estimate=estimate,
+        resamples=config.resamples, no_crossing_resamples=missing,
+    )
+
+
 def threshold_with_uncertainty(
     initial_record: ShotRecord,
     final_record: ShotRecord,
@@ -259,55 +341,49 @@ def threshold_with_uncertainty(
     sweep_builder(initial_record, final_record) must return a SweepResult;
     its point estimate must have exactly one crossing.  Resampled sweeps
     with several crossings contribute the one nearest the point estimate.
+    threshold_bootstrap does the same for a sweep given by its observable,
+    without building records or sweeps per resample.
     """
     point_sweep = sweep_builder(initial_record, final_record)
-    point_crossings = [loc for loc, _ in point_sweep.thresholds]
-    if not point_crossings:
-        return ThresholdResult(
-            found=False, estimate=None,
-            resamples=config.resamples, no_crossing_resamples=0,
-        )
-    if len(point_crossings) > 1:
-        raise ShotsError(
-            f"point-estimate sweep has {len(point_crossings)} sign crossings "
-            f"at {point_crossings}; threshold is ambiguous"
-        )
-    center = point_crossings[0]
-    draws = _resample_matrices([initial_record, final_record], config)
-    locations = []
-    missing = 0
-    for r in range(config.resamples):
-        sweep = sweep_builder(
-            initial_record.with_counts(draws[0][r]),
-            final_record.with_counts(draws[1][r]),
-        )
-        if sweep.thresholds:
-            locations.append(
-                min((loc for loc, _ in sweep.thresholds),
-                    key=lambda x: abs(x - center))
+
+    def nearest(draws, center):
+        out = np.full(config.resamples, np.nan)
+        for r in range(config.resamples):
+            sweep = sweep_builder(
+                initial_record.with_counts(draws[0][r]),
+                final_record.with_counts(draws[1][r]),
             )
-        else:
-            missing += 1
-    if not locations:
-        return ThresholdResult(
-            found=True,
-            estimate=EstimateWithCI(center, center, center, math.nan),
-            resamples=config.resamples,
-            no_crossing_resamples=missing,
-        )
-    locs = np.array(locations)
-    lo_q = (1.0 - config.confidence) / 2.0
-    ci_low = float(np.quantile(locs, lo_q))
-    ci_high = float(np.quantile(locs, 1.0 - lo_q))
-    std = float(locs.std(ddof=1)) if len(locs) > 1 else 0.0
-    return ThresholdResult(
-        found=True,
-        estimate=EstimateWithCI(
-            value=float(center),
-            ci_low=min(ci_low, center),
-            ci_high=max(ci_high, center),
-            std_error=std,
-        ),
-        resamples=config.resamples,
-        no_crossing_resamples=missing,
-    )
+            if sweep.thresholds:
+                out[r] = min((loc for loc, _ in sweep.thresholds),
+                             key=lambda x: abs(x - center))
+        return out
+
+    return _threshold(initial_record, final_record,
+                      [loc for loc, _ in point_sweep.thresholds], nearest, config)
+
+
+def threshold_bootstrap(initial: ShotRecord, final: ShotRecord, observable, grid,
+                        config: BootstrapConfig) -> ThresholdResult:
+    """threshold_with_uncertainty for the sweep of observable(x) over grid.
+
+    The sweep's value at x is (p_final - p_initial) @ observable(x), as in
+    passivity.sweep_crossings, which locates the crossings of all resamples
+    at once.  Ties in the distance to the point crossing go to the first
+    crossing in grid order.
+    """
+    _, point = sweep_crossings(
+        observable, final.probabilities() - initial.probabilities(), grid)
+
+    def nearest(draws, center):
+        rows, locations = sweep_crossings(
+            observable, draws[1] / final.shots - draws[0] / initial.shots, grid)
+        distance = np.abs(locations - center)
+        best = np.full(config.resamples, np.inf)
+        np.minimum.at(best, rows, distance)
+        hit = distance == best[rows]
+        picked, first = np.unique(rows[hit], return_index=True)
+        out = np.full(config.resamples, np.nan)
+        out[picked] = locations[hit][first]
+        return out
+
+    return _threshold(initial, final, point, nearest, config)

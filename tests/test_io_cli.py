@@ -9,6 +9,8 @@ from heatleak import (
     ShotRecord,
     ShotsError,
     SpamModel,
+    build_B,
+    observable_table,
     reference_protocol,
 )
 from heatleak.cli import main
@@ -374,3 +376,68 @@ def test_config_rejects_malformed_sections():
         config_from_dict({"bootstrap": 5})
     with pytest.raises(ShotsError, match="invalid config"):
         config_from_dict({"shots_per_stage": "many"})
+
+
+MISTYPED_HEADER_FIELDS = [
+    ("alpha_grid", ["a"]),
+    ("seed", "x"),
+    ("shots_per_stage", 1.5),
+    ("epsilon", True),
+    ("significance", float("nan")),
+    ("xi_grid", 3),
+    ("protocol.phi", "x"),
+    ("protocol.theta", "x"),
+    ("spam.flip_1_to_0", True),
+    ("bootstrap.resamples", 150.5),
+    ("bootstrap.seed", "x"),
+]
+
+
+@pytest.mark.parametrize("field, value", MISTYPED_HEADER_FIELDS,
+                         ids=[field for field, _ in MISTYPED_HEADER_FIELDS])
+def test_cli_analyze_mistyped_header_field_exit_one(tmp_path, capsys, field, value):
+    def edit(lines):
+        section = lines[0]["config"]
+        *parents, name = field.split(".")
+        for parent in parents:
+            section = section.setdefault(parent, {})
+        section[name] = value
+        return lines
+
+    rc = main(["analyze", _edited_records(tmp_path, edit), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(field) in err
+
+
+def test_cli_analyze_degenerate_records_finite_strength(tmp_path):
+    """All shots in one outcome at stages i and iii: the bootstrap has zero
+    width there, so sigma is floored at one shot's move per column."""
+    def edit(lines):
+        for rec in lines[1:]:
+            if rec["stage"] in ("i", "iii"):
+                label = "10" if rec["stage"] == "i" else "01"
+                rec["counts"] = {k: (rec["shots"] if k == label else 0)
+                                 for k in rec["counts"]}
+        return lines
+
+    path = _edited_records(tmp_path, edit)
+    out = str(tmp_path / "run")
+    assert main(["analyze", path, "--out", out]) in (0, 2)
+    with open(os.path.join(out, "verdict.json")) as fh:
+        verdict = json.load(
+            fh, parse_constant=lambda c: pytest.fail(f"non-standard JSON {c}"))
+    header, records = read_records(path)
+    config = config_from_dict(header)
+    B = build_B({"c": config.protocol.beta_c, "h": config.protocol.beta_h},
+                config.epsilon)
+    table = observable_table(B, config.alpha_grid)
+    by_stage = {rec.stage: rec for rec in records}
+    bound = 0.0
+    for stage in ("ii", "iii"):
+        p0, pf = by_stage["i"], by_stage[stage]
+        value = (pf.probabilities() - p0.probabilities()) @ table
+        resolution = np.ptp(table, axis=0) / min(p0.shots, pf.shots)
+        bound = max(bound, float(np.max(np.abs(value) / resolution)))
+    assert np.isfinite(verdict["strength"])
+    assert verdict["strength"] <= bound * (1 + 1e-12)

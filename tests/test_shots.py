@@ -12,14 +12,24 @@ from heatleak import (
     apply_spam,
     bootstrap_statistic,
     build_B,
+    deformation_bounds,
+    deformation_sweep,
+    energy_basis_values,
     estimate_expectation,
+    observable_table,
     sample_shots,
     threshold_with_uncertainty,
 )
-from heatleak.passivity import SweepResult
-from heatleak.shots import derive_seed, outcome_labels
+from heatleak.config import default_alpha_grid
+from heatleak.passivity import SweepResult, alpha_observable, xi_observable
+from heatleak.shots import (
+    bootstrap_change,
+    derive_seed,
+    outcome_labels,
+    threshold_bootstrap,
+)
 
-from oracles import oracle_protocol_a
+from oracles import oracle_protocol_a, oracle_protocol_b
 
 
 # ---------------------------------------------------------------- sampling
@@ -308,3 +318,61 @@ def test_threshold_protocol_a_realistic():
 def test_outcome_labels():
     assert outcome_labels(1) == ("0", "1")
     assert outcome_labels(2) == ("00", "01", "10", "11")
+
+
+# ------------------------------------------- count-matrix path vs reference
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_matrix_path_matches_per_resample_reference(variant):
+    """bootstrap_change / threshold_bootstrap reproduce the generic
+    per-resample bootstrap_statistic / threshold_with_uncertainty."""
+    if variant == "A":
+        betas, shots, dists = {"c": 2.23, "h": 0.43}, 6700, oracle_protocol_a(True)
+    else:
+        betas, shots, dists = {"c": 1.627, "h": 1.099}, 3200, oracle_protocol_b(True)
+    B = build_B(betas, 1e-3)
+    a_values = energy_basis_values(2, 1)
+    bounds = deformation_bounds(B.basis_values, a_values)
+    alpha_grid = np.array(default_alpha_grid())
+    xi_grid = np.linspace(bounds.xi_min, bounds.xi_max, 41)
+    table = observable_table(B, alpha_grid, a_values, xi_grid)
+    records = [
+        sample_shots(np.real(p), shots, seed=derive_seed(77, k), stage=stage)
+        for k, (stage, p) in enumerate(zip(("i", "ii", "iii"), dists))
+    ]
+    sweeps = [
+        (alpha_observable(B), alpha_grid,
+         lambda ri, rf: alpha_sweep(ri.probabilities(), rf.probabilities(), B,
+                                    alpha_grid)),
+        (xi_observable(B), xi_grid,
+         lambda ri, rf: deformation_sweep(ri.probabilities(), rf.probabilities(), B,
+                                          a_values, xi_grid)),
+    ]
+    found = 0
+    for k, rec_f in enumerate(records[1:]):
+        cfg = BootstrapConfig(resamples=400, seed=derive_seed(78, k))
+        matrix = bootstrap_change(records[0], rec_f, table, cfg)
+        reference = bootstrap_statistic(
+            [records[0], rec_f],
+            lambda recs: (recs[1].probabilities() - recs[0].probabilities()) @ table,
+            cfg,
+        )
+        assert len(matrix) == len(reference) == table.shape[1]
+        for m, r in zip(matrix, reference):
+            # relative to the column's magnitude: entries near zero carry
+            # cancellation error of that scale in either summation order
+            scale = max(abs(r.value), abs(r.ci_low), abs(r.ci_high), r.std_error)
+            for name in ("value", "ci_low", "ci_high", "std_error"):
+                assert abs(getattr(m, name) - getattr(r, name)) <= 1e-12 * scale, name
+        for observable, grid, builder in sweeps:
+            fast = threshold_bootstrap(records[0], rec_f, observable, grid, cfg)
+            slow = threshold_with_uncertainty(records[0], rec_f, builder, cfg)
+            assert fast.found == slow.found
+            assert fast.resamples == slow.resamples
+            assert fast.no_crossing_resamples == slow.no_crossing_resamples
+            if slow.found:
+                found += 1
+                for name in ("value", "ci_low", "ci_high", "std_error"):
+                    assert abs(getattr(fast.estimate, name)
+                               - getattr(slow.estimate, name)) <= 1e-11, name
+    assert found >= 1  # the i->iii threshold of either protocol
