@@ -147,10 +147,7 @@ class ProtocolConfig:
     pi/2 y-rotations of c and h; the optional environment SWAP acts on h.
 
     Variant B: SWAP(c, h) followed by a y-rotation of h by angle theta; the
-    optional environment SWAP acts on c.  ``b_gate_order`` can flip the
-    rotation/SWAP order and ``env_swap_partner`` can move the environment
-    coupling; both alternatives exist to falsify the defaults against the
-    reference thresholds and are not otherwise useful.
+    optional environment SWAP acts on c.
     """
 
     variant: str
@@ -160,16 +157,10 @@ class ProtocolConfig:
     phi: float = 3 * math.pi / 4
     theta: float = 2.5
     include_env_swap: bool = True
-    b_gate_order: str = "swap_then_rotate"
-    env_swap_partner: str | None = None
 
     def __post_init__(self):
         if self.variant not in ("A", "B"):
             raise RegisterError(f"unknown protocol variant {self.variant!r}")
-        if self.b_gate_order not in ("swap_then_rotate", "rotate_then_swap"):
-            raise RegisterError(f"unknown gate order {self.b_gate_order!r}")
-        if self.env_swap_partner not in (None, "c", "h"):
-            raise RegisterError(f"env swap partner must be c or h")
         for name in ("beta_c", "beta_h", "beta_e"):
             if math.isnan(getattr(self, name)):
                 raise RegisterError(f"{name} must not be NaN")
@@ -186,12 +177,11 @@ def build_protocol(config: ProtocolConfig) -> Circuit:
             "custom", ("c", "h"), matrix=UnitaryOperator(np.kron(half, half))
         )
         gates = [layer, GateSpec("phase", ("c", "h"), phi=config.phi), layer]
-        partner = config.env_swap_partner or "h"
+        partner = "h"
     else:
-        rot = GateSpec("ry", ("h",), theta=config.theta / 2.0)
-        sw = GateSpec("swap", ("c", "h"))
-        gates = [sw, rot] if config.b_gate_order == "swap_then_rotate" else [rot, sw]
-        partner = config.env_swap_partner or "c"
+        gates = [GateSpec("swap", ("c", "h")),
+                 GateSpec("ry", ("h",), theta=config.theta / 2.0)]
+        partner = "c"
     system_len = len(gates)
     if config.include_env_swap:
         gates.append(GateSpec("swap", (partner, "e")))

@@ -5,50 +5,51 @@ Subcommands:
 * ``exact``     write exact theory sweeps and stage distributions
 * ``simulate``  sample shot records for stages i/ii/iii into a JSONL file
 * ``analyze``   evaluate records and emit a heat-leak verdict
-                (exit 0 = no leak, 2 = leak detected, 1 = error)
 * ``bounds``    print the admissible deformation interval
 
-Flags override config fields one-for-one.  Without --config, exact and
-simulate start from built-in defaults, while analyze starts from the config
-echoed in the record file's header.
+Exit codes: 0 = success (no leak), 2 = leak detected, 1 = any error,
+usage errors such as an unknown flag included.
+
+Each subcommand takes only the flags whose config fields reach its outputs.
+A flag overrides its field of the base config: the --config file, or else
+the built-in defaults (exact, simulate) or the config echoed in the record
+file's header (analyze).  The result is validated by config_from_dict, like
+any config file.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
-from .config import (
-    ExperimentConfig,
-    config_from_dict,
-    load_config,
-    reference_protocol,
-)
+from .config import REFERENCE_PARAMS, ExperimentConfig, config_from_dict, load_config
 from .passivity import PassivityError
 from .pipeline import analyze_records, run_bounds, run_exact, run_simulate
 from .recordio import RecordFormatError, read_records
 from .register import RegisterError
-from .shots import ShotsError, SpamModel
+from .shots import ShotsError
 
+# config field (dotted path) -> flag that overrides it, its type and help;
+# a flag without a type sets the field to False
+_FIELD_FLAGS = {
+    "seed": ("--seed", int, "root seed"),
+    "epsilon": ("--epsilon", float, "positive eigenvalue floor of B"),
+    "significance": ("--significance", float, "detection threshold in sigmas"),
+    "spam.flip_0_to_1": ("--spam-flip01", float, "per-qubit readout 0->1 flip rate"),
+    "spam.flip_1_to_0": ("--spam-flip10", float, "per-qubit readout 1->0 flip rate"),
+    "shots_per_stage": ("--shots-per-stage", int, "shots per stage"),
+    "bootstrap.resamples": ("--resamples", int, "bootstrap resamples"),
+    "protocol.include_env_swap": ("--no-env-swap", None, "no environment SWAP"),
+}
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, help="root seed")
-    parser.add_argument("--epsilon", type=float, help="positive eigenvalue floor of B")
-    parser.add_argument("--significance", type=float,
-                        help="detection threshold in bootstrap sigmas")
-    parser.add_argument("--spam-flip01", type=float,
-                        help="per-qubit readout 0->1 flip probability")
-    parser.add_argument("--spam-flip10", type=float,
-                        help="per-qubit readout 1->0 flip probability")
-    parser.add_argument("--shots-per-stage", type=int, help="shots per stage")
-    parser.add_argument("--resamples", type=int, help="bootstrap resamples")
-    parser.add_argument("--variant", choices=("A", "B"),
-                        help="protocol variant at its reference parameters")
-    parser.add_argument("--no-env-swap", action="store_true",
-                        help="disable the environment SWAP")
+# subcommand -> help text and the fields it takes flags for (besides --variant)
+_SUBCOMMANDS = {
+    "exact": ("exact theory sweeps, no sampling",
+              ("epsilon", "protocol.include_env_swap")),
+    "simulate": ("sample shot records", tuple(_FIELD_FLAGS)),
+    "analyze": ("analyze shot records and emit a verdict",
+                ("seed", "epsilon", "significance", "bootstrap.resamples")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,13 +58,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Passivity-based heat-leak detection on small qubit registers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("exact", "exact theory sweeps, no sampling"),
-        ("simulate", "sample shot records"),
-        ("analyze", "analyze shot records and emit a verdict"),
-    ):
+    for name, (help_text, fields) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--variant", choices=("A", "B"),
+                       help="protocol variant at its reference parameters")
+        for field in fields:
+            flag, kind, help_text = _FIELD_FLAGS[field]
+            how = (dict(type=kind, metavar=flag[2:].upper().replace("-", "_")) if kind
+                   else dict(action="store_const", const=False))
+            p.add_argument(flag, dest=field, help=help_text, **how)
         if name == "analyze":
             p.add_argument("records", help="shot-record JSONL file")
     b = sub.add_parser("bounds", help="print deformation bounds")
@@ -73,70 +78,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
+def _with_flags(config: ExperimentConfig, args) -> ExperimentConfig:
+    """config with the given flags applied: --variant resets the protocol to
+    the variant's reference one, then each field flag sets its field."""
+    fields = {name: value for name, value in vars(args).items()
+              if name in _FIELD_FLAGS and value is not None}
+    if args.variant is None and not fields:
+        return config  # skips to_dict, a noticeable share of an exact run
+    data = config.to_dict()
     if args.variant is not None:
-        config.protocol = reference_protocol(args.variant)
-    if args.no_env_swap:
-        config.protocol = dataclasses.replace(config.protocol, include_env_swap=False)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.epsilon is not None:
-        config.epsilon = args.epsilon
-    if args.significance is not None:
-        config.significance = args.significance
-    if args.shots_per_stage is not None:
-        config.shots_per_stage = args.shots_per_stage
-    if args.resamples is not None:
-        config.bootstrap = dataclasses.replace(
-            config.bootstrap, resamples=args.resamples
-        )
-    if args.spam_flip01 is not None or args.spam_flip10 is not None:
-        config.spam = SpamModel(
-            flip_0_to_1=args.spam_flip01 if args.spam_flip01 is not None
-            else config.spam.flip_0_to_1,
-            flip_1_to_0=args.spam_flip10 if args.spam_flip10 is not None
-            else config.spam.flip_1_to_0,
-        )
-    config.__post_init__()  # re-validate after overrides
-    return config
+        data["protocol"] = {"variant": args.variant, **REFERENCE_PARAMS[args.variant]}
+    for path, value in fields.items():
+        *section, name = path.split(".")
+        (data[section[0]] if section else data)[name] = value
+    return config_from_dict(data)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2, which here means a leak
+        return 1 if exc.code else 0
     try:
         if args.command == "bounds":
             _, text = run_bounds(args.beta_c, args.beta_h, args.observable)
             print(text)
             return 0
+        header, records = (read_records(args.records) if args.command == "analyze"
+                           else ({}, None))
+        base = load_config(args.config) if args.config else config_from_dict(header)
+        config = _with_flags(base, args)
         if args.command == "exact":
-            base = load_config(args.config) if args.config else ExperimentConfig()
-            result = run_exact(_apply_overrides(base, args), args.out)
+            result = run_exact(config, args.out)
             for path in result["paths"].values():
                 print(f"wrote {path}")
             return 0
         if args.command == "simulate":
-            base = load_config(args.config) if args.config else ExperimentConfig()
-            path = run_simulate(_apply_overrides(base, args), args.out)
-            print(f"wrote {path}")
+            print(f"wrote {run_simulate(config, args.out)}")
             return 0
-        if args.command == "analyze":
-            header, records = read_records(args.records)
-            base = load_config(args.config) if args.config else config_from_dict(header)
-            config = _apply_overrides(base, args)
-            verdict = analyze_records(header, records, config, args.out)
-            print(f"wrote {args.out}/verdict.json")
-            line = "LEAK DETECTED" if verdict.detected else "no leak detected"
-            print(
-                f"{line}: strength {verdict.strength:.2f} sigma "
-                f"(significance {verdict.significance}) "
-                f"channels {verdict.channel_strengths}"
-            )
-            return 2 if verdict.detected else 0
+        verdict = analyze_records(header, records, config, args.out)
+        print(f"wrote {args.out}/verdict.json")
+        line = "LEAK DETECTED" if verdict.detected else "no leak detected"
+        print(
+            f"{line}: strength {verdict.strength:.2f} sigma "
+            f"(significance {verdict.significance}) "
+            f"channels {verdict.channel_strengths}"
+        )
+        return 2 if verdict.detected else 0
     except (ShotsError, RegisterError, PassivityError, RecordFormatError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
-"""Experiment configuration: defaults, JSON loading and flag overrides.
+"""Experiment configuration: defaults, validation and JSON loading.
 
-A config file is a single JSON document; every field has a default, and CLI
-flags override fields one-for-one.  The default alpha grid is 121 uniform
-points on [-3, 3] with 0 removed (a constant observable tests nothing).
+A config file is a single JSON document in which every field has a default.
+Every config read from outside the program (a config file, the config echoed
+in a record-file header, or either one with CLI flags applied) goes through
+config_from_dict, which checks each field's JSON type before the dataclasses
+check its range.  The default alpha grid is 121 uniform points on [-3, 3]
+with 0 removed (a constant observable tests nothing).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .circuits import ProtocolConfig
-from .passivity import build_B, deformation_bounds, energy_basis_values
+from .passivity import PassivityError, admissible_xi_grid, build_B, energy_basis_values
 from .shots import BootstrapConfig, ShotsError, SpamModel
 
 REFERENCE_PARAMS = {
@@ -68,22 +71,15 @@ class ExperimentConfig:
         if isinstance(self.xi_grid, str) and self.xi_grid != "auto":
             raise ShotsError(f'xi_grid must be a list, "auto" or null')
         if isinstance(self.xi_grid, list):
-            self._check_explicit_xi_grid()
+            try:
+                B = build_B({"c": self.protocol.beta_c, "h": self.protocol.beta_h},
+                            self.epsilon)
+                admissible_xi_grid(B.basis_values, energy_basis_values(2, 1),
+                                   self.xi_grid)
+            except PassivityError as exc:
+                raise ShotsError(str(exc)) from exc
         if not self.significance > 0:
             raise ShotsError("significance must be positive")
-
-    def _check_explicit_xi_grid(self):
-        B = build_B(
-            {"c": self.protocol.beta_c, "h": self.protocol.beta_h}, self.epsilon
-        )
-        bounds = deformation_bounds(B.basis_values, energy_basis_values(2, 1))
-        slack = 1e-12 * max(1.0, abs(bounds.xi_min), abs(bounds.xi_max))
-        for xi in self.xi_grid:
-            if xi < bounds.xi_min - slack or xi > bounds.xi_max + slack:
-                raise ShotsError(
-                    f"xi grid point {xi} outside the admissible interval "
-                    f"[{bounds.xi_min}, {bounds.xi_max}]"
-                )
 
     def wants_deformation(self) -> bool:
         """Deformation tests run for variant B by default, or when a xi grid
@@ -102,64 +98,76 @@ class ExperimentConfig:
         return np.linspace(xi_min, xi_max, DEFAULT_XI_POINTS)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["protocol"] = asdict(self.protocol)
-        d["spam"] = asdict(self.spam)
-        d["bootstrap"] = asdict(self.bootstrap)
-        return d
+        return asdict(self)  # sub-configs become dicts too
 
 
-# numeric fields per config section ("" is the top level): integers, then
-# reals; reals must not be NaN, and only the inverse temperatures may be
-# infinite (exact pure states)
-_NUMERIC_FIELDS = {
-    "": (("shots_per_stage", "seed"), ("epsilon", "significance")),
-    "protocol": ((), ("beta_c", "beta_h", "beta_e", "phi", "theta")),
-    "spam": ((), ("flip_0_to_1", "flip_1_to_0")),
-    "bootstrap": (("resamples", "seed"), ("confidence",)),
+# JSON type of every typed field per config section ("" is the top level);
+# numbers must not be NaN, and only the inverse temperatures may be infinite
+# (exact pure states)
+_INTEGER, _NUMBER, _BETA = "an integer", "a number", "a number or infinity"
+_FIELD_TYPES = {
+    "": {"shots_per_stage": _INTEGER, "seed": _INTEGER,
+         "epsilon": _NUMBER, "significance": _NUMBER},
+    "protocol": {"variant": "a string", "include_env_swap": "a boolean",
+                 "beta_c": _BETA, "beta_h": _BETA, "beta_e": _BETA,
+                 "phi": _NUMBER, "theta": _NUMBER},
+    "spam": {"flip_0_to_1": _NUMBER, "flip_1_to_0": _NUMBER},
+    "bootstrap": {"resamples": _INTEGER, "seed": _INTEGER, "confidence": _NUMBER},
 }
-_INFINITE_OK = ("beta_c", "beta_h", "beta_e")
+
+# protocol fields that were removed, with the one value that record headers
+# written before the removal echo; only that value is accepted (and dropped)
+_REMOVED_PROTOCOL_FIELDS = {"b_gate_order": "swap_then_rotate",
+                            "env_swap_partner": None}
 
 
-def _is_number(value, integer: bool, infinite_ok: bool = False) -> bool:
-    kinds = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds):
+def _has_type(value, kind: str) -> bool:
+    if kind in ("a string", "a boolean"):
+        return isinstance(value, str if kind == "a string" else bool)
+    if isinstance(value, bool) or not isinstance(
+            value, int if kind == _INTEGER else (int, float)):
         return False
     return not isinstance(value, float) or (
-        not math.isnan(value) and (infinite_ok or math.isfinite(value)))
+        not math.isnan(value) and (kind == _BETA or math.isfinite(value)))
 
 
 def _check_types(data: dict) -> None:
-    """Reject mistyped numeric fields before they reach numpy."""
-    for section, (integers, reals) in _NUMERIC_FIELDS.items():
+    """Reject mistyped fields before they reach the dataclasses or numpy."""
+    for section, types in _FIELD_TYPES.items():
         fields = data.get(section, {}) if section else data
         if not isinstance(fields, dict):
             continue  # reported when the section is built
-        for names, integer in ((integers, True), (reals, False)):
-            for name in names:
-                if name in fields and not _is_number(fields[name], integer,
-                                                     name in _INFINITE_OK):
-                    label = f"{section}.{name}" if section else name
-                    kind = "an integer" if integer else "a number"
-                    raise ShotsError(f"invalid config: {label!r} must be {kind}, "
-                                     f"got {fields[name]!r}")
+        for name, kind in types.items():
+            if name in fields and not _has_type(fields[name], kind):
+                label = f"{section}.{name}" if section else name
+                raise ShotsError(f"invalid config: {label!r} must be {kind}, "
+                                 f"got {fields[name]!r}")
     for name in ("alpha_grid", "xi_grid"):
         if name not in data or (name == "xi_grid" and data[name] in (None, "auto")):
             continue
         grid = data[name]
         if not isinstance(grid, list) or not grid or not all(
-                _is_number(x, integer=False) for x in grid):
+                _has_type(x, _NUMBER) for x in grid):
             raise ShotsError(f"invalid config: {name!r} must be a non-empty list "
                              f"of finite numbers, got {grid!r}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """The validated config of a JSON object; ShotsError names a bad field."""
     if not isinstance(data, dict):
         raise ShotsError("config must be a JSON object")
     kwargs = dict(data)
     unknown = set(kwargs) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ShotsError(f"unknown config fields {sorted(unknown)}")
+    if isinstance(kwargs.get("protocol"), dict):
+        kwargs["protocol"] = protocol = dict(kwargs["protocol"])
+        for name, legacy in _REMOVED_PROTOCOL_FIELDS.items():
+            value = protocol.pop(name, legacy)
+            if value != legacy:
+                raise ShotsError(f"invalid config: 'protocol.{name}' was removed; "
+                                 f"older record files echo it as {legacy!r}, "
+                                 f"got {value!r}")
     _check_types(kwargs)
     for name, cls in (("protocol", ProtocolConfig), ("spam", SpamModel),
                       ("bootstrap", BootstrapConfig)):
@@ -180,6 +188,4 @@ def load_config(path: str) -> ExperimentConfig:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ShotsError(f"config {path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ShotsError(f"config {path}: expected a JSON object")
     return config_from_dict(data)

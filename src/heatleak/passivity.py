@@ -235,6 +235,25 @@ def deformation_bounds(b_values, a_values) -> DeformationBounds:
     )
 
 
+def admissible_xi_grid(b_values, a_values, grid) -> np.ndarray:
+    """The xi grid as a float array, checked to be finite and inside the
+    interval of deformation_bounds up to a relative 1e-12 (rounding at the
+    exact endpoints); PassivityError otherwise."""
+    grid = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise PassivityError("xi grid must be finite")
+    bounds = deformation_bounds(b_values, a_values)
+    finite = [abs(x) for x in (bounds.xi_min, bounds.xi_max) if math.isfinite(x)]
+    slack = 1e-12 * max([1.0, *finite])
+    outside = (grid < bounds.xi_min - slack) | (grid > bounds.xi_max + slack)
+    if outside.any():
+        raise PassivityError(
+            f"xi grid point {float(grid[outside][0])} outside the admissible "
+            f"interval [{bounds.xi_min}, {bounds.xi_max}]"
+        )
+    return grid
+
+
 @dataclass
 class SweepResult:
     """Inequality sides tabulated over a parameter grid.
@@ -395,30 +414,20 @@ def deformation_sweep(
     lhs is the change of <H_c> (constant in xi); rhs is
     -((beta_h + xi)/beta_c) times the change of <H_h>.  lhs < rhs is
     equivalent to the raw form delta<B> + xi*delta<A> < 0 for beta_c > 0.
-    Requires B built on exactly the two qubits c and h with A = H on one of
-    them (any commuting diagonal A is accepted for the raw form).
+    This normal form requires B built on exactly the two qubits c and h and
+    A = H_h (deformation_raw_values takes any commuting diagonal A).
     """
     observable = xi_observable(B)
-    beta_c, beta_h = B.betas["c"], B.betas["h"]
-    a = np.asarray(a_values, dtype=float)
-    bounds = deformation_bounds(B.basis_values, a)
-    grid = np.asarray(grid, dtype=float)
-    if not np.all(np.isfinite(grid)):
-        raise PassivityError("xi grid must be finite")
-    finite = [abs(x) for x in (bounds.xi_min, bounds.xi_max) if math.isfinite(x)]
-    slack = 1e-12 * max([1.0, *finite])
-    if np.any(grid < bounds.xi_min - slack) or np.any(grid > bounds.xi_max + slack):
+    e_c, e_h = energy_basis_values(2, 0), energy_basis_values(2, 1)
+    if not np.array_equal(np.asarray(a_values, dtype=float), e_h):
         raise PassivityError(
-            f"xi grid leaves the admissible interval "
-            f"[{bounds.xi_min}, {bounds.xi_max}]"
+            "the normal-form deformation sweep is defined for A = H_h only; "
+            "use deformation_raw_values for other observables"
         )
-    p0 = np.asarray(initial, dtype=float)
-    pf = np.asarray(final, dtype=float)
-    diff = pf - p0
-    d_hc = float(np.dot(diff, energy_basis_values(2, 0)))
-    d_hh = float(np.dot(diff, energy_basis_values(2, 1)))
-    lhs = np.full_like(grid, d_hc)
-    rhs = -((beta_h + grid) / beta_c) * d_hh
+    grid = admissible_xi_grid(B.basis_values, e_h, grid)
+    diff = np.asarray(final, dtype=float) - np.asarray(initial, dtype=float)
+    lhs = np.full_like(grid, float(np.dot(diff, e_c)))
+    rhs = -((B.betas["h"] + grid) / B.betas["c"]) * float(np.dot(diff, e_h))
     _, crossings = sweep_crossings(observable, diff, grid)
     return SweepResult(
         parameter_name="xi",

@@ -154,6 +154,7 @@ def run_exact(config: ExperimentConfig, out_dir: str) -> dict:
             "config": config.to_dict(),
             "stages": {k: [float(x) for x in v] for k, v in dists.items()},
         },
+        allow_nan=True,
     )
     paths["stage_distributions"] = dist_path
     return {"paths": paths, "sweeps": sweeps, "distributions": dists}
@@ -185,15 +186,6 @@ def run_simulate(config: ExperimentConfig, out_dir: str) -> str:
     return path
 
 
-def _strength(value: float, sigma: float) -> float:
-    """Violation depth in sigma units; zero when the value is non-negative."""
-    if value >= 0:
-        return 0.0
-    if sigma > 0:
-        return -value / sigma
-    return math.inf
-
-
 def _threshold_entry(test: str, stage: str, result) -> dict:
     entry = {
         "test": test,
@@ -203,7 +195,10 @@ def _threshold_entry(test: str, stage: str, result) -> dict:
         "no_crossing_resamples": result.no_crossing_resamples,
     }
     if result.found:
-        entry.update(asdict(result.estimate))  # value, ci_low, ci_high, std_error
+        # value, ci_low, ci_high, std_error; a NaN std_error (no resample
+        # crossed) is written as null
+        entry.update({name: None if math.isnan(x) else x
+                      for name, x in asdict(result.estimate).items()})
     return entry
 
 
@@ -248,10 +243,12 @@ def analyze_records(header_config: dict, records, config: ExperimentConfig | Non
         )
 
     def worst(channel: str, estimates, resolution) -> None:
-        # a zero-width bootstrap (all shots in one outcome) is no sharper
-        # than moving one shot, so sigma is floored at that resolution
+        # the violation depth in sigmas, with sigma floored at the column's
+        # one-shot resolution: a zero-width bootstrap (all shots in one
+        # outcome) is no sharper than moving one shot, and a constant column
+        # (resolution 0) changes by float noise only, so it carries none
         strengths[channel] = max(strengths[channel], max(
-            _strength(e.value, max(e.std_error, r))
+            -e.value / max(e.std_error, r) if e.value < 0 and r > 0 else 0.0
             for e, r in zip(estimates, resolution)
         ))
 

@@ -30,8 +30,12 @@ def atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_json(path: str, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def write_json(path: str, obj, allow_nan: bool = False) -> None:
+    """Strict JSON: NaN or an infinity raises ValueError.  Only a config echo
+    passes allow_nan, as an infinite inverse temperature (a pure state) has
+    no strict JSON form; it is written as Infinity, as in record headers."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True,
+                                       allow_nan=allow_nan) + "\n")
 
 
 def write_records(path: str, config_echo: dict, records) -> None:

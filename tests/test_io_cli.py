@@ -390,6 +390,8 @@ MISTYPED_HEADER_FIELDS = [
     ("spam.flip_1_to_0", True),
     ("bootstrap.resamples", 150.5),
     ("bootstrap.seed", "x"),
+    ("protocol.include_env_swap", "false"),
+    ("protocol.variant", 1),
 ]
 
 
@@ -441,3 +443,168 @@ def test_cli_analyze_degenerate_records_finite_strength(tmp_path):
         bound = max(bound, float(np.max(np.abs(value) / resolution)))
     assert np.isfinite(verdict["strength"])
     assert verdict["strength"] <= bound * (1 + 1e-12)
+
+
+def test_cli_simulate_config_string_boolean_exit_one(tmp_path, capsys):
+    """A JSON string "false" is truthy; taken as a boolean it would switch
+    the environment SWAP on."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": {
+        "variant": "B", "beta_c": 1.627, "beta_h": 1.099, "beta_e": 2.232,
+        "include_env_swap": "false"}}))
+    rc = main(["simulate", "--config", str(cfg), "--seed", "3",
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert "'protocol.include_env_swap'" in capsys.readouterr().err
+
+
+def test_cli_flags_are_validated_like_config_fields(tmp_path, capsys):
+    rc = main(["simulate", "--epsilon", "inf", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "'epsilon'" in capsys.readouterr().err
+
+
+def test_cli_analyze_header_with_removed_protocol_fields(tmp_path, capsys):
+    """Headers written while ProtocolConfig had b_gate_order and
+    env_swap_partner echo their defaults: such files analyze to the same
+    outputs, and any other value of those fields is an error naming it."""
+    def run(name, **fields):
+        def edit(lines):
+            lines[0]["config"]["protocol"].update(fields)
+            return lines
+
+        (tmp_path / name).mkdir()
+        out = tmp_path / name / "out"
+        rc = main(["analyze", _edited_records(tmp_path / name, edit), "--out", str(out)])
+        return rc, out
+
+    rc, plain = run("plain")
+    legacy_rc, legacy = run("legacy", b_gate_order="swap_then_rotate",
+                            env_swap_partner=None)
+    assert rc in (0, 2) and legacy_rc == rc
+    names = sorted(os.listdir(plain))
+    assert names == sorted(os.listdir(legacy))
+    for name in names:
+        assert (plain / name).read_bytes() == (legacy / name).read_bytes(), name
+    capsys.readouterr()
+    for field, value in (("b_gate_order", "rotate_then_swap"),
+                         ("env_swap_partner", "h")):
+        assert run(field, **{field: value})[0] == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'protocol.{field}'" in err
+
+
+REMOVED_FLAGS = [
+    ("exact", flag) for flag in ("--seed=3", "--significance=2", "--shots-per-stage=10",
+                                 "--resamples=200", "--spam-flip01=0.1",
+                                 "--spam-flip10=0.1")
+] + [
+    ("analyze", flag) for flag in ("--shots-per-stage=10", "--spam-flip01=0.1",
+                                   "--spam-flip10=0.1", "--no-env-swap")
+]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
+                         ids=[f"{c}{f.split('=')[0]}" for c, f in REMOVED_FLAGS])
+def test_cli_removed_flag_exits_one(tmp_path, capsys, command, flag):
+    """Flags whose values reached no output of the subcommand are gone; an
+    unknown flag is a usage error, exit 1 (2 would read as a leak)."""
+    argv = [command, flag, "--out", str(tmp_path / "out")]
+    if command == "analyze":
+        argv.append(_edited_records(tmp_path, lambda lines: lines))
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["analyze"], ["frobnicate"], ["simulate", "--seed", "x"],
+    ["exact", "--variant", "C"], ["bounds", "--beta-c", "1"],
+])
+def test_cli_usage_errors_exit_one(capsys, argv):
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["analyze", "--help"]) == 0
+    assert "records" in capsys.readouterr().out
+
+
+def test_cli_constant_observables_carry_no_strength(tmp_path):
+    """With beta_c = beta_h = 0 every observable is constant, so each
+    column's change is float noise: a column of one-shot resolution 0
+    carries strength 0 instead of noise over noise (3.2 sigma at seed 5)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": {
+        "variant": "A", "beta_c": 0.0, "beta_h": 0.0, "beta_e": 2.02}}))
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--config", str(cfg), "--seed", "5", "--out", out]) == 0
+    assert main(["analyze", os.path.join(out, "records.jsonl"), "--out", out]) == 0
+    with open(os.path.join(out, "verdict.json")) as fh:
+        verdict = json.load(fh)
+    assert verdict["strength"] == 0.0
+    assert set(verdict["channel_strengths"].values()) == {0.0}
+
+
+def test_threshold_without_resample_crossings_writes_null_std_error(tmp_path):
+    """A threshold found on the point sweep that no resample crosses has no
+    std error; the verdict entry carries null there, never NaN."""
+    from heatleak.pipeline import _threshold_entry
+    from heatleak.recordio import write_json
+    from heatleak.shots import BootstrapConfig, sample_shots, threshold_with_uncertainty
+
+    rec = sample_shots([0.5, 0.5], 100, seed=1)
+
+    def builder(rec_i, rec_f):
+        # resampled records carry no seed, so only the point sweep crosses
+        grid = np.linspace(0.0, 1.0, 5)
+        crossings = [(0.5, 0.0)] if rec_i.seed is not None else []
+        return SweepResult("alpha", grid, np.ones(5), np.zeros(5), thresholds=crossings)
+
+    result = threshold_with_uncertainty(rec, rec, builder,
+                                        BootstrapConfig(resamples=100, seed=2))
+    assert result.found and result.no_crossing_resamples == 100
+    entry = _threshold_entry("global-passivity", "iii", result)
+    assert entry["value"] == 0.5 and entry["std_error"] is None
+    path = tmp_path / "entry.json"
+    write_json(str(path), entry)
+    parsed = json.loads(path.read_text(),
+                        parse_constant=lambda c: pytest.fail(f"non-standard JSON {c}"))
+    assert parsed["std_error"] is None
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_write_json_rejects_non_finite_numbers(tmp_path, value):
+    from heatleak.recordio import write_json
+
+    with pytest.raises(ValueError):
+        write_json(str(tmp_path / "bad.json"), {"strength": value})
+
+
+def test_config_rejects_xi_grid_outside_half_bounded_interval():
+    # beta_c == beta_h leaves xi unbounded above; the bound below still holds
+    protocol = {"variant": "B", "beta_c": 1.0, "beta_h": 1.0, "beta_e": 2.0}
+    assert config_from_dict({"protocol": protocol, "xi_grid": [-1.0, 5.0]})
+    with pytest.raises(ShotsError, match="admissible interval"):
+        config_from_dict({"protocol": protocol, "xi_grid": [-5.0]})
+
+
+def test_cli_bounds_hc_observable(capsys):
+    rc = main(["bounds", "--beta-c", "1.627", "--beta-h", "1.099",
+               "--observable", "Hc"])
+    assert rc == 0
+    assert "xi_min = -0.528" in capsys.readouterr().out
+
+
+def test_cli_exact_pure_environment_keeps_working(tmp_path):
+    """An infinite inverse temperature (a pure state) has no strict JSON
+    form; the config echo in stage_distributions.json keeps it as Infinity,
+    as record headers do, while verdict.json stays strict."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"protocol": {"variant": "A", "beta_c": 2.23, "beta_h": 0.43, '
+                   '"beta_e": Infinity}}')
+    out = tmp_path / "exact"
+    assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "stage_distributions.json").read_text())
+    assert doc["config"]["protocol"]["beta_e"] == float("inf")

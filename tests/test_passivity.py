@@ -361,6 +361,23 @@ def test_deformation_sweep_rejects_nonpositive_beta_c():
         deformation_sweep(p, p, B, A_VALUES_HH, [0.0])
 
 
+def test_deformation_sweep_rejects_observables_other_than_Hh():
+    """The normal form lhs = d<H_c>, rhs = -((beta_h + xi)/beta_c) d<H_h>
+    holds for A = H_h only; the raw form and the bounds take any commuting A."""
+    p_i, _, p_iii = oracle_protocol_b(True)
+    B = build_B({"c": 1.627, "h": 1.099}, 1e-3)
+    a_hc = energy_basis_values(2, 0)
+    bounds = deformation_bounds(B.basis_values, a_hc)
+    assert bounds.xi_min == pytest.approx(-0.528) and bounds.xi_max == math.inf
+    grid = np.linspace(bounds.xi_min, 1.0, 5)
+    with pytest.raises(PassivityError, match="H_h"):
+        deformation_sweep(p_i, p_iii, B, a_hc, grid)
+    raw = deformation_raw_values(p_i, p_iii, B, a_hc, grid)
+    diff = p_iii - p_i
+    assert np.allclose(raw, diff @ B.basis_values + grid * (diff @ a_hc),
+                       rtol=0, atol=1e-12)
+
+
 # ------------------------------------------------------ unitality properties
 
 def _random_product_thermal(rng):
