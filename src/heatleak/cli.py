@@ -20,6 +20,7 @@ any config file.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import REFERENCE_PARAMS, ExperimentConfig, config_from_dict, load_config
@@ -52,7 +53,10 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by later calls
+    (building it costs about a millisecond); callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="heatleak",
         description="Passivity-based heat-leak detection on small qubit registers",

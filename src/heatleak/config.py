@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -98,7 +98,23 @@ class ExperimentConfig:
         return np.linspace(xi_min, xi_max, DEFAULT_XI_POINTS)
 
     def to_dict(self) -> dict:
-        return asdict(self)  # sub-configs become dicts too
+        """The config as JSON-ready data, equal to dataclasses.asdict(self).
+
+        Written out because asdict deep-copies each value, the 120-float
+        alpha grid included; the grids and sub-dicts are still new objects,
+        so callers may modify the result.
+        """
+        data = _fields(self)
+        for name in ("protocol", "spam", "bootstrap"):
+            data[name] = _fields(data[name])
+        for name in ("alpha_grid", "xi_grid"):
+            if isinstance(data[name], list):
+                data[name] = list(data[name])
+        return data
+
+
+def _fields(instance) -> dict:
+    return {f.name: getattr(instance, f.name) for f in fields(instance)}
 
 
 # JSON type of every typed field per config section ("" is the top level);

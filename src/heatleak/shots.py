@@ -209,18 +209,45 @@ def _resample_matrices(records, config: BootstrapConfig) -> list[np.ndarray]:
     return draws
 
 
+def _linear_quantile(ordered: np.ndarray, q: float) -> np.ndarray:
+    """np.quantile(x, q, axis=1) of the rows of x sorted ascending (NaN last).
+
+    Repeats numpy's "linear" rule operation for operation, so the result is
+    equal bit for bit: virtual index v = (n - 1) q between the order
+    statistics below and above it, numpy's two-sided lerp, and NaN for a row
+    that holds NaN.
+    """
+    n = ordered.shape[1]
+    virtual = (n - 1) * q
+    if virtual >= n - 1:  # numpy takes the last value, with weight v + 1
+        below = above = n - 1
+        weight = virtual + 1
+    else:
+        below = math.floor(virtual)
+        above = below + 1
+        weight = virtual - below
+    low, high = ordered[:, below], ordered[:, above]
+    step = high - low
+    value = high - step * (1 - weight) if weight >= 0.5 else low + step * weight
+    np.copyto(value, ordered[:, -1], where=np.isnan(ordered[:, -1]))
+    return value
+
+
 def _summarize(point, stats: np.ndarray, confidence: float) -> list[EstimateWithCI]:
     """Estimates from point values and (resamples, k) resample statistics.
 
-    CIs are empirical quantiles at (1 +- confidence)/2, widened to enclose
-    the point estimate if needed; std_error is the resample standard
-    deviation (0 for a single resample).
+    CIs are empirical quantiles at (1 +- confidence)/2 by numpy's default
+    "linear" rule, widened to enclose the point estimate if needed;
+    std_error is the resample standard deviation (0 for a single resample).
     """
     lo_q = (1.0 - confidence) / 2.0
     std = stats.std(axis=0, ddof=1) if len(stats) > 1 else np.zeros(stats.shape[1])
-    # one partition of a column-major copy serves both quantiles
-    ci_low, ci_high = np.quantile(stats.T.copy(), [lo_q, 1.0 - lo_q], axis=1,
-                                  overwrite_input=True)
+    # one in-place sort of contiguous rows (numpy's SIMD sort) serves both
+    # quantiles; it is faster than np.quantile's partition at six positions
+    ordered = stats.T.copy()
+    ordered.sort(axis=1)
+    ci_low = _linear_quantile(ordered, lo_q)
+    ci_high = _linear_quantile(ordered, 1.0 - lo_q)
     return [
         EstimateWithCI(
             value=float(point[k]),

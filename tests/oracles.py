@@ -135,6 +135,25 @@ def oracle_xi_star_b():
     return -d_b / d_hh
 
 
+def oracle_summary(point, stats, confidence):
+    """(value, ci_low, ci_high, std_error) per column of (resamples, k)
+    resample statistics: np.quantile at (1 +- confidence)/2 widened to the
+    point value, and the ddof=1 standard deviation (0 for one resample).
+
+    The CI summary of the package before it took its quantiles from a sort;
+    the package must still agree with it bit for bit.
+    """
+    lo_q = (1.0 - confidence) / 2.0
+    std = stats.std(axis=0, ddof=1) if len(stats) > 1 else np.zeros(stats.shape[1])
+    ci_low, ci_high = np.quantile(stats.T.copy(), [lo_q, 1.0 - lo_q], axis=1,
+                                  overwrite_input=True)
+    return [
+        (float(point[k]), float(min(ci_low[k], point[k])),
+         float(max(ci_high[k], point[k])), float(std[k]))
+        for k in range(len(point))
+    ]
+
+
 # Frozen regression constants (computed by the functions above, tolerance
 # 1e-6 enforced by the acceptance suite).
 PIN_ALPHA_STAR_A = 0.4765547242892354

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 
@@ -14,7 +16,7 @@ from heatleak import (
     reference_protocol,
 )
 from heatleak.cli import main
-from heatleak.config import config_from_dict, load_config
+from heatleak.config import REFERENCE_PARAMS, config_from_dict, load_config
 from heatleak.passivity import SweepResult
 from heatleak.recordio import (
     RecordFormatError,
@@ -114,6 +116,29 @@ def test_config_round_trip(tmp_path):
     )
     back = config_from_dict(cfg.to_dict())
     assert back == cfg
+
+
+@pytest.mark.parametrize("data", [
+    {},
+    {"protocol": {"variant": "B", **REFERENCE_PARAMS["B"]}, "shots_per_stage": 3200},
+    {"protocol": {"variant": "B", **REFERENCE_PARAMS["B"]},
+     "xi_grid": [-1.0, 0.0, 0.5], "spam": {"flip_0_to_1": 0.01}},
+    {"xi_grid": "auto"},
+], ids=["default", "B", "xi-list", "xi-auto"])
+def test_config_to_dict_equals_asdict_and_is_a_copy(data):
+    cfg = config_from_dict(data)
+    expected = dataclasses.asdict(cfg)
+    out = cfg.to_dict()
+    assert out == expected
+    assert json.dumps(out) == json.dumps(expected)  # same key order in the echo
+    # cli._with_flags edits the result in place
+    out["alpha_grid"].append(9.0)
+    if isinstance(out["xi_grid"], list):
+        out["xi_grid"][0] = 7.0
+    for name in ("protocol", "spam", "bootstrap"):
+        out[name].clear()
+    out["seed"] = 99
+    assert dataclasses.asdict(cfg) == expected
 
 
 def test_config_defaults():
@@ -529,6 +554,21 @@ def test_cli_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["analyze", "--help"]) == 0
     assert "records" in capsys.readouterr().out
+
+
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        assert main(["bounds", "--beta-c", "2.0", "--beta-h", "1.0"]) == 0
+    assert built.count("heatleak") <= 1
+    assert capsys.readouterr().out.count("xi") >= 2
 
 
 def test_cli_constant_observables_carry_no_strength(tmp_path):

@@ -23,13 +23,14 @@ from heatleak import (
 from heatleak.config import default_alpha_grid
 from heatleak.passivity import SweepResult, alpha_observable, xi_observable
 from heatleak.shots import (
+    _summarize,
     bootstrap_change,
     derive_seed,
     outcome_labels,
     threshold_bootstrap,
 )
 
-from oracles import oracle_protocol_a, oracle_protocol_b
+from oracles import oracle_protocol_a, oracle_protocol_b, oracle_summary
 
 
 # ---------------------------------------------------------------- sampling
@@ -318,6 +319,40 @@ def test_threshold_protocol_a_realistic():
 def test_outcome_labels():
     assert outcome_labels(1) == ("0", "1")
     assert outcome_labels(2) == ("00", "01", "10", "11")
+
+
+# ------------------------------------------------ CI summary vs np.quantile
+
+@pytest.mark.parametrize("kind", ["continuous", "integer ties", "non-finite"])
+@pytest.mark.parametrize("resamples", [1, 2, 3, 100, 2000])
+def test_summary_matches_np_quantile_reference(resamples, kind):
+    """_summarize gives the estimates of the np.quantile reference exactly:
+    every float as printed, so NaN matches NaN and zeros keep their sign."""
+    rng = np.random.default_rng(derive_seed(91, resamples))
+    if kind == "integer ties":
+        stats = rng.integers(-3, 4, size=(resamples, 16)).astype(float)
+        point = rng.integers(-3, 4, size=16).astype(float)
+        # even columns hold zeros of one sign only, -0.0, so that no sort can
+        # order them differently, and a single resample keeps its sign
+        stats[0, ::2] = 0.0
+        even = stats[:, ::2]
+        even[even == 0] = -0.0
+    else:
+        stats = rng.normal(size=(resamples, 16))
+        point = rng.normal(scale=1.5, size=16)
+    if kind == "non-finite":
+        # one NaN in column 0; columns 1-3 about a third +inf, -inf or either
+        stats[rng.integers(resamples), 0] = np.nan
+        for column, values in ((1, [np.inf]), (2, [-np.inf]), (3, [np.inf, -np.inf])):
+            rows = rng.random(resamples) < 0.35
+            stats[rows, column] = rng.choice(values, size=rows.sum())
+    with np.errstate(invalid="ignore"):  # std and lerp of infinities give NaN
+        for confidence in (0.05, 0.6827, 0.99):
+            for columns in (1, 16):
+                got = _summarize(point[:columns], stats[:, :columns], confidence)
+                want = oracle_summary(point[:columns], stats[:, :columns], confidence)
+                assert [tuple(map(repr, (e.value, e.ci_low, e.ci_high, e.std_error)))
+                        for e in got] == [tuple(map(repr, w)) for w in want]
 
 
 # ------------------------------------------- count-matrix path vs reference
