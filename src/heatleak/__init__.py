@@ -53,11 +53,9 @@ from .shots import (
     ThresholdResult,
     apply_spam,
     bootstrap_change,
-    bootstrap_statistic,
     estimate_expectation,
     sample_shots,
     threshold_bootstrap,
-    threshold_with_uncertainty,
 )
 from .config import ExperimentConfig, load_config, reference_protocol
 from .pipeline import Verdict, run_analyze, run_bounds, run_exact, run_simulate

@@ -128,7 +128,13 @@ def observable_table(B: GlobalPassivityOperator, alpha_grid, a_values=None,
     if np.any(alpha_grid == 0.0):
         raise PassivityError("alpha grid must exclude 0")
     b = B.basis_values[:, None]
-    parts = [np.sign(alpha_grid) * b**alpha_grid, b]
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.sign(alpha_grid) * b**alpha_grid
+    bad = np.flatnonzero(~np.isfinite(powers).all(axis=0))
+    if bad.size:
+        raise PassivityError(f"epsilon = {B.epsilon} makes B^alpha non-finite "
+                             f"at alpha = {alpha_grid[bad[0]]}")
+    parts = [powers, b]
     if xi_grid is not None and len(xi_grid):
         a = np.asarray(a_values, dtype=float)[:, None]
         parts.append(b + a * np.asarray(xi_grid, dtype=float))

@@ -53,6 +53,14 @@ def write_records(path: str, config_echo: dict, records) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _json_int(value, name: str) -> int:
+    """value if it is a JSON integer that numpy's int64 holds; floats (even
+    400.0) and booleans are not integers."""
+    if isinstance(value, bool) or not isinstance(value, int) or abs(value) >= 2**63:
+        raise TypeError(f"{name} must be a JSON integer below 2**63, got {value!r}")
+    return value
+
+
 def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
     """Parse a record file; raises RecordFormatError with 1-based line numbers."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -86,8 +94,9 @@ def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
             records.append(
                 ShotRecord(
                     stage=obj["stage"],
-                    counts={str(k): int(v) for k, v in obj["counts"].items()},
-                    shots=int(obj["shots"]),
+                    counts={str(k): _json_int(v, f"count of {k!r}")
+                            for k, v in obj["counts"].items()},
+                    shots=_json_int(obj["shots"], "shots"),
                     qubits=tuple(obj["qubits"]) if obj.get("qubits") else None,
                     seed=obj.get("seed"),
                     meta=obj.get("meta") or {},

@@ -4,6 +4,11 @@ All randomness goes through NumPy's PCG64 generator (``np.random.default_rng``)
 with integer seeds derived via ``SeedSequence`` so that records, bootstrap
 channels and threshold uncertainties are bit-reproducible from a single root
 seed, independently of evaluation order.
+
+Both bootstraps redraw each stage's counts once, as a (resamples, outcomes)
+multinomial count matrix (_resample_matrices), and work on those matrices
+whole: bootstrap_change takes CIs of expectation changes by matrix products,
+threshold_bootstrap locates the sweep crossings of every resample at once.
 """
 
 from __future__ import annotations
@@ -259,41 +264,15 @@ def _summarize(point, stats: np.ndarray, confidence: float) -> list[EstimateWith
     ]
 
 
-def bootstrap_statistic(records, statistic, config: BootstrapConfig) -> list[EstimateWithCI]:
-    """Non-parametric bootstrap of a vector statistic of shot records.
-
-    Every resample redraws each record's counts from a multinomial with its
-    empirical rates and the same shot total, then recomputes the statistic
-    on rebuilt records (see _summarize for the CIs).  bootstrap_change does
-    the same for the expectation changes of a table of observables, without
-    building a record per resample.
-    """
-    records = list(records)
-    if not records:
-        raise ShotsError("at least one record required")
-    point = np.atleast_1d(np.asarray(statistic(records), dtype=float))
-    draws = _resample_matrices(records, config)
-    stats = np.empty((config.resamples, len(point)))
-    for r in range(config.resamples):
-        resampled = [rec.with_counts(draws[j][r]) for j, rec in enumerate(records)]
-        try:
-            stats[r] = np.atleast_1d(np.asarray(statistic(resampled), dtype=float))
-        except Exception as exc:
-            raise ShotsError(
-                f"statistic failed on resample {r}: {exc!r}; "
-                f"counts={[d[r].tolist() for d in draws]}"
-            ) from exc
-    return _summarize(point, stats, config.confidence)
-
-
 def bootstrap_change(initial: ShotRecord, final: ShotRecord, table,
                      config: BootstrapConfig) -> list[EstimateWithCI]:
     """Bootstrap of (p_final - p_initial) @ table, one estimate per column.
 
-    Equal to bootstrap_statistic of that statistic with the same config, but
-    each stage's resamples stay one (resamples, outcomes) count matrix, so
-    the resample statistics are matrix products, taken a block of
-    _BLOCK_COLUMNS table columns at a time to bound their memory.
+    Each resample redraws both records' counts from multinomials with their
+    empirical rates and shot totals; its statistic is the same product on
+    the redrawn rates, taken a block of _BLOCK_COLUMNS table columns at a
+    time to bound memory.  See _summarize for the CIs; a non-finite
+    resample statistic raises ShotsError naming the first such resample.
     """
     table = np.asarray(table, dtype=float)
     point = (final.probabilities() - initial.probabilities()) @ table
@@ -329,88 +308,47 @@ class ThresholdResult:
     no_crossing_resamples: int
 
 
-def _threshold(initial: ShotRecord, final: ShotRecord, point_crossings,
-               resampled_nearest, config: BootstrapConfig) -> ThresholdResult:
-    """Threshold from the point crossings and, per resample, the crossing
-    nearest the point one (NaN for none) from resampled_nearest(draws, center)."""
-    if not len(point_crossings):
+def threshold_bootstrap(initial: ShotRecord, final: ShotRecord, observable, grid,
+                        config: BootstrapConfig) -> ThresholdResult:
+    """Locate the sign crossing of the sweep of observable(x) over grid and
+    bootstrap its uncertainty.
+
+    The sweep's value at x is (p_final - p_initial) @ observable(x), as in
+    passivity.sweep_crossings; its point estimate must have at most one
+    crossing (none is an explicit not-found result, several raise
+    ShotsError).  Every resample redraws both records' counts as in
+    bootstrap_change and contributes its crossing nearest the point one,
+    ties going to the first in grid order; resamples without a crossing are
+    counted and left out of the CI, whose std_error is NaN if none crosses.
+    """
+    _, point = sweep_crossings(
+        observable, final.probabilities() - initial.probabilities(), grid)
+    if not len(point):
         return ThresholdResult(
             found=False, estimate=None,
             resamples=config.resamples, no_crossing_resamples=0,
         )
-    if len(point_crossings) > 1:
+    if len(point) > 1:
         raise ShotsError(
-            f"point-estimate sweep has {len(point_crossings)} sign crossings "
-            f"at {list(point_crossings)}; threshold is ambiguous"
+            f"point-estimate sweep has {len(point)} sign crossings "
+            f"at {list(point)}; threshold is ambiguous"
         )
-    center = float(point_crossings[0])
-    nearest = resampled_nearest(_resample_matrices([initial, final], config), center)
-    locations = nearest[~np.isnan(nearest)]
-    missing = config.resamples - len(locations)
-    if not len(locations):
+    center = float(point[0])
+    counts_i, counts_f = _resample_matrices([initial, final], config)
+    rows, locations = sweep_crossings(
+        observable, counts_f / final.shots - counts_i / initial.shots, grid)
+    distance = np.abs(locations - center)
+    best = np.full(config.resamples, np.inf)
+    np.minimum.at(best, rows, distance)
+    hit = distance == best[rows]
+    _, first = np.unique(rows[hit], return_index=True)
+    nearest = locations[hit][first]  # in resample order
+    if not len(nearest):
         estimate = EstimateWithCI(center, center, center, math.nan)
     else:
-        (estimate,) = _summarize([center], locations[:, None], config.confidence)
+        (estimate,) = _summarize([center], nearest[:, None], config.confidence)
     return ThresholdResult(
         found=True, estimate=estimate,
-        resamples=config.resamples, no_crossing_resamples=missing,
+        resamples=config.resamples,
+        no_crossing_resamples=config.resamples - len(nearest),
     )
-
-
-def threshold_with_uncertainty(
-    initial_record: ShotRecord,
-    final_record: ShotRecord,
-    sweep_builder,
-    config: BootstrapConfig,
-) -> ThresholdResult:
-    """Locate the sweep's sign crossing and bootstrap its uncertainty.
-
-    sweep_builder(initial_record, final_record) must return a SweepResult;
-    its point estimate must have exactly one crossing.  Resampled sweeps
-    with several crossings contribute the one nearest the point estimate.
-    threshold_bootstrap does the same for a sweep given by its observable,
-    without building records or sweeps per resample.
-    """
-    point_sweep = sweep_builder(initial_record, final_record)
-
-    def nearest(draws, center):
-        out = np.full(config.resamples, np.nan)
-        for r in range(config.resamples):
-            sweep = sweep_builder(
-                initial_record.with_counts(draws[0][r]),
-                final_record.with_counts(draws[1][r]),
-            )
-            if sweep.thresholds:
-                out[r] = min((loc for loc, _ in sweep.thresholds),
-                             key=lambda x: abs(x - center))
-        return out
-
-    return _threshold(initial_record, final_record,
-                      [loc for loc, _ in point_sweep.thresholds], nearest, config)
-
-
-def threshold_bootstrap(initial: ShotRecord, final: ShotRecord, observable, grid,
-                        config: BootstrapConfig) -> ThresholdResult:
-    """threshold_with_uncertainty for the sweep of observable(x) over grid.
-
-    The sweep's value at x is (p_final - p_initial) @ observable(x), as in
-    passivity.sweep_crossings, which locates the crossings of all resamples
-    at once.  Ties in the distance to the point crossing go to the first
-    crossing in grid order.
-    """
-    _, point = sweep_crossings(
-        observable, final.probabilities() - initial.probabilities(), grid)
-
-    def nearest(draws, center):
-        rows, locations = sweep_crossings(
-            observable, draws[1] / final.shots - draws[0] / initial.shots, grid)
-        distance = np.abs(locations - center)
-        best = np.full(config.resamples, np.inf)
-        np.minimum.at(best, rows, distance)
-        hit = distance == best[rows]
-        picked, first = np.unique(rows[hit], return_index=True)
-        out = np.full(config.resamples, np.nan)
-        out[picked] = locations[hit][first]
-        return out
-
-    return _threshold(initial, final, point, nearest, config)

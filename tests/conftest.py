@@ -4,12 +4,16 @@ import pytest
 from heatleak import DensityOperator, UnitaryOperator
 
 
-def haar_unitary(dim, rng):
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
+def haar_matrix(dim, rng):
+    """Haar-random unitary matrix via QR of a complex Gaussian matrix."""
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return UnitaryOperator(q)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def haar_unitary(dim, rng):
+    """haar_matrix as a validated UnitaryOperator."""
+    return UnitaryOperator(haar_matrix(dim, rng))
 
 
 def random_density(num_qubits, rng, rank=None):

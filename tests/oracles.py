@@ -7,6 +7,10 @@ factors, marginals are accumulated index by index, and expectation changes
 are plain sums.  The regression constants at the bottom were produced by
 this module and frozen; the acceptance suite recomputes them on every run
 and compares against both the frozen values and the package.
+
+The bootstrap references at the end are the package's former per-resample
+implementations: they rebuild records and rerun a statistic or sweep per
+resample, taking both records and sweep builders from the calling test.
 """
 
 import numpy as np
@@ -152,6 +156,58 @@ def oracle_summary(point, stats, confidence):
          float(max(ci_high[k], point[k])), float(std[k]))
         for k in range(len(point))
     ]
+
+
+def _oracle_draws(records, resamples, seed):
+    """Per record j: (resamples, outcomes) multinomial redraws of its counts
+    from a generator seeded with SeedSequence([seed, j]), as the package
+    seeds its bootstrap streams."""
+    draws = []
+    for j, rec in enumerate(records):
+        sub = np.random.SeedSequence([seed, j]).generate_state(1, np.uint64)[0]
+        rng = np.random.default_rng(sub)
+        draws.append(rng.multinomial(rec.shots, rec.probabilities(), size=resamples))
+    return draws
+
+
+def oracle_bootstrap_statistic(records, statistic, resamples, confidence, seed):
+    """Per-resample bootstrap of a vector statistic of shot records: every
+    resample rebuilds each record from its redrawn counts and recomputes
+    statistic(records); summarised by oracle_summary."""
+    point = np.atleast_1d(np.asarray(statistic(records), dtype=float))
+    draws = _oracle_draws(records, resamples, seed)
+    stats = np.empty((resamples, len(point)))
+    for r in range(resamples):
+        stats[r] = statistic([rec.with_counts(d[r]) for rec, d in zip(records, draws)])
+    return oracle_summary(point, stats, confidence)
+
+
+def oracle_threshold(initial, final, sweep_builder, resamples, confidence, seed):
+    """Per-resample threshold bootstrap of sweep_builder(initial, final), a
+    sweep whose point estimate crosses zero once or never.
+
+    Every resample rebuilds both records, reruns the sweep and keeps its
+    crossing nearest the point one.  Returns (found, estimate,
+    no_crossing_resamples), estimate as in oracle_summary (NaN std error
+    when no resample crosses).
+    """
+    point = [loc for loc, _ in sweep_builder(initial, final).thresholds]
+    if not point:
+        return False, None, 0
+    assert len(point) == 1, point
+    center = point[0]
+    draw_i, draw_f = _oracle_draws([initial, final], resamples, seed)
+    locations = []
+    for r in range(resamples):
+        sweep = sweep_builder(initial.with_counts(draw_i[r]),
+                              final.with_counts(draw_f[r]))
+        if sweep.thresholds:
+            locations.append(min((loc for loc, _ in sweep.thresholds),
+                                 key=lambda x: abs(x - center)))
+    if not locations:
+        return True, (center, center, center, float("nan")), resamples
+    (estimate,) = oracle_summary([center], np.array(locations)[:, None], confidence)
+    return True, estimate, resamples - len(locations)
 
 
 # Frozen regression constants (computed by the functions above, tolerance

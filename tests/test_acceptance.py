@@ -23,6 +23,7 @@ from heatleak import (
     energy_basis_values,
     measure_distribution,
     mixture_channel,
+    observable_table,
     partial_trace,
     reference_protocol,
     swap_gate,
@@ -34,12 +35,14 @@ from heatleak.passivity import deformation_raw_values
 from heatleak.pipeline import run_analyze, run_simulate, stage_distributions
 from heatleak.shots import (
     BootstrapConfig,
-    bootstrap_statistic,
+    SpamModel,
+    apply_spam,
+    bootstrap_change,
     derive_seed,
     sample_shots,
 )
 
-from conftest import haar_unitary, random_density
+from conftest import haar_matrix, haar_unitary, random_density
 from oracles import (
     PIN_ALPHA_STAR_A,
     PIN_XI_STAR_B,
@@ -203,6 +206,32 @@ def test_criterion_5_unitality_property_suite():
         assert worst_xi >= -1e-9, f"deformed family violated: {worst_xi}"
 
 
+def test_spam_readout_raises_no_false_alarm():
+    """Readout error on both stages of a unital evolution violates no column
+    of the observable table (alpha family, second law, 21 xi points), so
+    SPAM is not a false-alarm source.  Seed, 2000 cases and the bound
+    -1e-12 * max|V[:, c]| per column were fixed before the first run."""
+    rng = np.random.default_rng(818)
+    a_values = energy_basis_values(2, 1)
+    worst = math.inf
+    for _ in range(2000):
+        beta_c, beta_h = rng.uniform(0.1, 3.0, size=2)
+        B = build_B({"c": beta_c, "h": beta_h}, 1e-3)
+        bounds = deformation_bounds(B.basis_values, a_values)
+        lo = bounds.xi_min if math.isfinite(bounds.xi_min) else -5.0
+        hi = bounds.xi_max if math.isfinite(bounds.xi_max) else 5.0
+        table = observable_table(B, ALPHA_GRID, a_values, np.linspace(lo, hi, 21))
+        # thermal product populations, pushed through the unitary's
+        # transition matrix |U|^2 (exact for a diagonal initial state)
+        p0 = np.outer(*[np.array([1.0, math.exp(-b)]) / (1.0 + math.exp(-b))
+                        for b in (beta_c, beta_h)]).ravel()
+        pf = np.abs(haar_matrix(4, rng)) ** 2 @ p0
+        spam = SpamModel(*rng.uniform(0.0, 0.2, size=2))
+        change = (apply_spam(pf, spam) - apply_spam(p0, spam)) @ table
+        worst = min(worst, float(np.min(change / np.abs(table).max(axis=0))))
+    assert worst >= -1e-12, f"worst relative column change {worst}"
+
+
 def test_criterion_6_numerical_substrate():
     with criterion(6, "numerical substrate round trips (100 cases each)"):
         rng = np.random.default_rng(909)
@@ -240,9 +269,6 @@ def test_criterion_7_bootstrap_coverage():
         true_delta = delta_B_alpha(dists["i"], dists["iii"], B, 0.5)
         v = np.sign(0.5) * B.basis_values**0.5
 
-        def stat(recs):
-            return np.dot(recs[1].probabilities() - recs[0].probabilities(), v)
-
         covered = 0
         reps = 500
         for rep in range(reps):
@@ -250,7 +276,7 @@ def test_criterion_7_bootstrap_coverage():
             rec_f = sample_shots(dists["iii"], 6700, derive_seed(101, rep, 1),
                                  stage="iii")
             bs = BootstrapConfig(resamples=600, seed=derive_seed(101, rep, 2))
-            (est,) = bootstrap_statistic([rec_i, rec_f], stat, bs)
+            (est,) = bootstrap_change(rec_i, rec_f, v[:, None], bs)
             if est.ci_low <= true_delta <= est.ci_high:
                 covered += 1
         coverage = covered / reps

@@ -16,7 +16,12 @@ from heatleak import (
     reference_protocol,
 )
 from heatleak.cli import main
-from heatleak.config import REFERENCE_PARAMS, config_from_dict, load_config
+from heatleak.config import (
+    REFERENCE_PARAMS,
+    config_from_dict,
+    default_alpha_grid,
+    load_config,
+)
 from heatleak.passivity import SweepResult
 from heatleak.recordio import (
     RecordFormatError,
@@ -470,6 +475,53 @@ def test_cli_analyze_degenerate_records_finite_strength(tmp_path):
     assert verdict["strength"] <= bound * (1 + 1e-12)
 
 
+def _shots_placeholder(lines):
+    lines[3]["shots"] = "SHOTS"  # replaced by raw JSON text after writing
+    return lines
+
+
+def _count_float(lines):
+    lines[3]["counts"]["00"] += 0.9  # truncates back to a consistent record
+    return lines
+
+
+def _shots_float(lines):
+    lines[3]["counts"]["00"] -= 1
+    lines[3]["shots"] -= 0.3  # 399.7: truncates to the new count total, 399
+    return lines
+
+
+def _huge_count(lines):
+    lines[3]["counts"]["00"] += 2**64  # a JSON integer beyond int64
+    lines[3]["shots"] += 2**64
+    return lines
+
+
+NON_INTEGER_RECORDS = {
+    "count-float": (_count_float, None, "count of '00'"),
+    "shots-float": (_shots_float, None, "shots"),
+    "shots-overflow": (_shots_placeholder, "1e400", "shots"),
+    "count-beyond-int64": (_huge_count, None, "count of '00'"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_INTEGER_RECORDS))
+def test_cli_analyze_non_integer_record_number_exit_one(tmp_path, capsys, case):
+    """Shot totals and counts must be JSON integers that int64 holds: a float
+    is never truncated, and no value too large ends in a traceback."""
+    edit, raw, name = NON_INTEGER_RECORDS[case]
+    path = _edited_records(tmp_path, edit)
+    if raw is not None:
+        with open(path) as fh:
+            text = fh.read().replace('"SHOTS"', raw)
+        with open(path, "w") as fh:
+            fh.write(text)
+    rc = main(["analyze", path, "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:4: {name} must be a JSON integer")
+
+
 def test_cli_simulate_config_string_boolean_exit_one(tmp_path, capsys):
     """A JSON string "false" is truthy; taken as a boolean it would switch
     the environment SWAP on."""
@@ -587,23 +639,25 @@ def test_cli_constant_observables_carry_no_strength(tmp_path):
     assert set(verdict["channel_strengths"].values()) == {0.0}
 
 
-def test_threshold_without_resample_crossings_writes_null_std_error(tmp_path):
+def test_threshold_without_resample_crossings_writes_null_std_error(tmp_path,
+                                                                  monkeypatch):
     """A threshold found on the point sweep that no resample crosses has no
     std error; the verdict entry carries null there, never NaN."""
+    from heatleak import shots
     from heatleak.pipeline import _threshold_entry
     from heatleak.recordio import write_json
-    from heatleak.shots import BootstrapConfig, sample_shots, threshold_with_uncertainty
 
-    rec = sample_shots([0.5, 0.5], 100, seed=1)
-
-    def builder(rec_i, rec_f):
-        # resampled records carry no seed, so only the point sweep crosses
-        grid = np.linspace(0.0, 1.0, 5)
-        crossings = [(0.5, 0.0)] if rec_i.seed is not None else []
-        return SweepResult("alpha", grid, np.ones(5), np.zeros(5), thresholds=crossings)
-
-    result = threshold_with_uncertainty(rec, rec, builder,
-                                        BootstrapConfig(resamples=100, seed=2))
+    rec_i = ShotRecord(stage="i", counts={"00": 100, "01": 0, "10": 0, "11": 0},
+                       shots=100)
+    rec_f = ShotRecord(stage="iii", counts={"00": 0, "01": 0, "10": 0, "11": 100},
+                       shots=100)
+    # every resample redraws stage iii as stage i: no change, so no crossing
+    monkeypatch.setattr(shots, "_resample_matrices", lambda records, config: [
+        np.tile(records[0].counts_array(), (config.resamples, 1))] * 2)
+    e11 = np.array([0.0, 0.0, 0.0, 1.0])
+    result = shots.threshold_bootstrap(
+        rec_i, rec_f, lambda x: (np.asarray(x)[..., None] - 0.5) * e11,
+        np.linspace(0.0, 1.0, 5), shots.BootstrapConfig(resamples=100, seed=2))
     assert result.found and result.no_crossing_resamples == 100
     entry = _threshold_entry("global-passivity", "iii", result)
     assert entry["value"] == 0.5 and entry["std_error"] is None
@@ -648,3 +702,32 @@ def test_cli_exact_pure_environment_keeps_working(tmp_path):
     assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads((out / "stage_distributions.json").read_text())
     assert doc["config"]["protocol"]["beta_e"] == float("inf")
+
+
+def test_cli_exact_non_finite_table_exit_one(tmp_path, capsys, recwarn):
+    """An epsilon this small overflows B^alpha for alpha < 0: the run stops
+    with an error naming epsilon and alpha instead of writing -inf rows."""
+    out = tmp_path / "exact"
+    rc = main(["exact", "--variant", "A", "--epsilon", "1e-200", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: epsilon = 1e-200 makes B^alpha non-finite at alpha = -3.0\n")
+    assert not list(out.iterdir())
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cli_analyze_non_finite_table_exit_one(tmp_path, capsys, recwarn):
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--variant", "A", "--seed", "5", "--shots-per-stage",
+                 "400", "--resamples", "100", "--out", out]) == 0
+    capsys.readouterr()
+    rc = main(["analyze", os.path.join(out, "records.jsonl"), "--epsilon", "1e200",
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    # B is 1e200 on every outcome to double precision, so B^alpha overflows
+    # from the first alpha with 200 alpha > log10 of the largest double
+    first = next(a for a in default_alpha_grid()
+                 if 200 * a > np.log10(np.finfo(float).max))
+    assert capsys.readouterr().err == (
+        f"error: epsilon = 1e+200 makes B^alpha non-finite at alpha = {first}\n")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from heatleak import (
     SpamModel,
     alpha_sweep,
     apply_spam,
-    bootstrap_statistic,
     build_B,
     deformation_bounds,
     deformation_sweep,
@@ -18,10 +18,9 @@ from heatleak import (
     estimate_expectation,
     observable_table,
     sample_shots,
-    threshold_with_uncertainty,
 )
 from heatleak.config import default_alpha_grid
-from heatleak.passivity import SweepResult, alpha_observable, xi_observable
+from heatleak.passivity import alpha_observable, sweep_crossings, xi_observable
 from heatleak.shots import (
     _summarize,
     bootstrap_change,
@@ -30,7 +29,13 @@ from heatleak.shots import (
     threshold_bootstrap,
 )
 
-from oracles import oracle_protocol_a, oracle_protocol_b, oracle_summary
+from oracles import (
+    oracle_bootstrap_statistic,
+    oracle_protocol_a,
+    oracle_protocol_b,
+    oracle_summary,
+    oracle_threshold,
+)
 
 
 # ---------------------------------------------------------------- sampling
@@ -162,78 +167,75 @@ def test_estimate_rejects_mismatch():
 
 # --------------------------------------------------------------- bootstrap
 
+def _degenerate(stage, label, shots=100):
+    """A record with every shot in one outcome: its resamples never vary."""
+    counts = dict.fromkeys(outcome_labels(2), 0)
+    counts[label] = shots
+    return ShotRecord(stage=stage, counts=counts, shots=shots)
+
+
 def test_bootstrap_degenerate_record_zero_width():
-    rec = ShotRecord(stage="i", counts={"00": 100, "01": 0, "10": 0, "11": 0},
-                     shots=100)
     cfg = BootstrapConfig(resamples=200, seed=4)
-    (est,) = bootstrap_statistic(
-        [rec], lambda recs: estimate_expectation(recs[0], [1.0, 2.0, 3.0, 4.0]), cfg
-    )
-    assert est.ci_low == est.ci_high == est.value == 1.0
+    (est,) = bootstrap_change(_degenerate("i", "00"), _degenerate("iii", "11"),
+                              np.array([[1.0], [2.0], [3.0], [4.0]]), cfg)
+    assert est.ci_low == est.ci_high == est.value == 3.0
     assert est.std_error == 0.0
 
 
 def test_bootstrap_matches_analytic_multinomial_error():
-    p = np.array([0.4, 0.3, 0.2, 0.1])
     v = np.array([0.0, 1.0, 2.0, 3.0])
-    n = 5000
-    rec = sample_shots(p, n, seed=21)
+    rec_i = sample_shots([0.4, 0.3, 0.2, 0.1], 5000, seed=21)
+    rec_f = sample_shots([0.1, 0.2, 0.3, 0.4], 3000, seed=23)
     cfg = BootstrapConfig(resamples=2000, seed=22)
-    (est,) = bootstrap_statistic(
-        [rec], lambda recs: estimate_expectation(recs[0], v), cfg
-    )
-    q = rec.probabilities()
-    mean = float(q @ v)
-    analytic = math.sqrt(float(q @ (v - mean) ** 2) / n)
+    (est,) = bootstrap_change(rec_i, rec_f, v[:, None], cfg)
+    # multinomial error of a change: sqrt(var_i / n_i + var_f / n_f)
+    analytic = math.sqrt(sum(
+        float(r.probabilities() @ (v - r.probabilities() @ v) ** 2) / r.shots
+        for r in (rec_i, rec_f)))
     assert abs(est.std_error - analytic) / analytic < 0.20
 
 
 def test_bootstrap_deterministic():
-    rec = sample_shots([0.4, 0.3, 0.2, 0.1], 1000, seed=8)
+    rec_i = sample_shots([0.4, 0.3, 0.2, 0.1], 1000, seed=8)
+    rec_f = sample_shots([0.3, 0.3, 0.2, 0.2], 1000, seed=10)
     cfg = BootstrapConfig(resamples=300, seed=9)
-    stat = lambda recs: estimate_expectation(recs[0], [0.0, 1.0, 2.0, 3.0])
-    one = bootstrap_statistic([rec], stat, cfg)
-    two = bootstrap_statistic([rec], stat, cfg)
+    table = np.array([[0.0], [1.0], [2.0], [3.0]])
+    one = bootstrap_change(rec_i, rec_f, table, cfg)
+    two = bootstrap_change(rec_i, rec_f, table, cfg)
     assert one == two
 
 
 def test_bootstrap_ci_encloses_point_estimate():
-    rec = sample_shots([0.4, 0.3, 0.2, 0.1], 400, seed=31)
+    rec_i = sample_shots([0.4, 0.3, 0.2, 0.1], 400, seed=31)
+    rec_f = sample_shots([0.1, 0.2, 0.3, 0.4], 400, seed=33)
     cfg = BootstrapConfig(resamples=500, seed=32)
-    ests = bootstrap_statistic(
-        [rec], lambda recs: recs[0].probabilities(), cfg
-    )
+    # identity table: the change of each outcome probability
+    ests = bootstrap_change(rec_i, rec_f, np.eye(4), cfg)
+    assert len(ests) == 4
     for est in ests:
         assert est.ci_low <= est.value <= est.ci_high
 
 
 def test_bootstrap_error_shrinks_with_shots():
-    p = np.array([0.4, 0.3, 0.2, 0.1])
     v = np.array([0.0, 1.0, 2.0, 3.0])
     cfg = BootstrapConfig(resamples=1500, seed=17)
     errs = []
     for n in (2000, 32000):  # 16x shots -> expect ~4x smaller error
-        rec = sample_shots(p, n, seed=40 + n)
-        (est,) = bootstrap_statistic(
-            [rec], lambda recs: estimate_expectation(recs[0], v), cfg
-        )
+        rec_i = sample_shots([0.4, 0.3, 0.2, 0.1], n, seed=40 + n)
+        rec_f = sample_shots([0.1, 0.2, 0.3, 0.4], n, seed=41 + n)
+        (est,) = bootstrap_change(rec_i, rec_f, v[:, None], cfg)
         errs.append(est.std_error)
     ratio = errs[0] / errs[1]
     assert 4.0 * 0.7 < ratio < 4.0 * 1.3
 
 
-def test_bootstrap_statistic_failure_aborts_with_diagnostics():
-    rec = sample_shots([0.5, 0.5], 100, seed=2)
-    calls = {"n": 0}
-
-    def bad_stat(recs):
-        calls["n"] += 1
-        if calls["n"] > 1:  # point estimate succeeds, resamples blow up
-            raise RuntimeError("boom")
-        return 0.0
-
-    with pytest.raises(ShotsError, match="resample 0"):
-        bootstrap_statistic([rec], bad_stat, BootstrapConfig(resamples=100, seed=3))
+def test_bootstrap_change_non_finite_column_names_resample_0():
+    rec_i = sample_shots([0.4, 0.3, 0.2, 0.1], 100, seed=2)
+    rec_f = sample_shots([0.1, 0.2, 0.3, 0.4], 100, seed=4)
+    table = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, np.inf], [3.0, 1.0]])
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ShotsError, match="not finite on resample 0;"):
+        bootstrap_change(rec_i, rec_f, table, BootstrapConfig(resamples=100, seed=3))
 
 
 def test_bootstrap_config_validation():
@@ -245,23 +247,18 @@ def test_bootstrap_config_validation():
 
 # ---------------------------------------------------------------- threshold
 
-def _fixed_sweep_builder(loc):
-    grid = np.linspace(0.0, 1.0, 11)
-    lhs = grid - loc
-
-    def builder(rec_i, rec_f):
-        return SweepResult(
-            parameter_name="alpha", grid=grid, lhs=lhs, rhs=np.zeros_like(grid),
-            thresholds=[(loc, 0.0)],
-        )
-
-    return builder
+def _outcome_11_observable(shift):
+    """Observable that is shift(x) on outcome 11 and 0 elsewhere, so its
+    change from all-00 to all-11 records is shift(x)."""
+    e11 = np.array([0.0, 0.0, 0.0, 1.0])
+    return lambda x: shift(np.asarray(x, dtype=float))[..., None] * e11
 
 
 def test_threshold_noise_free_crossing():
-    rec = sample_shots([0.5, 0.5], 100, seed=1)
-    res = threshold_with_uncertainty(
-        rec, rec, _fixed_sweep_builder(0.5), BootstrapConfig(resamples=200, seed=2)
+    res = threshold_bootstrap(
+        _degenerate("i", "00"), _degenerate("iii", "11"),
+        _outcome_11_observable(lambda x: x - 0.5), np.linspace(0.0, 1.0, 11),
+        BootstrapConfig(resamples=200, seed=2),
     )
     assert res.found
     assert res.estimate.value == 0.5
@@ -271,32 +268,58 @@ def test_threshold_noise_free_crossing():
 
 
 def test_threshold_no_crossing_is_explicit_result():
-    rec = sample_shots([0.5, 0.5], 100, seed=1)
-
-    def builder(rec_i, rec_f):
-        grid = np.linspace(0.0, 1.0, 5)
-        return SweepResult("alpha", grid, np.ones(5), np.zeros(5), thresholds=[])
-
-    res = threshold_with_uncertainty(
-        rec, rec, builder, BootstrapConfig(resamples=100, seed=2)
+    res = threshold_bootstrap(
+        _degenerate("i", "00"), _degenerate("iii", "11"),
+        _outcome_11_observable(lambda x: 1.0 + x), np.linspace(0.0, 1.0, 5),
+        BootstrapConfig(resamples=100, seed=2),
     )
     assert not res.found
     assert res.estimate is None
 
 
 def test_threshold_rejects_ambiguous_point_estimate():
-    rec = sample_shots([0.5, 0.5], 100, seed=1)
-
-    def builder(rec_i, rec_f):
-        grid = np.linspace(0.0, 1.0, 5)
-        return SweepResult(
-            "alpha", grid, np.ones(5), np.zeros(5),
-            thresholds=[(0.2, 0.0), (0.8, 0.0)],
+    # (x - 0.2)(x - 0.8) changes sign twice on the grid 0, 0.25, ..., 1
+    with pytest.raises(ShotsError, match="ambiguous"):
+        threshold_bootstrap(
+            _degenerate("i", "00"), _degenerate("iii", "11"),
+            _outcome_11_observable(lambda x: (x - 0.2) * (x - 0.8)),
+            np.linspace(0.0, 1.0, 5), BootstrapConfig(resamples=100, seed=2),
         )
 
-    with pytest.raises(ShotsError, match="ambiguous"):
-        threshold_with_uncertainty(rec, rec, builder,
-                                   BootstrapConfig(resamples=100, seed=2))
+
+def test_threshold_takes_crossing_nearest_the_point_one():
+    """Resamples that also cross twice near a touch point at 0.2 contribute
+    their crossing nearest the point one at 0.6, as the per-resample
+    reference does."""
+    rec_i = ShotRecord(stage="i", counts={"00": 400, "01": 200, "10": 200, "11": 200},
+                       shots=1000)
+    rec_f = ShotRecord(stage="iii", counts={"00": 100, "01": 200, "10": 300, "11": 400},
+                       shots=1000)
+    e10, e11 = np.eye(4)[2], np.eye(4)[3]
+
+    def observable(x):
+        # change (x - 0.6) * 0.2 + 0.075 * bump(x): -0.005 at the bump's top
+        x = np.asarray(x, dtype=float)[..., None]
+        return (x - 0.6) * e11 + 0.75 * np.exp(-(((x - 0.2) / 0.05) ** 2)) * e10
+
+    grid = np.linspace(0.0, 1.0, 101)
+    several = []
+
+    def builder(ri, rf):
+        _, crossings = sweep_crossings(observable, rf.probabilities() - ri.probabilities(),
+                                       grid)
+        several.append(len(crossings) > 1)
+        return SimpleNamespace(thresholds=[(x, 0.0) for x in crossings])
+
+    cfg = BootstrapConfig(resamples=100, seed=7)
+    res = threshold_bootstrap(rec_i, rec_f, observable, grid, cfg)
+    found, want, missing = oracle_threshold(rec_i, rec_f, builder, cfg.resamples,
+                                            cfg.confidence, cfg.seed)
+    assert not several[0] and any(several)
+    assert found and res.found and res.no_crossing_resamples == missing == 0
+    for name, value in zip(("value", "ci_low", "ci_high", "std_error"), want):
+        assert abs(getattr(res.estimate, name) - value) <= 1e-11, name
+    assert 0.5 < res.estimate.ci_low <= res.estimate.ci_high < 0.7
 
 
 def test_threshold_protocol_a_realistic():
@@ -305,11 +328,8 @@ def test_threshold_protocol_a_realistic():
     grid = np.array([a for a in np.linspace(-3, 3, 121) if a != 0.0])
     rec_i = sample_shots(p_i, 6700, seed=100, stage="i")
     rec_f = sample_shots(p_iii, 6700, seed=101, stage="iii")
-    res = threshold_with_uncertainty(
-        rec_i, rec_f,
-        lambda ri, rf: alpha_sweep(ri.probabilities(), rf.probabilities(), B, grid),
-        BootstrapConfig(resamples=400, seed=5),
-    )
+    res = threshold_bootstrap(rec_i, rec_f, alpha_observable(B), grid,
+                              BootstrapConfig(resamples=400, seed=5))
     assert res.found
     assert 0.3 < res.estimate.value < 0.7
     assert 0.0 < res.estimate.std_error < 0.2
@@ -359,8 +379,8 @@ def test_summary_matches_np_quantile_reference(resamples, kind):
 
 @pytest.mark.parametrize("variant", ["A", "B"])
 def test_matrix_path_matches_per_resample_reference(variant):
-    """bootstrap_change / threshold_bootstrap reproduce the generic
-    per-resample bootstrap_statistic / threshold_with_uncertainty."""
+    """bootstrap_change / threshold_bootstrap reproduce the per-resample
+    references of tests/oracles.py, which rebuild records and sweeps."""
     if variant == "A":
         betas, shots, dists = {"c": 2.23, "h": 0.43}, 6700, oracle_protocol_a(True)
     else:
@@ -386,28 +406,29 @@ def test_matrix_path_matches_per_resample_reference(variant):
     found = 0
     for k, rec_f in enumerate(records[1:]):
         cfg = BootstrapConfig(resamples=400, seed=derive_seed(78, k))
+        setup = (cfg.resamples, cfg.confidence, cfg.seed)
         matrix = bootstrap_change(records[0], rec_f, table, cfg)
-        reference = bootstrap_statistic(
+        reference = oracle_bootstrap_statistic(
             [records[0], rec_f],
             lambda recs: (recs[1].probabilities() - recs[0].probabilities()) @ table,
-            cfg,
+            *setup,
         )
         assert len(matrix) == len(reference) == table.shape[1]
         for m, r in zip(matrix, reference):
             # relative to the column's magnitude: entries near zero carry
             # cancellation error of that scale in either summation order
-            scale = max(abs(r.value), abs(r.ci_low), abs(r.ci_high), r.std_error)
-            for name in ("value", "ci_low", "ci_high", "std_error"):
-                assert abs(getattr(m, name) - getattr(r, name)) <= 1e-12 * scale, name
+            scale = max(abs(r[0]), abs(r[1]), abs(r[2]), r[3])
+            for name, want in zip(("value", "ci_low", "ci_high", "std_error"), r):
+                assert abs(getattr(m, name) - want) <= 1e-12 * scale, name
         for observable, grid, builder in sweeps:
             fast = threshold_bootstrap(records[0], rec_f, observable, grid, cfg)
-            slow = threshold_with_uncertainty(records[0], rec_f, builder, cfg)
-            assert fast.found == slow.found
-            assert fast.resamples == slow.resamples
-            assert fast.no_crossing_resamples == slow.no_crossing_resamples
-            if slow.found:
+            slow_found, slow, slow_missing = oracle_threshold(
+                records[0], rec_f, builder, *setup)
+            assert fast.found == slow_found
+            assert fast.resamples == cfg.resamples
+            assert fast.no_crossing_resamples == slow_missing
+            if slow_found:
                 found += 1
-                for name in ("value", "ci_low", "ci_high", "std_error"):
-                    assert abs(getattr(fast.estimate, name)
-                               - getattr(slow.estimate, name)) <= 1e-11, name
+                for name, want in zip(("value", "ci_low", "ci_high", "std_error"), slow):
+                    assert abs(getattr(fast.estimate, name) - want) <= 1e-11, name
     assert found >= 1  # the i->iii threshold of either protocol
