@@ -113,14 +113,13 @@ def main(argv=None) -> int:
         base = load_config(args.config) if args.config else config_from_dict(header)
         config = _with_flags(base, args)
         if args.command == "exact":
-            result = run_exact(config, args.out)
-            for path in result["paths"].values():
+            for path in run_exact(config, args.out).values():
                 print(f"wrote {path}")
             return 0
         if args.command == "simulate":
             print(f"wrote {run_simulate(config, args.out)}")
             return 0
-        verdict = analyze_records(header, records, config, args.out)
+        verdict = analyze_records(records, config, args.out)
         print(f"wrote {args.out}/verdict.json")
         line = "LEAK DETECTED" if verdict.detected else "no leak detected"
         print(

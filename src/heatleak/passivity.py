@@ -60,7 +60,10 @@ def build_B(betas, epsilon: float) -> GlobalPassivityOperator:
 
     The shift is d = min_k(sum_j beta_j E_j(k)) - epsilon, which makes every
     eigenvalue positive with minimum exactly epsilon (a negative minimum
-    would break non-integer powers).
+    would break non-integer powers).  An epsilon so large that the shifted
+    eigenvalues lose the order of the raw energies (two outcomes of
+    different energy rounding to equal or swapped values) is rejected;
+    outcomes of equal energy stay tied.
     """
     betas = dict(betas)
     if not betas:
@@ -76,6 +79,9 @@ def build_B(betas, epsilon: float) -> GlobalPassivityOperator:
         raw += beta * energy_basis_values(n, pos)
     d = float(raw.min()) - epsilon
     values = raw - d
+    if not np.array_equal(np.sign(raw[:, None] - raw), np.sign(values[:, None] - values)):
+        raise PassivityError(f"epsilon = {epsilon} swamps the betas: the eigenvalues "
+                             "of B lose the order of the outcome energies")
     values.setflags(write=False)
     return GlobalPassivityOperator(betas=betas, epsilon=epsilon, d=d, basis_values=values)
 
@@ -271,7 +277,6 @@ class SweepResult:
     uncertainty.
     """
 
-    parameter_name: str
     grid: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
@@ -404,7 +409,6 @@ def alpha_sweep(initial, final, B: GlobalPassivityOperator, grid) -> SweepResult
     values = diff @ observable_table(B, grid)[:, : len(grid)]
     _, crossings = sweep_crossings(alpha_observable(B), diff, grid)
     return SweepResult(
-        parameter_name="alpha",
         grid=grid,
         lhs=values,
         rhs=np.zeros_like(values),
@@ -436,7 +440,6 @@ def deformation_sweep(
     rhs = -((B.betas["h"] + grid) / B.betas["c"]) * float(np.dot(diff, e_h))
     _, crossings = sweep_crossings(observable, diff, grid)
     return SweepResult(
-        parameter_name="xi",
         grid=grid,
         lhs=lhs,
         rhs=rhs,

@@ -74,17 +74,14 @@ class Verdict:
         return asdict(self)
 
 
-def _distributions(circuit) -> dict[str, np.ndarray]:
-    targets = [circuit.qubit_index(lbl) for lbl in circuit.measured]
+def stage_distributions(config: ExperimentConfig) -> dict[str, np.ndarray]:
+    """Exact measured-qubit distributions at the three stages (no SPAM)."""
+    circuit = build_protocol(config.protocol)
+    targets = [circuit.qubit_index(lbl) for lbl in MEASURED]
     return {
         stage: measure_distribution(state, targets)
         for stage, state in evolve_stages(circuit).items()
     }
-
-
-def stage_distributions(config: ExperimentConfig) -> dict[str, np.ndarray]:
-    """Exact measured-qubit distributions at the three stages (no SPAM)."""
-    return _distributions(build_protocol(config.protocol))
 
 
 @dataclass(frozen=True)
@@ -135,18 +132,18 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep]]:
     return observable_table(B, alpha_grid, a_values, xi_grid), sweeps
 
 
-def run_exact(config: ExperimentConfig, out_dir: str) -> dict:
-    """Exact theory curves and stage distributions, written as CSV/JSON."""
-    os.makedirs(out_dir, exist_ok=True)
+def run_exact(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
+    """Exact theory curves and stage distributions, written as CSV/JSON;
+    returns the written paths by key."""
     dists = stage_distributions(config)
+    sweeps = _plan(config)[1]
+    os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    sweeps = {}
-    for sweep in _plan(config)[1]:
+    for sweep in sweeps:
         for stage in ("ii", "iii"):
             key = f"{sweep.prefix}_i_{stage}"
-            sweeps[key] = sweep.point(dists["i"], dists[stage])
             paths[key] = os.path.join(out_dir, f"{sweep.prefix}_sweep_i_to_{stage}.csv")
-            write_sweep_csv(paths[key], sweeps[key])
+            write_sweep_csv(paths[key], sweep.point(dists["i"], dists[stage]))
     dist_path = os.path.join(out_dir, "stage_distributions.json")
     write_json(
         dist_path,
@@ -157,7 +154,7 @@ def run_exact(config: ExperimentConfig, out_dir: str) -> dict:
         allow_nan=True,
     )
     paths["stage_distributions"] = dist_path
-    return {"paths": paths, "sweeps": sweeps, "distributions": dists}
+    return paths
 
 
 def run_simulate(config: ExperimentConfig, out_dir: str) -> str:
@@ -167,51 +164,41 @@ def run_simulate(config: ExperimentConfig, out_dir: str) -> str:
     stage iii is always present (it equals stage ii when the environment
     SWAP is disabled).
     """
-    os.makedirs(out_dir, exist_ok=True)
-    circuit = build_protocol(config.protocol)
-    dists = _distributions(circuit)
+    dists = stage_distributions(config)
     records = [
         sample_shots(
             apply_spam(dists[stage], config.spam),
             config.shots_per_stage,
             derive_seed(config.seed, role),
             stage=stage,
-            qubits=circuit.measured,
+            qubits=MEASURED,
             meta={"variant": config.protocol.variant},
         )
         for stage, role in STAGE_SEED_ROLE.items()
     ]
+    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "records.jsonl")
     write_records(path, config.to_dict(), records)
     return path
 
 
 def _threshold_entry(test: str, stage: str, result) -> dict:
-    entry = {
+    # entries exist for found thresholds only; "found" stays in the schema
+    return {
         "test": test,
         "stage_pair": f"i->{stage}",
-        "found": result.found,
+        "found": True,
         "resamples": result.resamples,
         "no_crossing_resamples": result.no_crossing_resamples,
-    }
-    if result.found:
         # value, ci_low, ci_high, std_error; a NaN std_error (no resample
         # crossed) is written as null
-        entry.update({name: None if math.isnan(x) else x
-                      for name, x in asdict(result.estimate).items()})
-    return entry
+        **{name: None if math.isnan(x) else x
+           for name, x in asdict(result.estimate).items()},
+    }
 
 
-def analyze_records(header_config: dict, records, config: ExperimentConfig | None,
-                    out_dir: str) -> Verdict:
-    """Evaluate all detection channels on parsed records and write outputs.
-
-    When no config is passed, the one echoed in the record-file header is
-    used, so a simulate output is analyzable as-is.
-    """
-    if config is None:
-        config = config_from_dict(header_config)
-    os.makedirs(out_dir, exist_ok=True)
+def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
+    """Evaluate all detection channels on parsed records and write outputs."""
     by_stage = {}
     for rec in records:
         if rec.stage not in STAGE_SEED_ROLE:
@@ -230,6 +217,7 @@ def analyze_records(header_config: dict, records, config: ExperimentConfig | Non
         raise ShotsError("records must contain stage i and at least one of ii/iii")
 
     table, sweeps = _plan(config)
+    os.makedirs(out_dir, exist_ok=True)  # once the records and config validate
     strengths = {name: 0.0 for name in CHANNELS}
     thresholds = []
     notes = []
@@ -275,7 +263,7 @@ def analyze_records(header_config: dict, records, config: ExperimentConfig | Non
             if len(point.thresholds) == 1:
                 res = threshold_bootstrap(
                     rec_i, rec_f, sweep.observable, sweep.grid,
-                    bootstrap(stage_idx, sweep.seed_role),
+                    point.thresholds[0][0], bootstrap(stage_idx, sweep.seed_role),
                 )
                 thresholds.append(_threshold_entry(sweep.channel, stage, res))
             elif len(point.thresholds) > 1:
@@ -304,14 +292,19 @@ def analyze_records(header_config: dict, records, config: ExperimentConfig | Non
 
 def run_analyze(records_path: str, config: ExperimentConfig | None,
                 out_dir: str) -> Verdict:
+    """analyze_records on a record file; when no config is passed, the one
+    echoed in the file's header is used, so a simulate output is analyzable
+    as-is."""
     header_config, records = read_records(records_path)
-    return analyze_records(header_config, records, config, out_dir)
+    if config is None:
+        config = config_from_dict(header_config)
+    return analyze_records(records, config, out_dir)
 
 
-def run_bounds(beta_c: float, beta_h: float, observable: str = "Hh",
-               epsilon: float = 1e-3) -> tuple:
+def run_bounds(beta_c: float, beta_h: float, observable: str = "Hh") -> tuple:
     """Deformation bounds for B on (c, h) against a named observable."""
-    B = build_B({"c": beta_c, "h": beta_h}, epsilon)
+    # the bounds take differences of B's eigenvalues, so its shift cancels
+    B = build_B({"c": beta_c, "h": beta_h}, 1e-3)
     if observable == "Hh":
         a_values = energy_basis_values(2, 1)
     elif observable == "Hc":

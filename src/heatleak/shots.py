@@ -113,10 +113,6 @@ class SpamModel:
             if not 0.0 <= p <= 1.0:
                 raise ShotsError(f"{name} = {p} outside [0, 1]")
 
-    @property
-    def is_identity(self) -> bool:
-        return self.flip_0_to_1 == 0.0 and self.flip_1_to_0 == 0.0
-
 
 def apply_spam(distribution, model: SpamModel) -> np.ndarray:
     """Push outcome probabilities through the per-qubit confusion model."""
@@ -297,43 +293,26 @@ def bootstrap_change(initial: ShotRecord, final: ShotRecord, table,
 class ThresholdResult:
     """Crossing location with bootstrap uncertainty.
 
-    found is False when the point-estimate sweep has no sign change (an
-    explicit no-threshold outcome, not an error).  no_crossing_resamples
-    counts resamples whose sweep had no crossing; they do not enter the CI.
+    no_crossing_resamples counts resamples whose sweep had no crossing; they
+    do not enter the CI.
     """
 
-    found: bool
-    estimate: EstimateWithCI | None
+    estimate: EstimateWithCI
     resamples: int
     no_crossing_resamples: int
 
 
 def threshold_bootstrap(initial: ShotRecord, final: ShotRecord, observable, grid,
-                        config: BootstrapConfig) -> ThresholdResult:
-    """Locate the sign crossing of the sweep of observable(x) over grid and
-    bootstrap its uncertainty.
+                        center: float, config: BootstrapConfig) -> ThresholdResult:
+    """Bootstrap the uncertainty of center, the point-estimate sign crossing
+    of the sweep of observable(x) over grid.
 
     The sweep's value at x is (p_final - p_initial) @ observable(x), as in
-    passivity.sweep_crossings; its point estimate must have at most one
-    crossing (none is an explicit not-found result, several raise
-    ShotsError).  Every resample redraws both records' counts as in
-    bootstrap_change and contributes its crossing nearest the point one,
-    ties going to the first in grid order; resamples without a crossing are
+    passivity.sweep_crossings.  Every resample redraws both records' counts
+    as in bootstrap_change and contributes its crossing nearest center, ties
+    going to the first in grid order; resamples without a crossing are
     counted and left out of the CI, whose std_error is NaN if none crosses.
     """
-    _, point = sweep_crossings(
-        observable, final.probabilities() - initial.probabilities(), grid)
-    if not len(point):
-        return ThresholdResult(
-            found=False, estimate=None,
-            resamples=config.resamples, no_crossing_resamples=0,
-        )
-    if len(point) > 1:
-        raise ShotsError(
-            f"point-estimate sweep has {len(point)} sign crossings "
-            f"at {list(point)}; threshold is ambiguous"
-        )
-    center = float(point[0])
     counts_i, counts_f = _resample_matrices([initial, final], config)
     rows, locations = sweep_crossings(
         observable, counts_f / final.shots - counts_i / initial.shots, grid)
@@ -348,7 +327,7 @@ def threshold_bootstrap(initial: ShotRecord, final: ShotRecord, observable, grid
     else:
         (estimate,) = _summarize([center], nearest[:, None], config.confidence)
     return ThresholdResult(
-        found=True, estimate=estimate,
+        estimate=estimate,
         resamples=config.resamples,
         no_crossing_resamples=config.resamples - len(nearest),
     )

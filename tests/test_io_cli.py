@@ -22,7 +22,7 @@ from heatleak.config import (
     default_alpha_grid,
     load_config,
 )
-from heatleak.passivity import SweepResult
+from heatleak.passivity import SweepResult, sweep_crossings
 from heatleak.recordio import (
     RecordFormatError,
     read_records,
@@ -91,7 +91,6 @@ def test_read_reports_line_numbers(tmp_path):
 def test_sweep_csv_format(tmp_path):
     path = str(tmp_path / "sweep.csv")
     sweep = SweepResult(
-        parameter_name="alpha",
         grid=np.array([0.5, 1.0]),
         lhs=np.array([-0.25, 0.5]),
         rhs=np.zeros(2),
@@ -107,7 +106,7 @@ def test_sweep_csv_format(tmp_path):
 
 def test_sweep_csv_without_ci(tmp_path):
     path = str(tmp_path / "sweep.csv")
-    sweep = SweepResult("xi", np.array([0.1]), np.array([1.0]), np.array([2.0]))
+    sweep = SweepResult(np.array([0.1]), np.array([1.0]), np.array([2.0]))
     write_sweep_csv(path, sweep)
     assert open(path).read().splitlines()[1] == "0.1,1.0,2.0,,,true"
 
@@ -373,9 +372,11 @@ def test_cli_analyze_unknown_stage_exit_one(tmp_path, capsys):
     def edit(lines):
         return lines + [dict(lines[-1], stage="iv")]
 
-    rc = main(["analyze", _edited_records(tmp_path, edit), "--out", str(tmp_path)])
+    out = tmp_path / "run"
+    rc = main(["analyze", _edited_records(tmp_path, edit), "--out", str(out)])
     assert rc == 1
     assert "'iv'" in capsys.readouterr().err
+    assert not out.exists()  # --out is created only once the inputs validate
 
 
 def test_cli_analyze_wrong_qubit_labels_exit_one(tmp_path, capsys):
@@ -655,10 +656,13 @@ def test_threshold_without_resample_crossings_writes_null_std_error(tmp_path,
     monkeypatch.setattr(shots, "_resample_matrices", lambda records, config: [
         np.tile(records[0].counts_array(), (config.resamples, 1))] * 2)
     e11 = np.array([0.0, 0.0, 0.0, 1.0])
-    result = shots.threshold_bootstrap(
-        rec_i, rec_f, lambda x: (np.asarray(x)[..., None] - 0.5) * e11,
-        np.linspace(0.0, 1.0, 5), shots.BootstrapConfig(resamples=100, seed=2))
-    assert result.found and result.no_crossing_resamples == 100
+    observable = lambda x: (np.asarray(x)[..., None] - 0.5) * e11
+    grid = np.linspace(0.0, 1.0, 5)
+    (center,) = sweep_crossings(
+        observable, rec_f.probabilities() - rec_i.probabilities(), grid)[1]
+    result = shots.threshold_bootstrap(rec_i, rec_f, observable, grid, float(center),
+                                       shots.BootstrapConfig(resamples=100, seed=2))
+    assert result.no_crossing_resamples == 100
     entry = _threshold_entry("global-passivity", "iii", result)
     assert entry["value"] == 0.5 and entry["std_error"] is None
     path = tmp_path / "entry.json"
@@ -712,11 +716,17 @@ def test_cli_exact_non_finite_table_exit_one(tmp_path, capsys, recwarn):
     assert rc == 1
     assert capsys.readouterr().err == (
         "error: epsilon = 1e-200 makes B^alpha non-finite at alpha = -3.0\n")
-    assert not list(out.iterdir())
+    assert not out.exists()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+SWAMPED_BETAS = ("error: epsilon = {} swamps the betas: the eigenvalues of B lose "
+                 "the order of the outcome energies\n")
+
+
 def test_cli_analyze_non_finite_table_exit_one(tmp_path, capsys, recwarn):
+    """At epsilon = 1e200 every eigenvalue of B rounds to 1e200, which would
+    also overflow B^alpha; the error names the rounding, which comes first."""
     out = str(tmp_path / "sim")
     assert main(["simulate", "--variant", "A", "--seed", "5", "--shots-per-stage",
                  "400", "--resamples", "100", "--out", out]) == 0
@@ -724,10 +734,63 @@ def test_cli_analyze_non_finite_table_exit_one(tmp_path, capsys, recwarn):
     rc = main(["analyze", os.path.join(out, "records.jsonl"), "--epsilon", "1e200",
                "--out", str(tmp_path / "run")])
     assert rc == 1
-    # B is 1e200 on every outcome to double precision, so B^alpha overflows
-    # from the first alpha with 200 alpha > log10 of the largest double
-    first = next(a for a in default_alpha_grid()
-                 if 200 * a > np.log10(np.finfo(float).max))
-    assert capsys.readouterr().err == (
-        f"error: epsilon = 1e+200 makes B^alpha non-finite at alpha = {first}\n")
+    assert capsys.readouterr().err == SWAMPED_BETAS.format("1e+200")
+    assert not (tmp_path / "run").exists()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cli_exact_swamped_betas_exit_one(tmp_path, capsys):
+    """At epsilon = 1e200 B is constant, so its deformation interval is
+    unbounded; the error blames epsilon, not the xi grid."""
+    out = tmp_path / "exact"
+    rc = main(["exact", "--variant", "B", "--epsilon", "1e200", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == SWAMPED_BETAS.format("1e+200")
+    assert not out.exists()
+
+
+def test_cli_analyze_swamped_betas_exit_one(tmp_path, capsys):
+    """At epsilon = 1e17 the betas' energies (at most 2.66) vanish below the
+    spacing of doubles near 1e17: B would be constant, every strength 0."""
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--variant", "A", "--out", out]) == 0
+    capsys.readouterr()
+    rc = main(["analyze", os.path.join(out, "records.jsonl"), "--epsilon", "1e17",
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == SWAMPED_BETAS.format("1e+17")
+    assert not (tmp_path / "run").exists()
+
+
+# ------------------------------------------- thresholds, decided by analyze
+
+def test_cli_analyze_b_reports_no_alpha_threshold(tmp_path):
+    """Protocol B's alpha sweep never changes sign, so analyze writes no
+    global-passivity threshold entry (and no note)."""
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--variant", "B", "--seed", "7", "--shots-per-stage",
+                 "3200", "--resamples", "100", "--out", out]) == 0
+    assert main(["analyze", os.path.join(out, "records.jsonl"), "--out", out]) == 2
+    verdict = json.loads((tmp_path / "run" / "verdict.json").read_text())
+    assert [t["test"] for t in verdict["thresholds"]] == ["deformation"]
+    assert verdict["notes"] == []
+
+
+def test_cli_analyze_two_point_crossings_write_a_note(tmp_path):
+    """A point alpha sweep that crosses twice has no single threshold: the
+    verdict notes it and carries no entry for that stage pair.  The counts
+    are one such 1000-shot pair of protocol A (crossings near 0.15 and 2.6)."""
+    config = ExperimentConfig(protocol=reference_protocol("A"))
+    records = [
+        ShotRecord(stage=stage, shots=1000, qubits=("c", "h"),
+                   counts=dict(zip(("00", "01", "10", "11"), counts)))
+        for stage, counts in (("i", (105, 240, 116, 539)), ("iii", (139, 114, 363, 384)))
+    ]
+    path = str(tmp_path / "records.jsonl")
+    write_records(path, config.to_dict(), records)
+    out = tmp_path / "run"
+    assert main(["analyze", path, "--resamples", "100", "--out", str(out)]) in (0, 2)
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["notes"] == [
+        "alpha sweep i->iii has 2 sign crossings; no threshold reported"]
+    assert verdict["thresholds"] == []

@@ -51,11 +51,18 @@ def test_build_B_single_qubit():
 def test_build_B_degenerate_betas():
     B = build_B({"c": 0.0, "h": 0.0}, 1e-3)
     assert np.allclose(B.basis_values, [1e-3] * 4)
+    # raw ties stay ties at any epsilon
+    B = build_B({"c": 1.0, "h": 1.0}, 1e3)
+    assert np.array_equal(B.basis_values, [1e3, 1e3 + 1, 1e3 + 1, 1e3 + 2])
 
 
 def test_build_B_rejects_bad_epsilon():
     for eps in (0.0, -1e-3, math.inf):
         with pytest.raises(PassivityError):
+            build_B({"c": 1.0}, eps)
+    # energies 0 and 1 round to one eigenvalue above 2**53
+    for eps in (1e17, 1e200):
+        with pytest.raises(PassivityError, match="epsilon"):
             build_B({"c": 1.0}, eps)
     with pytest.raises(PassivityError):
         build_B({"c": math.inf}, 1e-3)

@@ -254,37 +254,27 @@ def _outcome_11_observable(shift):
     return lambda x: shift(np.asarray(x, dtype=float))[..., None] * e11
 
 
+def _point_crossing(rec_i, rec_f, observable, grid):
+    """The single sign crossing of the point-estimate sweep, as analyze
+    finds it before bootstrapping it."""
+    _, crossings = sweep_crossings(
+        observable, rec_f.probabilities() - rec_i.probabilities(), grid)
+    (center,) = crossings
+    return float(center)
+
+
 def test_threshold_noise_free_crossing():
+    rec_i, rec_f = _degenerate("i", "00"), _degenerate("iii", "11")
+    observable = _outcome_11_observable(lambda x: x - 0.5)
+    grid = np.linspace(0.0, 1.0, 11)
     res = threshold_bootstrap(
-        _degenerate("i", "00"), _degenerate("iii", "11"),
-        _outcome_11_observable(lambda x: x - 0.5), np.linspace(0.0, 1.0, 11),
+        rec_i, rec_f, observable, grid, _point_crossing(rec_i, rec_f, observable, grid),
         BootstrapConfig(resamples=200, seed=2),
     )
-    assert res.found
     assert res.estimate.value == 0.5
     assert res.estimate.ci_low == res.estimate.ci_high == 0.5
     assert res.estimate.std_error == 0.0
     assert res.no_crossing_resamples == 0
-
-
-def test_threshold_no_crossing_is_explicit_result():
-    res = threshold_bootstrap(
-        _degenerate("i", "00"), _degenerate("iii", "11"),
-        _outcome_11_observable(lambda x: 1.0 + x), np.linspace(0.0, 1.0, 5),
-        BootstrapConfig(resamples=100, seed=2),
-    )
-    assert not res.found
-    assert res.estimate is None
-
-
-def test_threshold_rejects_ambiguous_point_estimate():
-    # (x - 0.2)(x - 0.8) changes sign twice on the grid 0, 0.25, ..., 1
-    with pytest.raises(ShotsError, match="ambiguous"):
-        threshold_bootstrap(
-            _degenerate("i", "00"), _degenerate("iii", "11"),
-            _outcome_11_observable(lambda x: (x - 0.2) * (x - 0.8)),
-            np.linspace(0.0, 1.0, 5), BootstrapConfig(resamples=100, seed=2),
-        )
 
 
 def test_threshold_takes_crossing_nearest_the_point_one():
@@ -312,11 +302,12 @@ def test_threshold_takes_crossing_nearest_the_point_one():
         return SimpleNamespace(thresholds=[(x, 0.0) for x in crossings])
 
     cfg = BootstrapConfig(resamples=100, seed=7)
-    res = threshold_bootstrap(rec_i, rec_f, observable, grid, cfg)
+    res = threshold_bootstrap(rec_i, rec_f, observable, grid,
+                              _point_crossing(rec_i, rec_f, observable, grid), cfg)
     found, want, missing = oracle_threshold(rec_i, rec_f, builder, cfg.resamples,
                                             cfg.confidence, cfg.seed)
     assert not several[0] and any(several)
-    assert found and res.found and res.no_crossing_resamples == missing == 0
+    assert found and res.no_crossing_resamples == missing == 0
     for name, value in zip(("value", "ci_low", "ci_high", "std_error"), want):
         assert abs(getattr(res.estimate, name) - value) <= 1e-11, name
     assert 0.5 < res.estimate.ci_low <= res.estimate.ci_high < 0.7
@@ -328,9 +319,10 @@ def test_threshold_protocol_a_realistic():
     grid = np.array([a for a in np.linspace(-3, 3, 121) if a != 0.0])
     rec_i = sample_shots(p_i, 6700, seed=100, stage="i")
     rec_f = sample_shots(p_iii, 6700, seed=101, stage="iii")
-    res = threshold_bootstrap(rec_i, rec_f, alpha_observable(B), grid,
+    observable = alpha_observable(B)
+    res = threshold_bootstrap(rec_i, rec_f, observable, grid,
+                              _point_crossing(rec_i, rec_f, observable, grid),
                               BootstrapConfig(resamples=400, seed=5))
-    assert res.found
     assert 0.3 < res.estimate.value < 0.7
     assert 0.0 < res.estimate.std_error < 0.2
     assert res.estimate.ci_low <= res.estimate.value <= res.estimate.ci_high
@@ -421,14 +413,18 @@ def test_matrix_path_matches_per_resample_reference(variant):
             for name, want in zip(("value", "ci_low", "ci_high", "std_error"), r):
                 assert abs(getattr(m, name) - want) <= 1e-12 * scale, name
         for observable, grid, builder in sweeps:
-            fast = threshold_bootstrap(records[0], rec_f, observable, grid, cfg)
             slow_found, slow, slow_missing = oracle_threshold(
                 records[0], rec_f, builder, *setup)
-            assert fast.found == slow_found
+            _, point = sweep_crossings(
+                observable, rec_f.probabilities() - records[0].probabilities(), grid)
+            assert len(point) == int(slow_found)
+            if not slow_found:
+                continue
+            found += 1
+            fast = threshold_bootstrap(records[0], rec_f, observable, grid,
+                                       float(point[0]), cfg)
             assert fast.resamples == cfg.resamples
             assert fast.no_crossing_resamples == slow_missing
-            if slow_found:
-                found += 1
-                for name, want in zip(("value", "ci_low", "ci_high", "std_error"), slow):
-                    assert abs(getattr(fast.estimate, name) - want) <= 1e-11, name
+            for name, want in zip(("value", "ci_low", "ci_high", "std_error"), slow):
+                assert abs(getattr(fast.estimate, name) - want) <= 1e-11, name
     assert found >= 1  # the i->iii threshold of either protocol
