@@ -28,19 +28,13 @@ from .passivity import (
     DeformationBounds,
     GlobalPassivityOperator,
     PassivityError,
-    SweepResult,
     alpha_observable,
-    alpha_sweep,
-    b_alpha_values,
     build_B,
     check_ordering_inherited,
     deformation_bounds,
-    deformation_sweep,
-    delta_B_alpha,
     energy_basis_values,
     generic_F_delta,
     observable_table,
-    second_law_delta,
     sweep_crossings,
     xi_observable,
 )

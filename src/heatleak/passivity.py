@@ -50,10 +50,6 @@ class GlobalPassivityOperator:
     d: float
     basis_values: np.ndarray
 
-    @property
-    def num_outcomes(self) -> int:
-        return len(self.basis_values)
-
 
 def build_B(betas, epsilon: float) -> GlobalPassivityOperator:
     """Construct the shifted operator; betas maps qubit label -> beta.
@@ -63,7 +59,8 @@ def build_B(betas, epsilon: float) -> GlobalPassivityOperator:
     would break non-integer powers).  An epsilon so large that the shifted
     eigenvalues lose the order of the raw energies (two outcomes of
     different energy rounding to equal or swapped values) is rejected;
-    outcomes of equal energy stay tied.
+    outcomes of equal energy stay tied.  So are betas whose energies or
+    shifted eigenvalues overflow.
     """
     betas = dict(betas)
     if not betas:
@@ -75,10 +72,14 @@ def build_B(betas, epsilon: float) -> GlobalPassivityOperator:
             raise PassivityError(f"beta[{label!r}] must be finite, got {beta}")
     n = len(betas)
     raw = np.zeros(2**n)
-    for pos, (label, beta) in enumerate(betas.items()):
-        raw += beta * energy_basis_values(n, pos)
-    d = float(raw.min()) - epsilon
-    values = raw - d
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pos, (label, beta) in enumerate(betas.items()):
+            raw += beta * energy_basis_values(n, pos)
+        d = float(raw.min()) - epsilon
+        values = raw - d
+    if not np.isfinite(values).all():
+        raise PassivityError(f"betas {betas} overflow: the outcome energies "
+                             "sum_j beta_j E_j exceed the float range")
     if not np.array_equal(np.sign(raw[:, None] - raw), np.sign(values[:, None] - values)):
         raise PassivityError(f"epsilon = {epsilon} swamps the betas: the eigenvalues "
                              "of B lose the order of the outcome energies")
@@ -86,37 +87,7 @@ def build_B(betas, epsilon: float) -> GlobalPassivityOperator:
     return GlobalPassivityOperator(betas=betas, epsilon=epsilon, d=d, basis_values=values)
 
 
-def b_alpha_values(B: GlobalPassivityOperator, alpha: float) -> np.ndarray:
-    """Per-outcome eigenvalues of sgn(alpha) * B^alpha.
-
-    The map is monotonically increasing in the eigenvalues of B for every
-    alpha != 0, which is what grants passivity of the whole family.
-    """
-    if alpha == 0:
-        raise PassivityError("alpha = 0 gives a constant observable; rejected")
-    return float(np.sign(alpha)) * B.basis_values**alpha
-
-
-def delta_B_alpha(initial, final, B: GlobalPassivityOperator, alpha: float) -> float:
-    """<B^alpha>_final - <B^alpha>_initial; strictly negative certifies a leak."""
-    p0 = np.asarray(initial, dtype=float)
-    pf = np.asarray(final, dtype=float)
-    if p0.shape != (B.num_outcomes,) or pf.shape != (B.num_outcomes,):
-        raise PassivityError(
-            f"distributions must have {B.num_outcomes} outcomes, "
-            f"got {p0.shape} and {pf.shape}"
-        )
-    v = b_alpha_values(B, alpha)
-    return float(np.dot(pf - p0, v))
-
-
-def second_law_delta(initial, final, betas) -> float:
-    """sum_j beta_j * (change of <H_j>): the alpha = 1 column of the table,
-    since the constant shift of B cancels in the difference."""
-    return delta_B_alpha(initial, final, build_B(betas, 1.0), 1.0)
-
-
-def observable_table(B: GlobalPassivityOperator, alpha_grid, a_values=None,
+def observable_table(B: GlobalPassivityOperator, alpha_grid,
                      xi_grid=None) -> np.ndarray:
     """Per-outcome values V[outcome, column] of every observable tested.
 
@@ -124,8 +95,9 @@ def observable_table(B: GlobalPassivityOperator, alpha_grid, a_values=None,
 
     * ``V[:, :n]``     sgn(alpha) * B^alpha per alpha (global passivity),
     * ``V[:, n]``      B itself (second law),
-    * ``V[:, n + 1:]`` B + xi * A per xi (deformation; none when xi_grid is
-      None or empty).
+    * ``V[:, n + 1:]`` B + xi * H_h per xi (deformation by the h qubit's
+      energy, so B must be on qubits c and h; none when xi_grid is None or
+      empty).
 
     Each channel's value is the change in expectation of its columns,
     ``(pf - p0) @ V``; a strictly negative entry certifies a leak.
@@ -142,8 +114,10 @@ def observable_table(B: GlobalPassivityOperator, alpha_grid, a_values=None,
                              f"at alpha = {alpha_grid[bad[0]]}")
     parts = [powers, b]
     if xi_grid is not None and len(xi_grid):
-        a = np.asarray(a_values, dtype=float)[:, None]
-        parts.append(b + a * np.asarray(xi_grid, dtype=float))
+        if set(B.betas) != {"c", "h"}:
+            raise PassivityError("xi columns require B on qubits c and h")
+        h_h = energy_basis_values(2, 1)[:, None]
+        parts.append(b + h_h * np.asarray(xi_grid, dtype=float))
     return np.hstack(parts)
 
 
@@ -266,36 +240,6 @@ def admissible_xi_grid(b_values, a_values, grid) -> np.ndarray:
     return grid
 
 
-@dataclass
-class SweepResult:
-    """Inequality sides tabulated over a parameter grid.
-
-    For alpha sweeps lhs is the expectation change of B^alpha and rhs is 0;
-    for xi sweeps lhs is the (constant) change of <H_c> and rhs the
-    xi-dependent bound.  A grid point is violated iff lhs < rhs.  thresholds
-    lists (crossing location, uncertainty) pairs; exact sweeps carry zero
-    uncertainty.
-    """
-
-    grid: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    ci_low: np.ndarray | None = None
-    ci_high: np.ndarray | None = None
-    thresholds: list[tuple[float, float]] = field(default_factory=list)
-
-    def __post_init__(self):
-        n = len(self.grid)
-        for name in ("lhs", "rhs", "ci_low", "ci_high"):
-            arr = getattr(self, name)
-            if arr is not None and len(arr) != n:
-                raise PassivityError(f"{name} length {len(arr)} != grid length {n}")
-
-    @property
-    def violated(self) -> np.ndarray:
-        return self.lhs < self.rhs
-
-
 # Sign detection takes the rows of a sweep in blocks of about this many grid
 # values, so no intermediate ever spans every row of a large resample matrix.
 _BLOCK_VALUES = 1 << 13
@@ -400,56 +344,3 @@ def _refine(observable, diffs, lo, hi, tol: float = 1e-12) -> np.ndarray:
         np.copyto(lo, mid, where=up)
         np.copyto(hi, mid, where=~up | stop)
     return 0.5 * (lo + hi)
-
-
-def alpha_sweep(initial, final, B: GlobalPassivityOperator, grid) -> SweepResult:
-    """delta<B^alpha> over an alpha grid with bisection-refined zero crossings."""
-    grid = np.asarray(grid, dtype=float)
-    diff = np.asarray(final, dtype=float) - np.asarray(initial, dtype=float)
-    values = diff @ observable_table(B, grid)[:, : len(grid)]
-    _, crossings = sweep_crossings(alpha_observable(B), diff, grid)
-    return SweepResult(
-        grid=grid,
-        lhs=values,
-        rhs=np.zeros_like(values),
-        thresholds=[(float(c), 0.0) for c in crossings],
-    )
-
-
-def deformation_sweep(
-    initial, final, B: GlobalPassivityOperator, a_values, grid
-) -> SweepResult:
-    """Deformed inequality over a xi grid inside the admissible interval.
-
-    lhs is the change of <H_c> (constant in xi); rhs is
-    -((beta_h + xi)/beta_c) times the change of <H_h>.  lhs < rhs is
-    equivalent to the raw form delta<B> + xi*delta<A> < 0 for beta_c > 0.
-    This normal form requires B built on exactly the two qubits c and h and
-    A = H_h (deformation_raw_values takes any commuting diagonal A).
-    """
-    observable = xi_observable(B)
-    e_c, e_h = energy_basis_values(2, 0), energy_basis_values(2, 1)
-    if not np.array_equal(np.asarray(a_values, dtype=float), e_h):
-        raise PassivityError(
-            "the normal-form deformation sweep is defined for A = H_h only; "
-            "use deformation_raw_values for other observables"
-        )
-    grid = admissible_xi_grid(B.basis_values, e_h, grid)
-    diff = np.asarray(final, dtype=float) - np.asarray(initial, dtype=float)
-    lhs = np.full_like(grid, float(np.dot(diff, e_c)))
-    rhs = -((B.betas["h"] + grid) / B.betas["c"]) * float(np.dot(diff, e_h))
-    _, crossings = sweep_crossings(observable, diff, grid)
-    return SweepResult(
-        grid=grid,
-        lhs=lhs,
-        rhs=rhs,
-        thresholds=[(float(c), 0.0) for c in crossings],
-    )
-
-
-def deformation_raw_values(
-    initial, final, B: GlobalPassivityOperator, a_values, grid
-) -> np.ndarray:
-    """Raw deformed form delta<B> + xi*delta<A> per grid point."""
-    diff = np.asarray(final, dtype=float) - np.asarray(initial, dtype=float)
-    return diff @ observable_table(B, [], a_values, grid)[:, 1:]

@@ -27,14 +27,12 @@ import numpy as np
 from .circuits import build_protocol, evolve_stages
 from .config import ExperimentConfig, config_from_dict
 from .passivity import (
-    SweepResult,
     alpha_observable,
-    alpha_sweep,
     build_B,
     deformation_bounds,
-    deformation_sweep,
     energy_basis_values,
     observable_table,
+    sweep_crossings,
     xi_observable,
 )
 from .recordio import read_records, write_json, write_records, write_sweep_csv
@@ -88,15 +86,16 @@ def stage_distributions(config: ExperimentConfig) -> dict[str, np.ndarray]:
 class Sweep:
     """One parameter sweep of a channel and how its outputs are written.
 
-    point(p0, pf) returns the point-estimate SweepResult; its thresholds are
-    the sign crossings of (pf - p0) @ observable(x) over grid; columns is the
-    sweep's slice of the observable table; CI columns in the CSV are the
-    bootstrap CI of the table values divided by ci_divisor.
+    columns is the sweep's slice of the observable table; sides(diff,
+    values) gives the CSV's lhs and rhs from the distribution change and
+    its values on those columns, and the CSV's CI columns are the bootstrap
+    CI of the values divided by ci_divisor.  The sweep's thresholds are the
+    sign crossings of diff @ observable(x) over grid.
     """
 
     channel: str
     prefix: str
-    point: Callable[[np.ndarray, np.ndarray], SweepResult]
+    sides: Callable[[np.ndarray, np.ndarray], tuple]
     observable: Callable[[np.ndarray], np.ndarray]
     grid: np.ndarray
     columns: slice
@@ -113,37 +112,46 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep]]:
     n_alpha = len(alpha_grid)
     sweeps = [Sweep(
         "global-passivity", "alpha",
-        lambda p0, pf: alpha_sweep(p0, pf, B, alpha_grid),
+        lambda diff, values: (values, np.zeros_like(values)),
         alpha_observable(B), alpha_grid,
         slice(0, n_alpha), 1.0, ALPHA_THRESHOLD_SEED_ROLE,
     )]
-    a_values = xi_grid = None
+    xi_grid = None
     if config.wants_deformation():
-        a_values = energy_basis_values(2, 1)  # deformation observable H_h
-        bounds = deformation_bounds(B.basis_values, a_values)
+        h_c, h_h = energy_basis_values(2, 0), energy_basis_values(2, 1)
+        bounds = deformation_bounds(B.basis_values, h_h)
         xi_grid = config.resolve_xi_grid(bounds.xi_min, bounds.xi_max)
+        beta_c, beta_h = B.betas["c"], B.betas["h"]
         sweeps.append(Sweep(
             "deformation", "xi",
-            lambda p0, pf: deformation_sweep(p0, pf, B, a_values, xi_grid),
+            # normal form: lhs = d<H_c> < rhs = -((beta_h + xi)/beta_c) d<H_h>
+            # iff the raw form d<B> + xi*d<H_h> is negative, for beta_c > 0
+            lambda diff, values: (
+                np.full_like(xi_grid, float(np.dot(diff, h_c))),
+                -((beta_h + xi_grid) / beta_c) * float(np.dot(diff, h_h)),
+            ),
             xi_observable(B), xi_grid,
-            # the CSV margin lhs - rhs is the raw form over beta_c > 0
-            slice(n_alpha + 1, None), B.betas["c"], XI_THRESHOLD_SEED_ROLE,
+            # the CSV margin lhs - rhs is the raw form over beta_c
+            slice(n_alpha + 1, None), beta_c, XI_THRESHOLD_SEED_ROLE,
         ))
-    return observable_table(B, alpha_grid, a_values, xi_grid), sweeps
+    return observable_table(B, alpha_grid, xi_grid), sweeps
 
 
 def run_exact(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
     """Exact theory curves and stage distributions, written as CSV/JSON;
     returns the written paths by key."""
     dists = stage_distributions(config)
-    sweeps = _plan(config)[1]
+    table, sweeps = _plan(config)
+    diffs = {stage: dists[stage] - dists["i"] for stage in ("ii", "iii")}
+    values = {stage: diff @ table for stage, diff in diffs.items()}
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for sweep in sweeps:
-        for stage in ("ii", "iii"):
+        for stage, diff in diffs.items():
             key = f"{sweep.prefix}_i_{stage}"
             paths[key] = os.path.join(out_dir, f"{sweep.prefix}_sweep_i_to_{stage}.csv")
-            write_sweep_csv(paths[key], sweep.point(dists["i"], dists[stage]))
+            write_sweep_csv(paths[key], sweep.grid,
+                            *sweep.sides(diff, values[stage][sweep.columns]))
     dist_path = os.path.join(out_dir, "stage_distributions.json")
     write_json(
         dist_path,
@@ -250,26 +258,27 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
         resolution = (np.ptp(table, axis=0) / min(rec_i.shots, rec_f.shots)).tolist()
         second_law = slice(n_alpha, n_alpha + 1)
         worst("second-law", estimates[second_law], resolution[second_law])
+        diff = rec_f.probabilities() - rec_i.probabilities()
         for sweep in sweeps:
             est = estimates[sweep.columns]
-            point = sweep.point(rec_i.probabilities(), rec_f.probabilities())
-            point.ci_low = np.array([e.ci_low / sweep.ci_divisor for e in est])
-            point.ci_high = np.array([e.ci_high / sweep.ci_divisor for e in est])
             write_sweep_csv(
                 os.path.join(out_dir, f"{sweep.prefix}_sweep_i_to_{stage}.csv"),
-                point,
+                sweep.grid, *sweep.sides(diff, np.array([e.value for e in est])),
+                [e.ci_low / sweep.ci_divisor for e in est],
+                [e.ci_high / sweep.ci_divisor for e in est],
             )
             worst(sweep.channel, est, resolution[sweep.columns])
-            if len(point.thresholds) == 1:
+            _, crossings = sweep_crossings(sweep.observable, diff, sweep.grid)
+            if len(crossings) == 1:
                 res = threshold_bootstrap(
                     rec_i, rec_f, sweep.observable, sweep.grid,
-                    point.thresholds[0][0], bootstrap(stage_idx, sweep.seed_role),
+                    float(crossings[0]), bootstrap(stage_idx, sweep.seed_role),
                 )
                 thresholds.append(_threshold_entry(sweep.channel, stage, res))
-            elif len(point.thresholds) > 1:
+            elif len(crossings) > 1:
                 notes.append(
                     f"{sweep.prefix} sweep i->{stage} has "
-                    f"{len(point.thresholds)} sign crossings; no threshold reported"
+                    f"{len(crossings)} sign crossings; no threshold reported"
                 )
 
     strength = max(strengths.values())

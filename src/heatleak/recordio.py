@@ -61,6 +61,22 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a JSON string, got {value!r}")
+    return value
+
+
+def _json_labels(value) -> tuple[str, ...] | None:
+    """value as a tuple of qubit labels if it is a JSON list of strings; an
+    absent (null) or empty list gives None."""
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(isinstance(q, str) for q in value):
+        raise TypeError(f"qubits must be a JSON list of strings, got {value!r}")
+    return tuple(value) or None
+
+
 def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
     """Parse a record file; raises RecordFormatError with 1-based line numbers."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -93,11 +109,11 @@ def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
         try:
             records.append(
                 ShotRecord(
-                    stage=obj["stage"],
+                    stage=_json_string(obj["stage"], "stage"),
                     counts={str(k): _json_int(v, f"count of {k!r}")
                             for k, v in obj["counts"].items()},
                     shots=_json_int(obj["shots"], "shots"),
-                    qubits=tuple(obj["qubits"]) if obj.get("qubits") else None,
+                    qubits=_json_labels(obj.get("qubits")),
                     seed=obj.get("seed"),
                     meta=obj.get("meta") or {},
                 )
@@ -107,15 +123,16 @@ def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
     return header["config"], records
 
 
-def write_sweep_csv(path: str, sweep) -> None:
+def write_sweep_csv(path: str, grid, lhs, rhs, ci_low=None, ci_high=None) -> None:
+    """One row per grid point, violated iff lhs < rhs; the CI columns stay
+    empty unless both ci_low and ci_high are given."""
     rows = ["parameter,lhs,rhs,ci_low,ci_high,violated"]
-    has_ci = sweep.ci_low is not None and sweep.ci_high is not None
-    violated = sweep.violated
-    for k in range(len(sweep.grid)):
-        lo = repr(float(sweep.ci_low[k])) if has_ci else ""
-        hi = repr(float(sweep.ci_high[k])) if has_ci else ""
+    has_ci = ci_low is not None and ci_high is not None
+    for k in range(len(grid)):
+        lo = repr(float(ci_low[k])) if has_ci else ""
+        hi = repr(float(ci_high[k])) if has_ci else ""
         rows.append(
-            f"{float(sweep.grid[k])!r},{float(sweep.lhs[k])!r},{float(sweep.rhs[k])!r},"
-            f"{lo},{hi},{str(bool(violated[k])).lower()}"
+            f"{float(grid[k])!r},{float(lhs[k])!r},{float(rhs[k])!r},"
+            f"{lo},{hi},{str(bool(lhs[k] < rhs[k])).lower()}"
         )
     atomic_write_text(path, "\n".join(rows) + "\n")

@@ -183,15 +183,15 @@ def oracle_bootstrap_statistic(records, statistic, resamples, confidence, seed):
 
 
 def oracle_threshold(initial, final, sweep_builder, resamples, confidence, seed):
-    """Per-resample threshold bootstrap of sweep_builder(initial, final), a
-    sweep whose point estimate crosses zero once or never.
+    """Per-resample threshold bootstrap of sweep_builder(initial, final), the
+    sign crossings of a sweep whose point estimate crosses zero once or never.
 
     Every resample rebuilds both records, reruns the sweep and keeps its
     crossing nearest the point one.  Returns (found, estimate,
     no_crossing_resamples), estimate as in oracle_summary (NaN std error
     when no resample crosses).
     """
-    point = [loc for loc, _ in sweep_builder(initial, final).thresholds]
+    point = [float(loc) for loc in sweep_builder(initial, final)]
     if not point:
         return False, None, 0
     assert len(point) == 1, point
@@ -199,10 +199,10 @@ def oracle_threshold(initial, final, sweep_builder, resamples, confidence, seed)
     draw_i, draw_f = _oracle_draws([initial, final], resamples, seed)
     locations = []
     for r in range(resamples):
-        sweep = sweep_builder(initial.with_counts(draw_i[r]),
-                              final.with_counts(draw_f[r]))
-        if sweep.thresholds:
-            locations.append(min((loc for loc, _ in sweep.thresholds),
+        crossings = sweep_builder(initial.with_counts(draw_i[r]),
+                                  final.with_counts(draw_f[r]))
+        if len(crossings):
+            locations.append(min((float(loc) for loc in crossings),
                                  key=lambda x: abs(x - center)))
     if not locations:
         return True, (center, center, center, float("nan")), resamples

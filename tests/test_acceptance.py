@@ -14,12 +14,10 @@ import numpy as np
 
 from heatleak import (
     ExperimentConfig,
+    alpha_observable,
     apply_unitary,
-    alpha_sweep,
     build_B,
     deformation_bounds,
-    deformation_sweep,
-    delta_B_alpha,
     energy_basis_values,
     measure_distribution,
     mixture_channel,
@@ -27,12 +25,13 @@ from heatleak import (
     partial_trace,
     reference_protocol,
     swap_gate,
+    sweep_crossings,
     tensor,
     thermal_qubit,
+    xi_observable,
 )
 from heatleak.cli import main as cli_main
-from heatleak.passivity import deformation_raw_values
-from heatleak.pipeline import run_analyze, run_simulate, stage_distributions
+from heatleak.pipeline import run_analyze, run_exact, run_simulate, stage_distributions
 from heatleak.shots import (
     BootstrapConfig,
     SpamModel,
@@ -71,17 +70,19 @@ def test_criterion_1_exact_protocol_a():
         cfg = ExperimentConfig(protocol=reference_protocol("A"))
         dists = stage_distributions(cfg)
         B = build_B(B_REF_A, 1e-3)
-        sweep = alpha_sweep(dists["i"], dists["iii"], B, ALPHA_GRID)
+        diff = dists["iii"] - dists["i"]
+        _, crossings = sweep_crossings(alpha_observable(B), diff, ALPHA_GRID)
 
-        assert len(sweep.thresholds) == 1
-        alpha_star = sweep.thresholds[0][0]
+        assert len(crossings) == 1
+        alpha_star = crossings[0]
         assert 0.0 < alpha_star < 1.0
 
-        low = sweep.lhs[ALPHA_GRID <= 0.4]
-        high = sweep.lhs[ALPHA_GRID >= 0.7]
+        lhs = diff @ observable_table(B, ALPHA_GRID)[:, : len(ALPHA_GRID)]
+        low = lhs[ALPHA_GRID <= 0.4]
+        high = lhs[ALPHA_GRID >= 0.7]
         assert np.all(low < 0.0)
         assert np.all(high > 0.0)
-        assert delta_B_alpha(dists["i"], dists["iii"], B, 1.0) >= 0.0
+        assert diff @ observable_table(B, [1.0])[:, 0] >= 0.0
 
         # frozen regression constant, and the independent oracle agrees
         assert abs(alpha_star - PIN_ALPHA_STAR_A) <= 1e-6
@@ -116,7 +117,14 @@ def test_criterion_2_protocol_a_finite_shots(tmp_path):
         assert all(s < 3.0 for s in verdict0.channel_strengths.values())
 
 
-def test_criterion_3_exact_protocol_b():
+def _csv_violated(path):
+    """The violated column of a sweep CSV as booleans."""
+    with open(path) as fh:
+        rows = fh.read().splitlines()[1:]
+    return np.array([row.rsplit(",", 1)[1] == "true" for row in rows])
+
+
+def test_criterion_3_exact_protocol_b(tmp_path):
     with criterion(3, "exact protocol B deformation"):
         beta_c, beta_h = B_REF_B["c"], B_REF_B["h"]
         B = build_B(B_REF_B, 1e-3)
@@ -130,29 +138,31 @@ def test_criterion_3_exact_protocol_b():
         cfg = ExperimentConfig(protocol=reference_protocol("B"))
         dists = stage_distributions(cfg)
         xi_grid = np.linspace(bounds.xi_min, bounds.xi_max, 41)
-        sweep = deformation_sweep(dists["i"], dists["iii"], B, a_values, xi_grid)
-        assert len(sweep.thresholds) == 1
-        xi_star = sweep.thresholds[0][0]
+        _, crossings = sweep_crossings(xi_observable(B), dists["iii"] - dists["i"],
+                                       xi_grid)
+        assert len(crossings) == 1
+        xi_star = crossings[0]
         # frozen regression constant, oracle recomputation, and the
         # reference-value consistency required at pin time
         assert abs(xi_star - PIN_XI_STAR_B) <= 1e-6
         assert abs(oracle_xi_star_b() - PIN_XI_STAR_B) <= 1e-6
         assert abs(PIN_XI_STAR_B - (-0.880)) <= 0.05
-        # violated exactly on [xi_min, xi_star), nowhere above
-        assert sweep.violated.any()
-        assert np.array_equal(sweep.violated, xi_grid < xi_star)
+        # violated exactly on [xi_min, xi_star), nowhere above; exact mode
+        # writes the xi CSV on the same 41-point grid
+        violated = _csv_violated(run_exact(cfg, str(tmp_path / "swap"))["xi_i_iii"])
+        assert violated.any()
+        assert np.array_equal(violated, xi_grid < xi_star)
 
         # no global-passivity violation anywhere on [-3, 3]
+        alpha_columns = observable_table(B, ALPHA_GRID)[:, : len(ALPHA_GRID)]
         for stage in ("ii", "iii"):
-            asweep = alpha_sweep(dists["i"], dists[stage], B, ALPHA_GRID)
-            assert np.all(asweep.lhs >= 0.0)
+            assert np.all((dists[stage] - dists["i"]) @ alpha_columns >= 0.0)
 
         cfg0 = ExperimentConfig(
             protocol=reference_protocol("B", include_env_swap=False)
         )
-        d0 = stage_distributions(cfg0)
-        sweep0 = deformation_sweep(d0["i"], d0["iii"], B, a_values, xi_grid)
-        assert not sweep0.violated.any()
+        violated0 = _csv_violated(run_exact(cfg0, str(tmp_path / "no_swap"))["xi_i_iii"])
+        assert not violated0.any()
 
 
 def test_criterion_4_protocol_b_finite_shots(tmp_path):
@@ -194,13 +204,14 @@ def test_criterion_5_unitality_property_suite():
             p0 = measure_distribution(state, [0, 1])
             pf = measure_distribution(final, [0, 1])
 
-            sweep = alpha_sweep(p0, pf, B, grid61)
-            worst_alpha = min(worst_alpha, float(sweep.lhs.min()))
+            lhs = (pf - p0) @ observable_table(B, grid61)[:, : len(grid61)]
+            worst_alpha = min(worst_alpha, float(lhs.min()))
 
             bounds = deformation_bounds(B.basis_values, a_values)
             lo = bounds.xi_min if math.isfinite(bounds.xi_min) else -5.0
             hi = bounds.xi_max if math.isfinite(bounds.xi_max) else 5.0
-            raw = deformation_raw_values(p0, pf, B, a_values, np.linspace(lo, hi, 21))
+            table = observable_table(B, [], np.linspace(lo, hi, 21))
+            raw = (pf - p0) @ table[:, 1:]
             worst_xi = min(worst_xi, float(raw.min()))
         assert worst_alpha >= -1e-9, f"alpha family violated: {worst_alpha}"
         assert worst_xi >= -1e-9, f"deformed family violated: {worst_xi}"
@@ -220,7 +231,7 @@ def test_spam_readout_raises_no_false_alarm():
         bounds = deformation_bounds(B.basis_values, a_values)
         lo = bounds.xi_min if math.isfinite(bounds.xi_min) else -5.0
         hi = bounds.xi_max if math.isfinite(bounds.xi_max) else 5.0
-        table = observable_table(B, ALPHA_GRID, a_values, np.linspace(lo, hi, 21))
+        table = observable_table(B, ALPHA_GRID, np.linspace(lo, hi, 21))
         # thermal product populations, pushed through the unitary's
         # transition matrix |U|^2 (exact for a diagonal initial state)
         p0 = np.outer(*[np.array([1.0, math.exp(-b)]) / (1.0 + math.exp(-b))
@@ -266,8 +277,8 @@ def test_criterion_7_bootstrap_coverage():
         cfg = ExperimentConfig(protocol=reference_protocol("A"))
         dists = stage_distributions(cfg)
         B = build_B(B_REF_A, 1e-3)
-        true_delta = delta_B_alpha(dists["i"], dists["iii"], B, 0.5)
         v = np.sign(0.5) * B.basis_values**0.5
+        true_delta = float(np.dot(dists["iii"] - dists["i"], v))
 
         covered = 0
         reps = 500

@@ -22,7 +22,7 @@ from heatleak.config import (
     default_alpha_grid,
     load_config,
 )
-from heatleak.passivity import SweepResult, sweep_crossings
+from heatleak.passivity import sweep_crossings
 from heatleak.recordio import (
     RecordFormatError,
     read_records,
@@ -86,18 +86,34 @@ def test_read_reports_line_numbers(tmp_path):
         read_records(str(path))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("stage", ["i"]),
+    ("qubits", "ch"),
+    ("qubits", {"c": 1, "h": 2}),
+])
+def test_read_rejects_mistyped_stage_and_qubits(tmp_path, field, value):
+    """stage must be a JSON string and qubits a list of strings: a list stage
+    is unhashable downstream, and a string or object of qubit labels would
+    otherwise be read as its characters or keys."""
+    path = tmp_path / "bad.jsonl"
+    record = {"stage": "i", "qubits": ["c", "h"], "counts": {"00": 1}, "shots": 1}
+    path.write_text('{"config": {}}\n' + json.dumps({**record, field: value}) + "\n")
+    with pytest.raises(RecordFormatError, match=f":2: {field} must be"):
+        read_records(str(path))
+
+
 # --------------------------------------------------------------------- CSV
 
 def test_sweep_csv_format(tmp_path):
     path = str(tmp_path / "sweep.csv")
-    sweep = SweepResult(
+    write_sweep_csv(
+        path,
         grid=np.array([0.5, 1.0]),
         lhs=np.array([-0.25, 0.5]),
         rhs=np.zeros(2),
         ci_low=np.array([-0.3, 0.4]),
         ci_high=np.array([-0.2, 0.6]),
     )
-    write_sweep_csv(path, sweep)
     lines = open(path).read().splitlines()
     assert lines[0] == "parameter,lhs,rhs,ci_low,ci_high,violated"
     assert lines[1] == "0.5,-0.25,0.0,-0.3,-0.2,true"
@@ -106,8 +122,7 @@ def test_sweep_csv_format(tmp_path):
 
 def test_sweep_csv_without_ci(tmp_path):
     path = str(tmp_path / "sweep.csv")
-    sweep = SweepResult(np.array([0.1]), np.array([1.0]), np.array([2.0]))
-    write_sweep_csv(path, sweep)
+    write_sweep_csv(path, np.array([0.1]), np.array([1.0]), np.array([2.0]))
     assert open(path).read().splitlines()[1] == "0.1,1.0,2.0,,,true"
 
 
@@ -309,7 +324,6 @@ def test_analyze_channels_track_exact_curve(tmp_path):
     # bootstrap channel on at least 95% of grid points for both stage pairs
     import csv
 
-    from heatleak import alpha_sweep, build_B
     from heatleak.pipeline import run_analyze, run_simulate, stage_distributions
 
     cfg = ExperimentConfig(protocol=reference_protocol("A"), seed=3,
@@ -320,7 +334,7 @@ def test_analyze_channels_track_exact_curve(tmp_path):
     out = str(tmp_path / "consistency")
     run_analyze(run_simulate(cfg, out), None, out)
     for stage in ("ii", "iii"):
-        exact = alpha_sweep(dists["i"], dists[stage], B, grid).lhs
+        exact = (dists[stage] - dists["i"]) @ observable_table(B, grid)[:, : len(grid)]
         with open(os.path.join(out, f"alpha_sweep_i_to_{stage}.csv")) as fh:
             rows = list(csv.DictReader(fh))
         inside = sum(
@@ -762,7 +776,51 @@ def test_cli_analyze_swamped_betas_exit_one(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_cli_exact_overflowing_betas_exit_one(tmp_path, capsys, recwarn):
+    """Finite betas whose energy sum overflows stop the run with an error
+    naming the betas, before any numpy overflow warning or output."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"protocol": {"variant": "A", "beta_c": 1e308, "beta_h": 1e308, '
+                   '"beta_e": 2.02}}')
+    out = tmp_path / "exact"
+    rc = main(["exact", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: betas {'c': 1e+308, 'h': 1e+308} overflow")
+    assert not out.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 # ------------------------------------------- thresholds, decided by analyze
+
+@pytest.mark.parametrize("variant, shots_per_stage, analyze_calls", [
+    ("A", "6700", 3),
+    ("B", "3200", 5),
+])
+def test_crossings_are_searched_only_where_a_threshold_is_reported(
+        tmp_path, monkeypatch, variant, shots_per_stage, analyze_calls):
+    """exact writes no threshold, so it searches no crossings; analyze
+    searches each point sweep once (alpha, plus xi for B, per stage pair)
+    and bootstraps the one i->iii threshold once.  Every module binding of
+    passivity.sweep_crossings gets the counting wrapper."""
+    from heatleak import passivity, pipeline, shots
+
+    calls, original = [], passivity.sweep_crossings
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (passivity, pipeline, shots):
+        monkeypatch.setattr(module, "sweep_crossings", counted)
+    assert main(["exact", "--variant", variant, "--out", str(tmp_path / "exact")]) == 0
+    assert calls == []
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--variant", variant, "--seed", "7", "--shots-per-stage",
+                 shots_per_stage, "--resamples", "100", "--out", out]) == 0
+    assert main(["analyze", os.path.join(out, "records.jsonl"), "--out", out]) == 2
+    assert len(calls) == analyze_calls
+
 
 def test_cli_analyze_b_reports_no_alpha_threshold(tmp_path):
     """Protocol B's alpha sweep never changes sign, so analyze writes no

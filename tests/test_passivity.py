@@ -5,23 +5,21 @@ import pytest
 
 from heatleak import (
     PassivityError,
-    alpha_sweep,
-    b_alpha_values,
+    alpha_observable,
     build_B,
     check_ordering_inherited,
     deformation_bounds,
-    deformation_sweep,
-    delta_B_alpha,
     energy_basis_values,
     generic_F_delta,
     measure_distribution,
     mixture_channel,
-    second_law_delta,
+    observable_table,
+    sweep_crossings,
     tensor,
     thermal_qubit,
+    xi_observable,
 )
-from heatleak.passivity import deformation_raw_values
-from heatleak.passivity import observable_table
+from heatleak.passivity import admissible_xi_grid
 
 from conftest import haar_unitary
 from oracles import (
@@ -68,29 +66,33 @@ def test_build_B_rejects_bad_epsilon():
         build_B({"c": math.inf}, 1e-3)
 
 
-# ------------------------------------------------------------ b_alpha_values
+@pytest.mark.parametrize("betas", [
+    {"c": 1e308, "h": 1e308},      # the energy sum overflows
+    {"c": -1e308, "h": -1e308},
+    {"c": 1.7e308, "h": -1.7e308},  # finite energies, their spread overflows
+])
+def test_build_B_rejects_overflowing_betas(betas):
+    with pytest.raises(PassivityError, match=r"^betas .* overflow"):
+        build_B(betas, 1e-3)
+
+
+# ------------------------------------------------- alpha columns of the table
 
 def test_b_alpha_identity_at_one():
     B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
-    assert np.allclose(b_alpha_values(B, 1.0), B.basis_values)
+    assert np.allclose(observable_table(B, [1.0])[:, 0], B.basis_values)
 
 
 def test_b_alpha_negative_preserves_order():
     B = build_B({"c": 1.0}, 0.5)  # values (0.5, 1.5)
-    vals = b_alpha_values(B, -1.0)
+    vals = observable_table(B, [-1.0])[:, 0]
     assert np.allclose(vals, [-2.0, -1.0 / 1.5])
     assert vals[0] < vals[1]
 
 
 def test_b_alpha_square():
     B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
-    assert np.allclose(b_alpha_values(B, 2.0), B.basis_values**2)
-
-
-def test_b_alpha_rejects_zero():
-    B = build_B({"c": 1.0}, 0.5)
-    with pytest.raises(PassivityError):
-        b_alpha_values(B, 0.0)
+    assert np.allclose(observable_table(B, [2.0])[:, 0], B.basis_values**2)
 
 
 def test_b_alpha_monotone_map(rng):
@@ -98,24 +100,22 @@ def test_b_alpha_monotone_map(rng):
         B = build_B({"c": rng.uniform(0.1, 3), "h": rng.uniform(0.1, 3)},
                     rng.uniform(1e-4, 1e-1))
         order = np.argsort(B.basis_values)
-        for alpha in (-2.7, -1.0, -0.3, 0.3, 1.0, 2.7):
-            vals = b_alpha_values(B, alpha)
-            assert np.all(np.diff(vals[order]) >= 0)
+        table = observable_table(B, [-2.7, -1.0, -0.3, 0.3, 1.0, 2.7])
+        assert np.all(np.diff(table[order], axis=0) >= 0)
 
 
-# ------------------------------------------------------------ delta_B_alpha
+# ------------------------------------------------- alpha column changes
 
 def test_delta_zero_for_identical_distributions():
     B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
     p = np.array([0.4, 0.3, 0.2, 0.1])
-    for alpha in GRID[::13]:
-        assert delta_B_alpha(p, p, B, alpha) == 0.0
+    assert np.all((p - p) @ observable_table(B, GRID[::13]) == 0.0)
 
 
 def test_delta_protocol_a_negative_below_crossing():
     p_i, _, p_iii = oracle_protocol_a(True)
     B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
-    got = delta_B_alpha(p_i, p_iii, B, 0.25)
+    got = (p_iii - p_i) @ observable_table(B, [0.25])[:, 0]
     assert got < 0
     assert got == pytest.approx(
         oracle_delta_b_alpha(p_i, p_iii, 2.23, 0.43, 1e-3, 0.25), abs=1e-12
@@ -125,63 +125,62 @@ def test_delta_protocol_a_negative_below_crossing():
 def test_delta_protocol_a_second_law_holds():
     p_i, _, p_iii = oracle_protocol_a(True)
     B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
-    assert delta_B_alpha(p_i, p_iii, B, 1.0) >= 0.0
+    assert (p_iii - p_i) @ observable_table(B, [1.0])[:, 0] >= 0.0
 
 
-def test_delta_rejects_mismatched_lengths():
-    B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
-    with pytest.raises(PassivityError):
-        delta_B_alpha([0.5, 0.5], [0.25] * 4, B, 1.0)
-
-
-# -------------------------------------------------------------- alpha_sweep
+# -------------------------------------------------------------- alpha sweep
 
 def test_alpha_sweep_identity_no_thresholds():
     B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
     p = np.array([0.4, 0.3, 0.2, 0.1])
-    sweep = alpha_sweep(p, p, B, GRID)
-    assert np.all(sweep.lhs == 0.0)
-    assert sweep.thresholds == []
-    assert not sweep.violated.any()
+    values = (p - p) @ observable_table(B, GRID)[:, : len(GRID)]
+    assert np.all(values == 0.0)
+    assert sweep_crossings(alpha_observable(B), p - p, GRID)[1].size == 0
+    assert not (values < 0).any()
 
 
 def test_alpha_sweep_protocol_a_single_crossing_near_pin():
     p_i, _, p_iii = oracle_protocol_a(True)
     B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
-    sweep = alpha_sweep(p_i, p_iii, B, GRID)
-    assert len(sweep.thresholds) == 1
-    loc, _ = sweep.thresholds[0]
-    assert abs(loc - PIN_ALPHA_STAR_A) < 1e-6
+    _, crossings = sweep_crossings(alpha_observable(B), p_iii - p_i, GRID)
+    assert len(crossings) == 1
+    assert abs(crossings[0] - PIN_ALPHA_STAR_A) < 1e-6
 
 
 def test_alpha_sweep_protocol_a_no_swap_never_negative():
     p_i, p_ii, _ = oracle_protocol_a(False)
     B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
-    sweep = alpha_sweep(p_i, p_ii, B, GRID)
-    assert np.all(sweep.lhs >= 0)
-    assert sweep.thresholds == []
+    assert np.all((p_ii - p_i) @ observable_table(B, GRID)[:, : len(GRID)] >= 0)
+    assert sweep_crossings(alpha_observable(B), p_ii - p_i, GRID)[1].size == 0
 
 
 def test_alpha_sweep_crossing_residual_is_tiny():
     p_i, _, p_iii = oracle_protocol_a(True)
     B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
-    sweep = alpha_sweep(p_i, p_iii, B, GRID)
-    loc, _ = sweep.thresholds[0]
-    scale = np.max(np.abs(b_alpha_values(B, loc)))
-    assert abs(delta_B_alpha(p_i, p_iii, B, loc)) <= 1e-9 * scale
+    _, (loc,) = sweep_crossings(alpha_observable(B), p_iii - p_i, GRID)
+    column = observable_table(B, [loc])[:, 0]
+    scale = np.max(np.abs(column))
+    assert abs((p_iii - p_i) @ column) <= 1e-9 * scale
 
 
 def test_alpha_sweep_rejects_zero_in_grid():
     B = build_B({"c": 1.0}, 0.5)
-    with pytest.raises(PassivityError):
-        alpha_sweep([0.5, 0.5], [0.5, 0.5], B, [-1.0, 0.0, 1.0])
+    for grid in ([0.0], [-1.0, 0.0, 1.0]):
+        with pytest.raises(PassivityError):
+            observable_table(B, grid)
 
 
-# --------------------------------------------------------- second_law_delta
+# ------------------------------------------------------- second-law column
+
+def _second_law(p0, pf, betas):
+    """The second-law column's change at epsilon = 1: sum_j beta_j * (change
+    of <H_j>), since the constant shift of B cancels in the difference."""
+    return float((pf - p0) @ observable_table(build_B(betas, 1.0), [1.0])[:, 1])
+
 
 def test_second_law_zero_for_identical():
     p = np.array([0.4, 0.3, 0.2, 0.1])
-    assert second_law_delta(p, p, {"c": 2.23, "h": 0.43}) == 0.0
+    assert _second_law(p, p, {"c": 2.23, "h": 0.43}) == 0.0
 
 
 def test_second_law_equals_alpha_one(rng):
@@ -189,14 +188,14 @@ def test_second_law_equals_alpha_one(rng):
     for _ in range(50):
         p0 = rng.dirichlet(np.ones(4))
         pf = rng.dirichlet(np.ones(4))
-        a = delta_B_alpha(p0, pf, B, 1.0)
-        b = second_law_delta(p0, pf, B.betas)
+        a = (pf - p0) @ observable_table(B, [1.0])[:, 0]
+        b = _second_law(p0, pf, B.betas)
         assert abs(a - b) < 1e-12
 
 
 def test_second_law_protocol_a_non_negative():
     p_i, _, p_iii = oracle_protocol_a(True)
-    assert second_law_delta(p_i, p_iii, {"c": 2.23, "h": 0.43}) >= 0.0
+    assert _second_law(p_i, p_iii, {"c": 2.23, "h": 0.43}) >= 0.0
 
 
 # ---------------------------------------------------------- generic_F_delta
@@ -209,7 +208,7 @@ def test_generic_F_log_reduces_to_second_law():
     )
     _, _, pf = oracle_protocol_a(True)
     got = generic_F_delta(p0, pf, -np.log(p0))
-    expected = second_law_delta(p0, pf, {"c": 2.23, "h": 0.43})
+    expected = _second_law(p0, pf, {"c": 2.23, "h": 0.43})
     assert abs(got - expected) < 1e-12
 
 
@@ -222,9 +221,9 @@ def test_generic_F_constant_is_zero(rng):
 def test_generic_F_matches_b_alpha_family():
     p_i, _, p_iii = oracle_protocol_a(True)
     B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
-    for alpha in (-2.0, -0.5, 0.25, 1.0, 3.0):
-        got = generic_F_delta(p_i, p_iii, b_alpha_values(B, alpha))
-        assert got == pytest.approx(delta_B_alpha(p_i, p_iii, B, alpha), abs=1e-12)
+    table = observable_table(B, [-2.0, -0.5, 0.25, 1.0, 3.0])
+    for column, want in zip(table.T, (p_iii - p_i) @ table):
+        assert generic_F_delta(p_i, p_iii, column) == pytest.approx(want, abs=1e-12)
 
 
 def test_generic_F_rejects_misordered_values():
@@ -311,78 +310,67 @@ def test_bounds_consistent_with_ordering_check(rng):
             assert check_ordering_inherited(b, a, xi) == ok, (b, a, xi)
 
 
-# ---------------------------------------------------------- deformation_sweep
+# ---------------------------------------------------------- deformation sweep
+
+def _normal_form(B, p0, pf, grid):
+    """d<H_c> + ((beta_h + xi)/beta_c) * d<H_h> per xi: the margin lhs - rhs
+    of the xi CSVs, violated where negative."""
+    return xi_observable(B)(grid) @ (pf - p0)
+
+
+def _raw_form(B, p0, pf, grid):
+    """d<B> + xi*d<H_h> per xi: the xi columns of the observable table."""
+    return (pf - p0) @ observable_table(B, [], grid)[:, 1:]
+
 
 def test_deformation_sweep_identity_no_violation():
     B = build_B({"c": 1.627, "h": 1.099}, 1e-3)
     p = np.array([0.4, 0.3, 0.2, 0.1])
     grid = np.linspace(-1.099, 0.528, 21)
-    sweep = deformation_sweep(p, p, B, A_VALUES_HH, grid)
-    assert not sweep.violated.any()
-    assert sweep.thresholds == []
-    assert np.allclose(deformation_raw_values(p, p, B, A_VALUES_HH, grid), 0.0)
+    assert not (_normal_form(B, p, p, grid) < 0).any()
+    assert sweep_crossings(xi_observable(B), p - p, grid)[1].size == 0
+    assert np.allclose(_raw_form(B, p, p, grid), 0.0)
 
 
 def test_deformation_sweep_protocol_b_crossing_near_pin():
     p_i, _, p_iii = oracle_protocol_b(True)
     B = build_B({"c": 1.627, "h": 1.099}, 1e-3)
     grid = np.linspace(-1.099, 0.528, 41)
-    sweep = deformation_sweep(p_i, p_iii, B, A_VALUES_HH, grid)
-    assert len(sweep.thresholds) == 1
-    loc, _ = sweep.thresholds[0]
+    _, crossings = sweep_crossings(xi_observable(B), p_iii - p_i, grid)
+    assert len(crossings) == 1
+    loc = crossings[0]
     assert abs(loc - PIN_XI_STAR_B) < 1e-6
     # violated exactly on [xi_min, xi*)
-    assert np.array_equal(sweep.violated, grid < loc)
+    assert np.array_equal(_normal_form(B, p_i, p_iii, grid) < 0, grid < loc)
 
 
 def test_deformation_sweep_no_swap_clean():
     p_i, p_ii, _ = oracle_protocol_b(False)
     B = build_B({"c": 1.627, "h": 1.099}, 1e-3)
     grid = np.linspace(-1.099, 0.528, 41)
-    sweep = deformation_sweep(p_i, p_ii, B, A_VALUES_HH, grid)
-    assert not sweep.violated.any()
+    assert not (_normal_form(B, p_i, p_ii, grid) < 0).any()
 
 
 def test_deformation_sweep_flag_matches_raw_sign():
     p_i, _, p_iii = oracle_protocol_b(True)
     B = build_B({"c": 1.627, "h": 1.099}, 1e-3)
     grid = np.linspace(-1.099, 0.528, 21)
-    sweep = deformation_sweep(p_i, p_iii, B, A_VALUES_HH, grid)
-    raw = deformation_raw_values(p_i, p_iii, B, A_VALUES_HH, grid)
-    assert np.array_equal(sweep.violated, raw < 0)
+    assert np.array_equal(_normal_form(B, p_i, p_iii, grid) < 0,
+                          _raw_form(B, p_i, p_iii, grid) < 0)
 
 
 def test_deformation_sweep_rejects_out_of_bounds_grid():
     B = build_B({"c": 1.627, "h": 1.099}, 1e-3)
-    p = np.array([0.4, 0.3, 0.2, 0.1])
     with pytest.raises(PassivityError):
-        deformation_sweep(p, p, B, A_VALUES_HH, [-2.0])
+        admissible_xi_grid(B.basis_values, A_VALUES_HH, [-2.0])
     with pytest.raises(PassivityError):
-        deformation_sweep(p, p, B, A_VALUES_HH, [0.6])
+        admissible_xi_grid(B.basis_values, A_VALUES_HH, [0.6])
 
 
 def test_deformation_sweep_rejects_nonpositive_beta_c():
     B = build_B({"c": -0.5, "h": 1.0}, 1e-3)
-    p = np.array([0.25] * 4)
     with pytest.raises(PassivityError):
-        deformation_sweep(p, p, B, A_VALUES_HH, [0.0])
-
-
-def test_deformation_sweep_rejects_observables_other_than_Hh():
-    """The normal form lhs = d<H_c>, rhs = -((beta_h + xi)/beta_c) d<H_h>
-    holds for A = H_h only; the raw form and the bounds take any commuting A."""
-    p_i, _, p_iii = oracle_protocol_b(True)
-    B = build_B({"c": 1.627, "h": 1.099}, 1e-3)
-    a_hc = energy_basis_values(2, 0)
-    bounds = deformation_bounds(B.basis_values, a_hc)
-    assert bounds.xi_min == pytest.approx(-0.528) and bounds.xi_max == math.inf
-    grid = np.linspace(bounds.xi_min, 1.0, 5)
-    with pytest.raises(PassivityError, match="H_h"):
-        deformation_sweep(p_i, p_iii, B, a_hc, grid)
-    raw = deformation_raw_values(p_i, p_iii, B, a_hc, grid)
-    diff = p_iii - p_i
-    assert np.allclose(raw, diff @ B.basis_values + grid * (diff @ a_hc),
-                       rtol=0, atol=1e-12)
+        xi_observable(B)
 
 
 # ------------------------------------------------------ unitality properties
@@ -406,16 +394,15 @@ def test_unital_evolutions_never_violate(rng):
         final = mixture_channel(state, terms)
         p0 = measure_distribution(state, [0, 1])
         pf = measure_distribution(final, [0, 1])
-        sweep = alpha_sweep(p0, pf, B, grid)
-        assert sweep.lhs.min() >= -1e-9
+        values = (pf - p0) @ observable_table(B, grid)[:, : len(grid)]
+        assert values.min() >= -1e-9
 
 
 def test_deformed_inequality_holds_for_unitaries(rng):
-    a_values = energy_basis_values(2, 1)
     for _ in range(40):
         beta_c, beta_h, state = _random_product_thermal(rng)
         B = build_B({"c": beta_c, "h": beta_h}, 1e-3)
-        bounds = deformation_bounds(B.basis_values, a_values)
+        bounds = deformation_bounds(B.basis_values, A_VALUES_HH)
         lo = bounds.xi_min if math.isfinite(bounds.xi_min) else -5.0
         hi = bounds.xi_max if math.isfinite(bounds.xi_max) else 5.0
         grid = np.linspace(lo, hi, 21)
@@ -423,7 +410,7 @@ def test_deformed_inequality_holds_for_unitaries(rng):
         final = mixture_channel(state, [(1.0, u, [0, 1])])
         p0 = measure_distribution(state, [0, 1])
         pf = measure_distribution(final, [0, 1])
-        raw = deformation_raw_values(p0, pf, B, a_values, grid)
+        raw = (pf - p0) @ observable_table(B, [], grid)[:, 1:]
         assert raw.min() >= -1e-9
 
 
@@ -434,16 +421,23 @@ def test_observable_table_slices_match_channel_functions(rng, betas):
     B = build_B(betas, 1e-3)
     bounds = deformation_bounds(B.basis_values, A_VALUES_HH)
     xi_grid = np.linspace(bounds.xi_min, bounds.xi_max, 41)
-    table = observable_table(B, GRID, A_VALUES_HH, xi_grid)
+    table = observable_table(B, GRID, xi_grid)
     n = len(GRID)
     assert table.shape == (4, n + 1 + len(xi_grid))
-    assert observable_table(B, GRID, A_VALUES_HH, None).shape == (4, n + 1)
+    alpha_only = observable_table(B, GRID, None)
+    assert alpha_only.shape == (4, n + 1)
     for _ in range(50):
         p0 = rng.dirichlet(np.ones(4))
         pf = rng.dirichlet(np.ones(4))
         values = (pf - p0) @ table
-        assert np.allclose(values[:n], alpha_sweep(p0, pf, B, GRID).lhs,
+        assert np.allclose(values[:n], (pf - p0) @ alpha_only[:, :n],
                            rtol=0, atol=1e-12)
-        assert abs(values[n] - second_law_delta(p0, pf, betas)) < 1e-12
-        raw = deformation_raw_values(p0, pf, B, A_VALUES_HH, xi_grid)
+        assert abs(values[n] - _second_law(p0, pf, betas)) < 1e-12
+        # the raw form is beta_c times the normal form, B's shift cancelling
+        raw = betas["c"] * _normal_form(B, p0, pf, xi_grid)
         assert np.allclose(values[n + 1:], raw, rtol=0, atol=1e-12)
+
+
+def test_observable_table_xi_columns_need_qubits_c_and_h():
+    with pytest.raises(PassivityError, match="qubits c and h"):
+        observable_table(build_B({"c": 1.0}, 0.5), [1.0], [0.0])

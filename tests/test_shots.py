@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,11 +8,9 @@ from heatleak import (
     ShotRecord,
     ShotsError,
     SpamModel,
-    alpha_sweep,
     apply_spam,
     build_B,
     deformation_bounds,
-    deformation_sweep,
     energy_basis_values,
     estimate_expectation,
     observable_table,
@@ -299,7 +296,7 @@ def test_threshold_takes_crossing_nearest_the_point_one():
         _, crossings = sweep_crossings(observable, rf.probabilities() - ri.probabilities(),
                                        grid)
         several.append(len(crossings) > 1)
-        return SimpleNamespace(thresholds=[(x, 0.0) for x in crossings])
+        return crossings
 
     cfg = BootstrapConfig(resamples=100, seed=7)
     res = threshold_bootstrap(rec_i, rec_f, observable, grid,
@@ -382,19 +379,12 @@ def test_matrix_path_matches_per_resample_reference(variant):
     bounds = deformation_bounds(B.basis_values, a_values)
     alpha_grid = np.array(default_alpha_grid())
     xi_grid = np.linspace(bounds.xi_min, bounds.xi_max, 41)
-    table = observable_table(B, alpha_grid, a_values, xi_grid)
+    table = observable_table(B, alpha_grid, xi_grid)
     records = [
         sample_shots(np.real(p), shots, seed=derive_seed(77, k), stage=stage)
         for k, (stage, p) in enumerate(zip(("i", "ii", "iii"), dists))
     ]
-    sweeps = [
-        (alpha_observable(B), alpha_grid,
-         lambda ri, rf: alpha_sweep(ri.probabilities(), rf.probabilities(), B,
-                                    alpha_grid)),
-        (xi_observable(B), xi_grid,
-         lambda ri, rf: deformation_sweep(ri.probabilities(), rf.probabilities(), B,
-                                          a_values, xi_grid)),
-    ]
+    sweeps = [(alpha_observable(B), alpha_grid), (xi_observable(B), xi_grid)]
     found = 0
     for k, rec_f in enumerate(records[1:]):
         cfg = BootstrapConfig(resamples=400, seed=derive_seed(78, k))
@@ -412,7 +402,11 @@ def test_matrix_path_matches_per_resample_reference(variant):
             scale = max(abs(r[0]), abs(r[1]), abs(r[2]), r[3])
             for name, want in zip(("value", "ci_low", "ci_high", "std_error"), r):
                 assert abs(getattr(m, name) - want) <= 1e-12 * scale, name
-        for observable, grid, builder in sweeps:
+        for observable, grid in sweeps:
+            def builder(ri, rf):
+                return sweep_crossings(
+                    observable, rf.probabilities() - ri.probabilities(), grid)[1]
+
             slow_found, slow, slow_missing = oracle_threshold(
                 records[0], rec_f, builder, *setup)
             _, point = sweep_crossings(
