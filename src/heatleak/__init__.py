@@ -6,8 +6,6 @@ from .register import (
     RegisterError,
     UnitaryOperator,
     apply_unitary,
-    beta_from_ground_pop,
-    expectation,
     measure_distribution,
     mixture_channel,
     partial_trace,
@@ -16,11 +14,9 @@ from .register import (
 )
 from .circuits import (
     Circuit,
-    GateSpec,
     ProtocolConfig,
     build_protocol,
     phase_gate,
-    run_circuit,
     ry_gate,
     swap_gate,
 )
@@ -30,10 +26,8 @@ from .passivity import (
     PassivityError,
     alpha_observable,
     build_B,
-    check_ordering_inherited,
     deformation_bounds,
     energy_basis_values,
-    generic_F_delta,
     observable_table,
     sweep_crossings,
     xi_observable,
@@ -47,7 +41,6 @@ from .shots import (
     ThresholdResult,
     apply_spam,
     bootstrap_change,
-    estimate_expectation,
     sample_shots,
     threshold_bootstrap,
 )

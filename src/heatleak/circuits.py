@@ -60,59 +60,19 @@ def swap_gate() -> UnitaryOperator:
     return UnitaryOperator(m)
 
 
-_GATE_ARITY = {"ry": 1, "phase": 2, "swap": 2}
-
-
-@dataclass(frozen=True)
-class GateSpec:
-    """One gate in a circuit: a named constructor or a custom unitary.
-
-    kind is one of "ry" (theta), "phase" (phi), "swap", "custom" (matrix);
-    targets are qubit labels, first listed = most significant bit of the
-    gate's own basis.
-    """
-
-    kind: str
-    targets: tuple[str, ...]
-    theta: float | None = None
-    phi: float | None = None
-    matrix: UnitaryOperator | None = None
-
-    def __post_init__(self):
-        if self.kind == "custom":
-            if self.matrix is None:
-                raise RegisterError("custom gate requires a matrix")
-            arity = self.matrix.num_qubits
-        else:
-            if self.kind not in _GATE_ARITY:
-                raise RegisterError(f"unknown gate kind {self.kind!r}")
-            arity = _GATE_ARITY[self.kind]
-        if len(self.targets) != arity:
-            raise RegisterError(
-                f"{self.kind} gate expects {arity} target(s), got {self.targets}"
-            )
-
-    def unitary(self) -> UnitaryOperator:
-        if self.kind == "ry":
-            return ry_gate(self.theta)
-        if self.kind == "phase":
-            return phase_gate(self.phi)
-        if self.kind == "swap":
-            return swap_gate()
-        return self.matrix
-
-
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over labeled qubits with stage markers.
 
-    stage_markers maps each stage name to the number of gates executed by
-    that stage.  The environment qubit "e" is never in the measured set.
+    Each gate is a (unitary, target labels) pair; the first listed target is
+    the most significant bit of the unitary's own basis.  stage_markers maps
+    each stage name to the number of gates executed by that stage.  The
+    environment qubit "e" is never in the measured set.
     """
 
     register: tuple[str, ...]
     init_betas: dict[str, float]
-    gates: tuple[GateSpec, ...]
+    gates: tuple[tuple[UnitaryOperator, tuple[str, ...]], ...]
     measured: tuple[str, ...]
     stage_markers: dict[str, int]
 
@@ -130,8 +90,10 @@ class Circuit:
         marks = [self.stage_markers[s] for s in STAGES]
         if marks != sorted(marks) or marks[-1] != len(self.gates):
             raise RegisterError(f"stage markers {self.stage_markers} are inconsistent")
-        for g in self.gates:
-            for label in g.targets:
+        for u, targets in self.gates:
+            if u.num_qubits != len(targets):
+                raise RegisterError(f"{u.num_qubits}-qubit gate on targets {targets}")
+            for label in targets:
                 if label not in self.register:
                     raise RegisterError(f"gate target {label!r} not in register")
 
@@ -162,8 +124,8 @@ class ProtocolConfig:
         if self.variant not in ("A", "B"):
             raise RegisterError(f"unknown protocol variant {self.variant!r}")
         for name in ("beta_c", "beta_h", "beta_e"):
-            if math.isnan(getattr(self, name)):
-                raise RegisterError(f"{name} must not be NaN")
+            if not math.isfinite(getattr(self, name)):
+                raise RegisterError(f"{name} must be finite")
 
 
 def build_protocol(config: ProtocolConfig) -> Circuit:
@@ -173,18 +135,15 @@ def build_protocol(config: ProtocolConfig) -> Circuit:
     if config.variant == "A":
         # joint pi/2 rotation layer of both system qubits, one gate per layer
         half = ry_gate(math.pi / 4).matrix
-        layer = GateSpec(
-            "custom", ("c", "h"), matrix=UnitaryOperator(np.kron(half, half))
-        )
-        gates = [layer, GateSpec("phase", ("c", "h"), phi=config.phi), layer]
+        layer = (UnitaryOperator(np.kron(half, half)), ("c", "h"))
+        gates = [layer, (phase_gate(config.phi), ("c", "h")), layer]
         partner = "h"
     else:
-        gates = [GateSpec("swap", ("c", "h")),
-                 GateSpec("ry", ("h",), theta=config.theta / 2.0)]
+        gates = [(swap_gate(), ("c", "h")), (ry_gate(config.theta / 2.0), ("h",))]
         partner = "c"
     system_len = len(gates)
     if config.include_env_swap:
-        gates.append(GateSpec("swap", (partner, "e")))
+        gates.append((swap_gate(), (partner, "e")))
     return Circuit(
         register=register,
         init_betas=betas,
@@ -204,16 +163,9 @@ def evolve_stages(circuit: Circuit) -> dict[str, DensityOperator]:
     snapshots = {}
     done = 0
     for stage in STAGES:  # markers are non-decreasing in stage order
-        for gate in circuit.gates[done : circuit.stage_markers[stage]]:
-            targets = [circuit.qubit_index(lbl) for lbl in gate.targets]
-            state = apply_unitary(state, gate.unitary(), targets)
+        for u, labels in circuit.gates[done : circuit.stage_markers[stage]]:
+            state = apply_unitary(state, u, [circuit.qubit_index(lbl) for lbl in labels])
         done = circuit.stage_markers[stage]
         snapshots[stage] = state
     return snapshots
 
-
-def run_circuit(circuit: Circuit, upto_stage: str = "iii") -> DensityOperator:
-    """Evolve the thermal product initial state through gates up to a stage."""
-    if upto_stage not in STAGES:
-        raise RegisterError(f"unknown stage {upto_stage!r}")
-    return evolve_stages(circuit)[upto_stage]

@@ -68,9 +68,11 @@ class ExperimentConfig:
             raise ShotsError("alpha grid must not be empty")
         if any(a == 0.0 for a in self.alpha_grid):
             raise ShotsError("alpha grid must exclude 0")
+        _check_increasing("alpha_grid", self.alpha_grid)
         if isinstance(self.xi_grid, str) and self.xi_grid != "auto":
             raise ShotsError(f'xi_grid must be a list, "auto" or null')
         if isinstance(self.xi_grid, list):
+            _check_increasing("xi_grid", self.xi_grid)
             try:
                 B = build_B({"c": self.protocol.beta_c, "h": self.protocol.beta_h},
                             self.epsilon)
@@ -113,19 +115,27 @@ class ExperimentConfig:
         return data
 
 
+def _check_increasing(name: str, grid) -> None:
+    """ShotsError unless grid is strictly increasing: the crossing search
+    brackets each crossing by neighbouring grid points, the lower first."""
+    for a, b in zip(grid, grid[1:]):
+        if not a < b:
+            raise ShotsError(f"invalid config: {name!r} must be strictly increasing, "
+                             f"got {a!r} before {b!r}")
+
+
 def _fields(instance) -> dict:
     return {f.name: getattr(instance, f.name) for f in fields(instance)}
 
 
 # JSON type of every typed field per config section ("" is the top level);
-# numbers must not be NaN, and only the inverse temperatures may be infinite
-# (exact pure states)
-_INTEGER, _NUMBER, _BETA = "an integer", "a number", "a number or infinity"
+# numbers must be finite (|beta| >= 1000 already gives an exact pure state)
+_INTEGER, _NUMBER = "an integer", "a number"
 _FIELD_TYPES = {
     "": {"shots_per_stage": _INTEGER, "seed": _INTEGER,
          "epsilon": _NUMBER, "significance": _NUMBER},
     "protocol": {"variant": "a string", "include_env_swap": "a boolean",
-                 "beta_c": _BETA, "beta_h": _BETA, "beta_e": _BETA,
+                 "beta_c": _NUMBER, "beta_h": _NUMBER, "beta_e": _NUMBER,
                  "phi": _NUMBER, "theta": _NUMBER},
     "spam": {"flip_0_to_1": _NUMBER, "flip_1_to_0": _NUMBER},
     "bootstrap": {"resamples": _INTEGER, "seed": _INTEGER, "confidence": _NUMBER},
@@ -143,8 +153,7 @@ def _has_type(value, kind: str) -> bool:
     if isinstance(value, bool) or not isinstance(
             value, int if kind == _INTEGER else (int, float)):
         return False
-    return not isinstance(value, float) or (
-        not math.isnan(value) and (kind == _BETA or math.isfinite(value)))
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _check_types(data: dict) -> None:

@@ -121,54 +121,6 @@ def observable_table(B: GlobalPassivityOperator, alpha_grid,
     return np.hstack(parts)
 
 
-def generic_F_delta(initial, final, F_values) -> float:
-    """Expectation change of an observable anti-ordered with the initial state.
-
-    F must not increase where the initial probability increases (ties are
-    free); under that precondition the change is non-negative for any unital
-    evolution of the initial distribution.
-    """
-    p0 = np.asarray(initial, dtype=float)
-    pf = np.asarray(final, dtype=float)
-    F = np.asarray(F_values, dtype=float)
-    if not (p0.shape == pf.shape == F.shape):
-        raise PassivityError("initial, final and F must have equal lengths")
-    # tolerances absorb last-ulp noise in probabilities computed different ways
-    tol_p = 1e-12
-    tol_f = 1e-12 * max(1.0, float(np.max(np.abs(F))))
-    offending = []
-    for i in range(len(p0)):
-        for j in range(len(p0)):
-            if p0[i] > p0[j] + tol_p and F[i] > F[j] + tol_f:
-                offending.append((i, j))
-    if offending:
-        raise PassivityError(
-            "F is not anti-ordered with the initial distribution; offending "
-            f"(larger-p, smaller-p) index pairs: {offending}"
-        )
-    return float(np.dot(pf - p0, F))
-
-
-def check_ordering_inherited(b_values, a_values, xi: float) -> bool:
-    """True iff b + xi*a preserves the strict ordering of b.
-
-    Pairs with equal b impose no constraint: equal initial eigenvalues admit
-    either order.  A small relative tolerance absorbs rounding at the exact
-    endpoints of the admissible interval.
-    """
-    b = np.asarray(b_values, dtype=float)
-    a = np.asarray(a_values, dtype=float)
-    if b.shape != a.shape:
-        raise PassivityError("b and a must have equal lengths")
-    scale = max(1.0, float(np.max(np.abs(b))), abs(xi) * float(np.max(np.abs(a))))
-    tol = 1e-12 * scale
-    for i in range(len(b)):
-        for j in range(len(b)):
-            if b[i] < b[j] and (b[j] + xi * a[j]) - (b[i] + xi * a[i]) < -tol:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class DeformationBounds:
     """Admissible deformation interval and the constraint pairs that set it.

@@ -159,7 +159,6 @@ def run_exact(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
             "config": config.to_dict(),
             "stages": {k: [float(x) for x in v] for k, v in dists.items()},
         },
-        allow_nan=True,
     )
     paths["stage_distributions"] = dist_path
     return paths

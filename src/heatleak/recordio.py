@@ -30,16 +30,15 @@ def atomic_write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_json(path: str, obj, allow_nan: bool = False) -> None:
-    """Strict JSON: NaN or an infinity raises ValueError.  Only a config echo
-    passes allow_nan, as an infinite inverse temperature (a pure state) has
-    no strict JSON form; it is written as Infinity, as in record headers."""
+def write_json(path: str, obj) -> None:
+    """Strict JSON: NaN or an infinity raises ValueError."""
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True,
-                                       allow_nan=allow_nan) + "\n")
+                                       allow_nan=False) + "\n")
 
 
 def write_records(path: str, config_echo: dict, records) -> None:
-    lines = [json.dumps({"config": config_echo}, sort_keys=True)]
+    """Strict JSON lines, like write_json."""
+    lines = [json.dumps({"config": config_echo}, sort_keys=True, allow_nan=False)]
     for rec in records:
         line = {
             "stage": rec.stage,
@@ -49,7 +48,7 @@ def write_records(path: str, config_echo: dict, records) -> None:
             "seed": rec.seed,
             "meta": rec.meta,
         }
-        lines.append(json.dumps(line, sort_keys=True))
+        lines.append(json.dumps(line, sort_keys=True, allow_nan=False))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

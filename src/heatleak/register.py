@@ -66,10 +66,6 @@ class DensityOperator:
     def __setattr__(self, name, value):
         raise AttributeError("DensityOperator is immutable")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def __repr__(self):
         return f"DensityOperator(num_qubits={self.num_qubits})"
 
@@ -91,10 +87,6 @@ class UnitaryOperator:
     def __setattr__(self, name, value):
         raise AttributeError("UnitaryOperator is immutable")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def __repr__(self):
         return f"UnitaryOperator(num_qubits={self.num_qubits})"
 
@@ -102,32 +94,18 @@ class UnitaryOperator:
 def thermal_qubit(beta: float) -> DensityOperator:
     """Single-qubit thermal state diag(p0, 1-p0) with p0 = 1/(1 + e^(-beta)).
 
-    beta = +inf gives the pure ground state, beta = -inf the pure excited
-    state; both are handled exactly to avoid overflow in the exponential.
+    The exponential's argument is kept non-positive, so it never overflows;
+    it underflows to 0 for |beta| above about 745, which gives the pure
+    ground (beta > 0) or excited (beta < 0) state exactly, as beta = +-inf
+    does.
     """
     if math.isnan(beta):
         raise RegisterError("inverse temperature must not be NaN")
-    if beta == math.inf:
-        p0 = 1.0
-    elif beta == -math.inf:
-        p0 = 0.0
-    elif beta >= 0:
+    if beta >= 0:
         p0 = 1.0 / (1.0 + math.exp(-beta))
     else:
-        # rewritten to keep the exponential argument non-positive
         p0 = math.exp(beta) / (1.0 + math.exp(beta))
     return DensityOperator(np.diag([p0, 1.0 - p0]))
-
-
-def beta_from_ground_pop(p0: float) -> float:
-    """Inverse temperature ln(p0 / (1 - p0)) of a two-level thermal state."""
-    if math.isnan(p0) or not 0.0 <= p0 <= 1.0:
-        raise RegisterError(f"ground population {p0} outside [0, 1]")
-    if p0 == 1.0:
-        return math.inf
-    if p0 == 0.0:
-        return -math.inf
-    return math.log(p0 / (1.0 - p0))
 
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
@@ -232,13 +210,3 @@ def measure_distribution(state: DensityOperator, qubits) -> np.ndarray:
     marg = np.clip(marg, 0.0, 1.0)
     return marg / marg.sum()
 
-
-def expectation(distribution, observable_values) -> float:
-    """Dot product of an outcome distribution with per-outcome values."""
-    p = np.asarray(distribution, dtype=float)
-    v = np.asarray(observable_values, dtype=float)
-    if p.shape != v.shape:
-        raise RegisterError(f"length mismatch: {p.shape} vs {v.shape}")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise RegisterError(f"distribution sums to {p.sum()}, not 1")
-    return float(np.dot(p, v))

@@ -179,16 +179,6 @@ def sample_shots(distribution, n: int, seed: int, stage: str = "i",
     )
 
 
-def estimate_expectation(record: ShotRecord, observable_values) -> float:
-    """Sample average sum_k counts_k * v_k / shots."""
-    v = np.asarray(observable_values, dtype=float)
-    if len(v) != 2**record.num_measured:
-        raise ShotsError(
-            f"observable has {len(v)} values for {2**record.num_measured} outcomes"
-        )
-    return float(np.dot(record.counts_array(), v) / record.shots)
-
-
 def _resample_matrices(records, config: BootstrapConfig) -> list[np.ndarray]:
     """Per record: (resamples, outcomes) multinomial redraws of its counts.
 

@@ -139,6 +139,25 @@ def oracle_xi_star_b():
     return -d_b / d_hh
 
 
+def check_ordering_inherited(b_values, a_values, xi):
+    """True iff b + xi*a preserves the strict ordering of b: the pairwise
+    reference for deformation_bounds' interval.
+
+    Pairs with equal b impose no constraint: equal initial eigenvalues admit
+    either order.  A small relative tolerance absorbs rounding at the exact
+    endpoints of the admissible interval.
+    """
+    b = np.asarray(b_values, dtype=float)
+    a = np.asarray(a_values, dtype=float)
+    assert b.shape == a.shape
+    scale = max(1.0, float(np.max(np.abs(b))), abs(xi) * float(np.max(np.abs(a))))
+    tol = 1e-12 * scale
+    for i in range(len(b)):
+        for j in range(len(b)):
+            if b[i] < b[j] and (b[j] + xi * a[j]) - (b[i] + xi * a[i]) < -tol:
+                return False
+    return True
+
 def oracle_summary(point, stats, confidence):
     """(value, ci_low, ci_high, std_error) per column of (resamples, k)
     resample statistics: np.quantile at (1 +- confidence)/2 widened to the

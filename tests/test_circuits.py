@@ -5,7 +5,6 @@ import pytest
 
 from heatleak import (
     Circuit,
-    GateSpec,
     ProtocolConfig,
     RegisterError,
     apply_unitary,
@@ -13,12 +12,12 @@ from heatleak import (
     measure_distribution,
     partial_trace,
     phase_gate,
-    run_circuit,
     ry_gate,
     swap_gate,
     tensor,
     thermal_qubit,
 )
+from heatleak.circuits import evolve_stages
 
 from conftest import random_density
 from oracles import oracle_protocol_a, oracle_protocol_b
@@ -66,14 +65,16 @@ def test_swap_exchanges_thermal_marginals():
 
 
 def test_gate_spec_arity_checks():
+    # a (unitary, targets) gate needs one target label per qubit of its unitary
+    def circuit(*gates):
+        return Circuit(("c", "h"), {"c": 1.0, "h": 0.5}, gates, ("c", "h"),
+                       {"i": 0, "ii": len(gates), "iii": len(gates)})
+
+    assert circuit((ry_gate(0.1), ("c",)), (swap_gate(), ("c", "h")))
     with pytest.raises(RegisterError):
-        GateSpec("ry", ("c", "h"), theta=0.1)
+        circuit((ry_gate(0.1), ("c", "h")))
     with pytest.raises(RegisterError):
-        GateSpec("swap", ("c",))
-    with pytest.raises(RegisterError):
-        GateSpec("custom", ("c",))
-    with pytest.raises(RegisterError):
-        GateSpec("hadamard", ("c",))
+        circuit((swap_gate(), ("c",)))
 
 
 def test_disjoint_gates_commute(rng):
@@ -118,24 +119,25 @@ def test_protocol_a_gate_count():
 def test_protocol_a_without_env_swap_stage_iii_equals_ii():
     circ = build_protocol(_config_a(include_env_swap=False))
     assert circ.stage_markers["ii"] == circ.stage_markers["iii"]
-    s2 = run_circuit(circ, "ii")
-    s3 = run_circuit(circ, "iii")
+    s2 = evolve_stages(circ)["ii"]
+    s3 = evolve_stages(circ)["iii"]
     assert np.array_equal(s2.matrix, s3.matrix)
 
 
 def test_protocol_b_structure():
     circ = build_protocol(_config_b())
-    kinds = [g.kind for g in circ.gates]
-    assert kinds == ["swap", "ry", "swap"]
-    assert circ.gates[0].targets == ("c", "h")
-    assert circ.gates[1].targets == ("h",)
-    assert circ.gates[1].theta == pytest.approx(1.25)  # 2.5 rad rotation
-    assert circ.gates[2].targets == ("c", "e")
+    (swap, swap_targets), (rotation, rotation_targets), (env, env_targets) = circ.gates
+    assert np.array_equal(swap.matrix, swap_gate().matrix)
+    assert swap_targets == ("c", "h")
+    assert np.allclose(rotation.matrix, ry_gate(1.25).matrix)  # 2.5 rad rotation
+    assert rotation_targets == ("h",)
+    assert np.array_equal(env.matrix, swap_gate().matrix)
+    assert env_targets == ("c", "e")
 
 
 def test_stage_i_is_thermal_product():
     circ = build_protocol(_config_a())
-    state = run_circuit(circ, "i")
+    state = evolve_stages(circ)["i"]
     expected = tensor(
         tensor(thermal_qubit(2.23), thermal_qubit(0.43)), thermal_qubit(2.02)
     )
@@ -144,21 +146,21 @@ def test_stage_i_is_thermal_product():
 
 def test_protocol_a_stage_iii_matches_oracle():
     circ = build_protocol(_config_a())
-    got = measure_distribution(run_circuit(circ, "iii"), [0, 1])
+    got = measure_distribution(evolve_stages(circ)["iii"], [0, 1])
     _, _, expected = oracle_protocol_a(True)
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_protocol_a_stage_ii_matches_oracle():
     circ = build_protocol(_config_a())
-    got = measure_distribution(run_circuit(circ, "ii"), [0, 1])
+    got = measure_distribution(evolve_stages(circ)["ii"], [0, 1])
     _, expected, _ = oracle_protocol_a(True)
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_protocol_b_stage_iii_matches_oracle():
     circ = build_protocol(_config_b())
-    got = measure_distribution(run_circuit(circ, "iii"), [0, 1])
+    got = measure_distribution(evolve_stages(circ)["iii"], [0, 1])
     _, _, expected = oracle_protocol_b(True)
     assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -170,8 +172,8 @@ def test_protocol_b_alternative_order_is_different():
     swap, rotation, env_swap = circ.gates
     alt_circ = Circuit(circ.register, circ.init_betas, (rotation, swap, env_swap),
                        circ.measured, circ.stage_markers)
-    default = measure_distribution(run_circuit(circ, "ii"), [0, 1])
-    alt = measure_distribution(run_circuit(alt_circ, "ii"), [0, 1])
+    default = measure_distribution(evolve_stages(circ)["ii"], [0, 1])
+    alt = measure_distribution(evolve_stages(alt_circ)["ii"], [0, 1])
     assert np.max(np.abs(default - alt)) > 1e-3
     _, expected, _ = oracle_protocol_b(True, order="rotate_then_swap")
     assert np.max(np.abs(alt - expected)) < 1e-12
@@ -180,9 +182,9 @@ def test_protocol_b_alternative_order_is_different():
 def test_env_qubit_untouched_without_swap():
     for cfg in (_config_a(False), _config_b(False)):
         circ = build_protocol(cfg)
-        init = partial_trace(run_circuit(circ, "i"), [2])
+        init = partial_trace(evolve_stages(circ)["i"], [2])
         for stage in ("ii", "iii"):
-            env = partial_trace(run_circuit(circ, stage), [2])
+            env = partial_trace(evolve_stages(circ)[stage], [2])
             assert np.max(np.abs(env.matrix - init.matrix)) < 1e-13
 
 
@@ -190,8 +192,8 @@ def test_system_evolution_is_unitary_before_env_swap():
     # spectrum of the reduced (c,h) state is preserved from i to ii
     for cfg in (_config_a(), _config_b()):
         circ = build_protocol(cfg)
-        red_i = partial_trace(run_circuit(circ, "i"), [0, 1])
-        red_ii = partial_trace(run_circuit(circ, "ii"), [0, 1])
+        red_i = partial_trace(evolve_stages(circ)["i"], [0, 1])
+        red_ii = partial_trace(evolve_stages(circ)["ii"], [0, 1])
         ev_i = np.sort(np.linalg.eigvalsh(red_i.matrix))
         ev_ii = np.sort(np.linalg.eigvalsh(red_ii.matrix))
         assert np.max(np.abs(ev_i - ev_ii)) < 1e-12
@@ -203,7 +205,7 @@ def test_all_stages_produce_valid_states():
     for cfg in (_config_a(), _config_a(False), _config_b(), _config_b(False)):
         circ = build_protocol(cfg)
         for stage in ("i", "ii", "iii"):
-            state = run_circuit(circ, stage)
+            state = evolve_stages(circ)[stage]
             assert abs(np.trace(state.matrix) - 1.0) < 1e-12
 
 
@@ -215,8 +217,8 @@ def test_empty_circuit_constant_across_stages():
         measured=("c", "h"),
         stage_markers={"i": 0, "ii": 0, "iii": 0},
     )
-    s1 = run_circuit(circ, "i")
-    s3 = run_circuit(circ, "iii")
+    s1 = evolve_stages(circ)["i"]
+    s3 = evolve_stages(circ)["iii"]
     assert np.array_equal(s1.matrix, s3.matrix)
 
 
@@ -228,5 +230,6 @@ def test_circuit_validation():
         Circuit(("c", "h"), {"c": 1, "h": 1}, (), ("c",), {"i": 0, "ii": 1, "iii": 0})
     with pytest.raises(RegisterError):
         ProtocolConfig(variant="C", beta_c=1, beta_h=1, beta_e=1)
-    with pytest.raises(RegisterError):
-        run_circuit(build_protocol(_config_a()), "iv")
+    for beta_e in (math.inf, -math.inf, math.nan):
+        with pytest.raises(RegisterError, match="beta_e must be finite"):
+            ProtocolConfig(variant="A", beta_c=1, beta_h=1, beta_e=beta_e)

@@ -30,7 +30,12 @@ from heatleak.recordio import (
     write_sweep_csv,
 )
 
-from oracles import PIN_XI_STAR_B
+from oracles import (
+    PIN_XI_STAR_B,
+    oracle_delta_b_alpha,
+    oracle_protocol_a,
+    oracle_protocol_b,
+)
 
 
 # ----------------------------------------------------------------- records
@@ -207,6 +212,33 @@ def test_config_rejects_xi_grid_outside_bounds():
     assert cfg.wants_deformation()
 
 
+_XI = [-1.0, -0.5, 0.0, 0.5]
+_ALPHA = default_alpha_grid()
+NON_INCREASING_GRIDS = {
+    # the crossing search pairs neighbouring points, lower first: a reversed
+    # grid stops bisection at once, a shuffled one crosses at every turn
+    "alpha_grid-reversed": ("alpha_grid", _ALPHA[::-1]),
+    "alpha_grid-shuffled": (
+        "alpha_grid", [_ALPHA[k] for k in np.random.default_rng(0).permutation(120)]),
+    "alpha_grid-repeated": ("alpha_grid", _ALPHA[:60] + _ALPHA[59:]),
+    "xi_grid-reversed": ("xi_grid", _XI[::-1]),
+    "xi_grid-shuffled": ("xi_grid", [_XI[k] for k in (1, 3, 0, 2)]),
+    "xi_grid-repeated": ("xi_grid", [-1.0, -0.5, -0.5, 0.0]),
+}
+
+
+def _grid_config(name, grid):
+    return {"protocol": {"variant": "B", **REFERENCE_PARAMS["B"]}, name: grid}
+
+
+@pytest.mark.parametrize("name, grid", NON_INCREASING_GRIDS.values(),
+                         ids=NON_INCREASING_GRIDS.keys())
+def test_config_rejects_non_increasing_grid(name, grid):
+    with pytest.raises(ShotsError, match=f"'{name}' must be strictly increasing"):
+        config_from_dict(_grid_config(name, grid))
+    assert config_from_dict(_grid_config(name, sorted(set(grid))))
+
+
 # ---------------------------------------------------------------------- CLI
 
 def test_cli_bounds(capsys):
@@ -319,6 +351,73 @@ def test_cli_exact_no_swap_alpha_never_negative(tmp_path):
     assert all(r.split(",")[-1] == "false" for r in rows)
 
 
+def _csv_rows(path):
+    lines = open(path).read().splitlines()
+    assert lines[0] == "parameter,lhs,rhs,ci_low,ci_high,violated"
+    rows = [line.split(",") for line in lines[1:]]
+    for *_, ci_low, ci_high, violated in rows:
+        assert ci_low == ci_high == ""  # exact theory has no CI
+    return [(float(x), float(lhs), float(rhs), violated) for x, lhs, rhs, *_, violated
+            in rows]
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+@pytest.mark.parametrize("swap", [True, False], ids=["swap", "no-swap"])
+def test_cli_exact_files_match_oracle(tmp_path, variant, swap):
+    """Every row that exact writes, against the hand-built 8x8 oracle.
+
+    Tolerances, not bytes, since BLAS rounding may differ between hosts:
+    1e-12 on probabilities, grid points and the xi normal form; the alpha
+    values are checked to 1e-9 of the scale of their terms, which reach
+    1e9 at alpha = -3 (B's smallest eigenvalue is epsilon = 1e-3).
+    """
+    out = tmp_path / "exact"
+    argv = ["exact", "--variant", variant, "--out", str(out)]
+    assert main(argv + ([] if swap else ["--no-env-swap"])) == 0
+    if variant == "A":
+        beta_c, beta_h, oracle = 2.23, 0.43, oracle_protocol_a(swap)
+    else:
+        beta_c, beta_h, oracle = 1.627, 1.099, oracle_protocol_b(swap)
+    dists = dict(zip(("i", "ii", "iii"), oracle))
+
+    stages = json.loads((out / "stage_distributions.json").read_text())["stages"]
+    assert sorted(stages) == ["i", "ii", "iii"]
+    for stage, p in dists.items():
+        assert np.max(np.abs(np.array(stages[stage]) - p)) < 1e-12
+
+    b_values = np.array([0.0, beta_h, beta_c, beta_c + beta_h])
+    b_values += 1e-3 - b_values.min()
+    expected_files = {"stage_distributions.json"}
+    for stage in ("ii", "iii"):
+        p0, pf = dists["i"], dists[stage]
+        name = f"alpha_sweep_i_to_{stage}.csv"
+        expected_files.add(name)
+        rows = _csv_rows(out / name)
+        assert len(rows) == 120
+        for (alpha, lhs, rhs, violated), want in zip(rows, default_alpha_grid()):
+            assert abs(alpha - want) < 1e-12
+            oracle_lhs = oracle_delta_b_alpha(p0, pf, beta_c, beta_h, 1e-3, alpha)
+            scale = float(np.abs(pf - p0) @ b_values**alpha)
+            assert abs(lhs - oracle_lhs) <= 1e-9 * scale, (stage, alpha)
+            assert rhs == 0.0
+            assert violated == str(lhs < rhs).lower()
+        if variant == "A":
+            continue
+        name = f"xi_sweep_i_to_{stage}.csv"
+        expected_files.add(name)
+        rows = _csv_rows(out / name)
+        d_hc = float((pf - p0) @ [0.0, 0.0, 1.0, 1.0])
+        d_hh = float((pf - p0) @ [0.0, 1.0, 0.0, 1.0])
+        assert len(rows) == 41
+        for (xi, lhs, rhs, violated), want in zip(
+                rows, np.linspace(-beta_h, beta_c - beta_h, 41)):
+            assert abs(xi - want) < 1e-12
+            assert abs(lhs - d_hc) < 1e-12
+            assert abs(rhs - -((beta_h + xi) / beta_c) * d_hh) < 1e-12
+            assert violated == str(lhs < rhs).lower()
+    assert set(os.listdir(out)) == expected_files
+
+
 def test_analyze_channels_track_exact_curve(tmp_path):
     # fixed-seed consistency: the exact theory curve stays inside the 1-sigma
     # bootstrap channel on at least 95% of grid points for both stage pairs
@@ -369,6 +468,24 @@ def _edited_records(tmp_path, edit):
     path = tmp_path / "edited.jsonl"
     path.write_text("".join(json.dumps(obj) + "\n" for obj in edit(lines)))
     return str(path)
+
+
+@pytest.mark.parametrize("name, grid", NON_INCREASING_GRIDS.values(),
+                         ids=NON_INCREASING_GRIDS.keys())
+def test_cli_analyze_non_increasing_grid_exit_one(tmp_path, capsys, name, grid):
+    """Such a grid gave a wrong threshold, or a note of many crossings."""
+    sim = str(tmp_path / "sim")
+    assert main(["simulate", "--variant", "B", "--seed", "3", "--shots-per-stage",
+                 "3200", "--out", sim]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_grid_config(name, grid)))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    rc = main(["analyze", os.path.join(sim, "records.jsonl"), "--config", str(cfg),
+               "--resamples", "100", "--out", str(out)])
+    assert rc == 1
+    assert f"'{name}' must be strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_analyze_unknown_protocol_field_exit_one(tmp_path, capsys):
@@ -709,17 +826,25 @@ def test_cli_bounds_hc_observable(capsys):
     assert "xi_min = -0.528" in capsys.readouterr().out
 
 
-def test_cli_exact_pure_environment_keeps_working(tmp_path):
-    """An infinite inverse temperature (a pure state) has no strict JSON
-    form; the config echo in stage_distributions.json keeps it as Infinity,
-    as record headers do, while verdict.json stays strict."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"protocol": {"variant": "A", "beta_c": 2.23, "beta_h": 0.43, '
-                   '"beta_e": Infinity}}')
-    out = tmp_path / "exact"
-    assert main(["exact", "--config", str(cfg), "--out", str(out)]) == 0
-    doc = json.loads((out / "stage_distributions.json").read_text())
-    assert doc["config"]["protocol"]["beta_e"] == float("inf")
+def test_cli_exact_pure_environment_keeps_working(tmp_path, capsys):
+    """Config numbers are finite, so every JSON output is strict: an infinite
+    inverse temperature is a config error, while beta_e = 1000 already gives
+    the exact pure environment state."""
+    def run(beta_e):
+        cfg = tmp_path / f"cfg_{beta_e}.json"
+        cfg.write_text('{"protocol": {"variant": "A", "beta_c": 2.23, '
+                       f'"beta_h": 0.43, "beta_e": {beta_e}}}}}')
+        out = tmp_path / f"exact_{beta_e}"
+        return main(["exact", "--config", str(cfg), "--out", str(out)]), out
+
+    rc, out = run("Infinity")
+    assert rc == 1
+    assert "'protocol.beta_e'" in capsys.readouterr().err
+    assert not out.exists()
+    rc, out = run("1000")
+    assert rc == 0
+    json.loads((out / "stage_distributions.json").read_text(),
+               parse_constant=lambda c: pytest.fail(f"non-standard JSON {c}"))
 
 
 def test_cli_exact_non_finite_table_exit_one(tmp_path, capsys, recwarn):

@@ -7,10 +7,8 @@ from heatleak import (
     PassivityError,
     alpha_observable,
     build_B,
-    check_ordering_inherited,
     deformation_bounds,
     energy_basis_values,
-    generic_F_delta,
     measure_distribution,
     mixture_channel,
     observable_table,
@@ -25,6 +23,7 @@ from conftest import haar_unitary
 from oracles import (
     PIN_ALPHA_STAR_A,
     PIN_XI_STAR_B,
+    check_ordering_inherited,
     oracle_delta_b_alpha,
     oracle_protocol_a,
     oracle_protocol_b,
@@ -201,48 +200,6 @@ def test_second_law_equals_alpha_one(rng):
 def test_second_law_protocol_a_non_negative():
     p_i, _, p_iii = oracle_protocol_a(True)
     assert _second_law(p_i, p_iii, {"c": 2.23, "h": 0.43}) >= 0.0
-
-
-# ---------------------------------------------------------- generic_F_delta
-
-def test_generic_F_log_reduces_to_second_law():
-    # F = -ln(p0) on a thermal product equals beta-weighted energies up to a
-    # constant, and the constant cancels in the difference
-    p0 = measure_distribution(
-        tensor(thermal_qubit(2.23), thermal_qubit(0.43)), [0, 1]
-    )
-    _, _, pf = oracle_protocol_a(True)
-    got = generic_F_delta(p0, pf, -np.log(p0))
-    expected = _second_law(p0, pf, {"c": 2.23, "h": 0.43})
-    assert abs(got - expected) < 1e-12
-
-
-def test_generic_F_constant_is_zero(rng):
-    p0 = rng.dirichlet(np.ones(4))
-    pf = rng.dirichlet(np.ones(4))
-    assert generic_F_delta(p0, pf, np.full(4, 7.7)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_generic_F_matches_b_alpha_family():
-    p_i, _, p_iii = oracle_protocol_a(True)
-    B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
-    table = observable_table(B, [-2.0, -0.5, 0.25, 1.0, 3.0])
-    for column, want in zip(table.T, (p_iii - p_i) @ table):
-        assert generic_F_delta(p_i, p_iii, column) == pytest.approx(want, abs=1e-12)
-
-
-def test_generic_F_rejects_misordered_values():
-    p0 = np.array([0.4, 0.3, 0.2, 0.1])
-    with pytest.raises(PassivityError) as err:
-        generic_F_delta(p0, p0, [0.0, 1.0, 0.5, 2.0])
-    # p0[1] > p0[2] while F[1] > F[2]: co-ordered, so (1, 2) must be reported
-    assert "(1, 2)" in str(err.value)
-
-
-def test_generic_F_ties_are_free():
-    p0 = np.array([0.25, 0.25, 0.25, 0.25])
-    # any F is anti-ordered with a constant distribution
-    assert generic_F_delta(p0, p0, [3.0, 1.0, 2.0, 0.0]) == 0.0
 
 
 # ------------------------------------------------- check_ordering_inherited

@@ -8,8 +8,6 @@ from heatleak import (
     RegisterError,
     UnitaryOperator,
     apply_unitary,
-    beta_from_ground_pop,
-    expectation,
     measure_distribution,
     mixture_channel,
     partial_trace,
@@ -45,28 +43,11 @@ def test_thermal_rejects_nan():
         thermal_qubit(float("nan"))
 
 
-def test_beta_from_ground_pop_examples():
-    assert beta_from_ground_pop(0.5) == 0.0
-    assert beta_from_ground_pop(1.0) == math.inf
-    assert beta_from_ground_pop(0.0) == -math.inf
-    p0 = 1.0 / (1.0 + math.exp(-2.23))
-    assert abs(beta_from_ground_pop(p0) - 2.23) < 1e-12
-
-
-def test_beta_from_ground_pop_rejects_out_of_range():
-    for bad in (-0.1, 1.1, float("nan")):
-        with pytest.raises(RegisterError):
-            beta_from_ground_pop(bad)
-
-
 def test_thermal_population_round_trip():
-    for p0 in np.linspace(0.01, 0.99, 57):
-        beta = beta_from_ground_pop(p0)
-        back = thermal_qubit(beta).matrix[0, 0].real
-        assert abs(back - p0) < 1e-12
+    # both branches of thermal_qubit, the negative-beta one included
     for beta in np.linspace(-4.5, 4.5, 41):
         p0 = thermal_qubit(beta).matrix[0, 0].real
-        assert abs(beta_from_ground_pop(p0) - beta) < 1e-10
+        assert abs(p0 - 1.0 / (1.0 + math.exp(-beta))) < 1e-12
 
 
 # ----------------------------------------------------------------- tensor
@@ -260,12 +241,13 @@ def test_measure_respects_qubit_order():
 
 def test_measure_protocol_a_matches_oracle():
     # full package evolution checked against the hand-built 8x8 oracle
-    from heatleak import ProtocolConfig, build_protocol, run_circuit
+    from heatleak import ProtocolConfig, build_protocol
+    from heatleak.circuits import evolve_stages
 
     circ = build_protocol(
         ProtocolConfig(variant="A", beta_c=2.23, beta_h=0.43, beta_e=2.02)
     )
-    state = run_circuit(circ, "iii")
+    state = evolve_stages(circ)["iii"]
     got = measure_distribution(state, [0, 1])
     _, _, expected = oracle_protocol_a(True)
     assert np.max(np.abs(got - expected)) < 1e-12
@@ -277,23 +259,6 @@ def test_measure_distribution_normalized(rng):
         p = measure_distribution(rho, [0, 2])
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.all(p >= 0)
-
-
-# --------------------------------------------------------------- expectation
-
-def test_expectation_examples():
-    assert expectation([0.25, 0.25, 0.25, 0.25], [0, 1, 0, 1]) == pytest.approx(0.5)
-    rho = thermal_qubit(0.8)
-    p = np.diag(rho.matrix).real
-    assert expectation(p, [0.0, 1.0]) == pytest.approx(1.0 - p[0])
-    assert expectation([0.3, 0.7], [0.0, 0.0]) == 0.0
-
-
-def test_expectation_rejects_mismatch():
-    with pytest.raises(RegisterError):
-        expectation([0.5, 0.5], [1.0, 2.0, 3.0])
-    with pytest.raises(RegisterError):
-        expectation([0.6, 0.6], [1.0, 2.0])
 
 
 # ------------------------------------------------------------- type checks

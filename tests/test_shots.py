@@ -12,7 +12,6 @@ from heatleak import (
     build_B,
     deformation_bounds,
     energy_basis_values,
-    estimate_expectation,
     observable_table,
     sample_shots,
 )
@@ -131,11 +130,6 @@ def test_spam_model_validation():
 
 # ------------------------------------------------------------- expectation
 
-def test_estimate_single_outcome():
-    rec = ShotRecord(stage="i", counts={"00": 10, "01": 0, "10": 0, "11": 0}, shots=10)
-    assert estimate_expectation(rec, [2.5, 0, 0, 0]) == 2.5
-
-
 def test_estimate_converges_to_expectation():
     p = np.array([0.4, 0.3, 0.2, 0.1])
     v = np.array([0.0, 1.0, 1.0, 2.0])
@@ -143,23 +137,7 @@ def test_estimate_converges_to_expectation():
     rec = sample_shots(p, n, seed=5)
     exact = float(p @ v)
     sigma = math.sqrt(float(p @ (v - exact) ** 2) / n)
-    assert abs(estimate_expectation(rec, v) - exact) < 6 * sigma
-
-
-def test_estimate_synthetic_b_alpha():
-    B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
-    rec = ShotRecord(
-        stage="i", counts={"00": 3000, "01": 2000, "10": 1000, "11": 700}, shots=6700
-    )
-    v = B.basis_values**0.5
-    expected = (3000 * v[0] + 2000 * v[1] + 1000 * v[2] + 700 * v[3]) / 6700
-    assert estimate_expectation(rec, v) == pytest.approx(expected, abs=1e-15)
-
-
-def test_estimate_rejects_mismatch():
-    rec = ShotRecord(stage="i", counts={"0": 5, "1": 5}, shots=10)
-    with pytest.raises(ShotsError):
-        estimate_expectation(rec, [1.0, 2.0, 3.0, 4.0])
+    assert abs(rec.probabilities() @ v - exact) < 6 * sigma
 
 
 # --------------------------------------------------------------- bootstrap
