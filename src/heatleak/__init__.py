@@ -41,6 +41,7 @@ from .shots import (
     ThresholdResult,
     apply_spam,
     bootstrap_change,
+    resample,
     sample_shots,
     threshold_bootstrap,
 )

@@ -130,7 +130,7 @@ def _fields(instance) -> dict:
 
 # JSON type of every typed field per config section ("" is the top level);
 # numbers must be finite (|beta| >= 1000 already gives an exact pure state)
-_INTEGER, _NUMBER = "an integer", "a number"
+_INTEGER, _NUMBER = "an integer", "a finite number"
 _FIELD_TYPES = {
     "": {"shots_per_stage": _INTEGER, "seed": _INTEGER,
          "epsilon": _NUMBER, "significance": _NUMBER},

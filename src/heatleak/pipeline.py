@@ -10,9 +10,11 @@ against stage i through three channels:
 
 Every channel value is the change in expectation of one column of
 ``passivity.observable_table``, so one bootstrap of ``(pf - p0) @ V`` serves
-all three.  Each channel's strength is its worst violation measured in
-bootstrap standard errors; a verdict fires when any strength reaches the
-configured significance.
+all three.  Each record is resampled once, from a per-stage seed, and every
+statistic of a stage pair (CIs and thresholds) reads the same resampled
+changes; both pairs share stage i's draw.  Each channel's strength is its
+worst violation measured in bootstrap standard errors; a verdict fires when
+any strength reaches the configured significance.
 """
 
 from __future__ import annotations
@@ -38,19 +40,17 @@ from .passivity import (
 from .recordio import read_records, write_json, write_records, write_sweep_csv
 from .register import measure_distribution
 from .shots import (
-    BootstrapConfig,
     ShotsError,
     apply_spam,
     bootstrap_change,
     derive_seed,
+    resample,
     sample_shots,
     threshold_bootstrap,
 )
 
 STAGE_SEED_ROLE = {"i": 0, "ii": 1, "iii": 2}
 CI_SEED_ROLE = 100
-ALPHA_THRESHOLD_SEED_ROLE = 200
-XI_THRESHOLD_SEED_ROLE = 300
 
 CHANNELS = ("second-law", "global-passivity", "deformation")
 MEASURED = ("c", "h")
@@ -100,7 +100,6 @@ class Sweep:
     grid: np.ndarray
     columns: slice
     ci_divisor: float
-    seed_role: int
 
 
 def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep]]:
@@ -114,7 +113,7 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep]]:
         "global-passivity", "alpha",
         lambda diff, values: (values, np.zeros_like(values)),
         alpha_observable(B), alpha_grid,
-        slice(0, n_alpha), 1.0, ALPHA_THRESHOLD_SEED_ROLE,
+        slice(0, n_alpha), 1.0,
     )]
     xi_grid = None
     if config.wants_deformation():
@@ -132,7 +131,7 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep]]:
             ),
             xi_observable(B), xi_grid,
             # the CSV margin lhs - rhs is the raw form over beta_c
-            slice(n_alpha + 1, None), beta_c, XI_THRESHOLD_SEED_ROLE,
+            slice(n_alpha + 1, None), beta_c,
         ))
     return observable_table(B, alpha_grid, xi_grid), sweeps
 
@@ -229,13 +228,12 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
     thresholds = []
     notes = []
     rec_i = by_stage["i"]
-
-    def bootstrap(stage_idx: int, seed_role: int) -> BootstrapConfig:
-        return BootstrapConfig(
-            resamples=config.bootstrap.resamples,
-            confidence=config.bootstrap.confidence,
-            seed=derive_seed(config.seed, seed_role + stage_idx),
-        )
+    confidence = config.bootstrap.confidence
+    rates = {
+        stage: resample(rec, config.bootstrap.resamples,
+                        derive_seed(config.seed, CI_SEED_ROLE, STAGE_SEED_ROLE[stage]))
+        for stage, rec in by_stage.items()
+    }
 
     def worst(channel: str, estimates, resolution) -> None:
         # the violation depth in sigmas, with sigma floored at the column's
@@ -248,16 +246,16 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
         ))
 
     n_alpha = len(config.alpha_grid)
-    for stage_idx, stage in enumerate(("ii", "iii")):
+    for stage in ("ii", "iii"):
         if stage not in by_stage:
             continue
         rec_f = by_stage[stage]
-        estimates = bootstrap_change(rec_i, rec_f, table,
-                                     bootstrap(stage_idx, CI_SEED_ROLE))
+        diff = rec_f.probabilities() - rec_i.probabilities()
+        diffs = rates[stage] - rates["i"]
+        estimates = bootstrap_change(diff, diffs, table, confidence)
         resolution = (np.ptp(table, axis=0) / min(rec_i.shots, rec_f.shots)).tolist()
         second_law = slice(n_alpha, n_alpha + 1)
         worst("second-law", estimates[second_law], resolution[second_law])
-        diff = rec_f.probabilities() - rec_i.probabilities()
         for sweep in sweeps:
             est = estimates[sweep.columns]
             write_sweep_csv(
@@ -269,10 +267,8 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
             worst(sweep.channel, est, resolution[sweep.columns])
             _, crossings = sweep_crossings(sweep.observable, diff, sweep.grid)
             if len(crossings) == 1:
-                res = threshold_bootstrap(
-                    rec_i, rec_f, sweep.observable, sweep.grid,
-                    float(crossings[0]), bootstrap(stage_idx, sweep.seed_role),
-                )
+                res = threshold_bootstrap(diffs, sweep.observable, sweep.grid,
+                                          float(crossings[0]), confidence)
                 thresholds.append(_threshold_entry(sweep.channel, stage, res))
             elif len(crossings) > 1:
                 notes.append(

@@ -5,10 +5,10 @@ with integer seeds derived via ``SeedSequence`` so that records, bootstrap
 channels and threshold uncertainties are bit-reproducible from a single root
 seed, independently of evaluation order.
 
-Both bootstraps redraw each stage's counts once, as a (resamples, outcomes)
-multinomial count matrix (_resample_matrices), and work on those matrices
-whole: bootstrap_change takes CIs of expectation changes by matrix products,
-threshold_bootstrap locates the sweep crossings of every resample at once.
+Each record is redrawn once, by resample, into a (resamples, outcomes)
+matrix of multinomial rates; both bootstraps read the difference of two such
+matrices whole: bootstrap_change takes CIs of expectation changes by matrix
+products, threshold_bootstrap locates the sweep crossings of every resample.
 """
 
 from __future__ import annotations
@@ -179,25 +179,23 @@ def sample_shots(distribution, n: int, seed: int, stage: str = "i",
     )
 
 
-def _resample_matrices(records, config: BootstrapConfig) -> list[np.ndarray]:
-    """Per record: (resamples, outcomes) multinomial redraws of its counts.
+def resample(record: ShotRecord, resamples: int, seed: int) -> np.ndarray:
+    """(resamples, outcomes) multinomial redraws of a record's counts, as rates.
 
-    Each record gets its own seed-derived stream, so results do not depend
-    on the order resamples are consumed in.
+    Every row redraws the record's shot total from its empirical rates and
+    is divided by that total; the generator is seeded by seed alone, so the
+    matrix does not depend on what else is drawn or in which order.
     """
-    draws = []
-    for j, rec in enumerate(records):
-        rng = np.random.default_rng(derive_seed(config.seed, j))
-        draw = rng.multinomial(rec.shots, rec.probabilities(), size=config.resamples)
-        totals = draw.sum(axis=1)
-        bad = np.flatnonzero(totals != rec.shots)
-        if bad.size:
-            raise ShotsError(
-                f"resample {bad[0]} of record {j} has {totals[bad[0]]} shots, "
-                f"expected {rec.shots}"
-            )
-        draws.append(draw)
-    return draws
+    rng = np.random.default_rng(seed)
+    draw = rng.multinomial(record.shots, record.probabilities(), size=resamples)
+    totals = draw.sum(axis=1)
+    bad = np.flatnonzero(totals != record.shots)
+    if bad.size:
+        raise ShotsError(
+            f"resample {bad[0]} of stage {record.stage} has {totals[bad[0]]} "
+            f"shots, expected {record.shots}"
+        )
+    return draw / record.shots
 
 
 def _linear_quantile(ordered: np.ndarray, q: float) -> np.ndarray:
@@ -250,20 +248,19 @@ def _summarize(point, stats: np.ndarray, confidence: float) -> list[EstimateWith
     ]
 
 
-def bootstrap_change(initial: ShotRecord, final: ShotRecord, table,
-                     config: BootstrapConfig) -> list[EstimateWithCI]:
-    """Bootstrap of (p_final - p_initial) @ table, one estimate per column.
+def bootstrap_change(diff, diffs: np.ndarray, table,
+                     confidence: float) -> list[EstimateWithCI]:
+    """Bootstrap of diff @ table, one estimate per column.
 
-    Each resample redraws both records' counts from multinomials with their
-    empirical rates and shot totals; its statistic is the same product on
-    the redrawn rates, taken a block of _BLOCK_COLUMNS table columns at a
-    time to bound memory.  See _summarize for the CIs; a non-finite
-    resample statistic raises ShotsError naming the first such resample.
+    diff is the point change of outcome rates (p_final - p_initial) and
+    diffs its (resamples, outcomes) resampled changes, the difference of two
+    resample matrices.  Each resample's statistic is the same product on its
+    row of diffs, taken a block of _BLOCK_COLUMNS table columns at a time to
+    bound memory.  See _summarize for the CIs; a non-finite resample
+    statistic raises ShotsError naming the first such resample.
     """
     table = np.asarray(table, dtype=float)
-    point = (final.probabilities() - initial.probabilities()) @ table
-    counts_i, counts_f = _resample_matrices([initial, final], config)
-    diffs = counts_f / final.shots - counts_i / initial.shots
+    point = np.asarray(diff, dtype=float) @ table
     estimates = []
     for start in range(0, table.shape[1], _BLOCK_COLUMNS):
         columns = slice(start, start + _BLOCK_COLUMNS)
@@ -272,10 +269,9 @@ def bootstrap_change(initial: ShotRecord, final: ShotRecord, table,
         if bad.size:
             r = bad[0]
             raise ShotsError(
-                f"statistic is not finite on resample {r}; "
-                f"counts={[counts_i[r].tolist(), counts_f[r].tolist()]}"
+                f"statistic is not finite on resample {r}; diffs={diffs[r].tolist()}"
             )
-        estimates += _summarize(point[columns], stats, config.confidence)
+        estimates += _summarize(point[columns], stats, confidence)
     return estimates
 
 
@@ -292,22 +288,22 @@ class ThresholdResult:
     no_crossing_resamples: int
 
 
-def threshold_bootstrap(initial: ShotRecord, final: ShotRecord, observable, grid,
-                        center: float, config: BootstrapConfig) -> ThresholdResult:
+def threshold_bootstrap(diffs: np.ndarray, observable, grid, center: float,
+                        confidence: float) -> ThresholdResult:
     """Bootstrap the uncertainty of center, the point-estimate sign crossing
     of the sweep of observable(x) over grid.
 
-    The sweep's value at x is (p_final - p_initial) @ observable(x), as in
-    passivity.sweep_crossings.  Every resample redraws both records' counts
-    as in bootstrap_change and contributes its crossing nearest center, ties
-    going to the first in grid order; resamples without a crossing are
-    counted and left out of the CI, whose std_error is NaN if none crosses.
+    diffs holds the resampled rate changes, as in bootstrap_change; the
+    sweep of a resample at x is its row @ observable(x), as in
+    passivity.sweep_crossings.  Every resample contributes its crossing
+    nearest center, ties going to the first in grid order; resamples
+    without a crossing are counted and left out of the CI, whose std_error
+    is NaN if none crosses.
     """
-    counts_i, counts_f = _resample_matrices([initial, final], config)
-    rows, locations = sweep_crossings(
-        observable, counts_f / final.shots - counts_i / initial.shots, grid)
+    resamples = len(diffs)
+    rows, locations = sweep_crossings(observable, diffs, grid)
     distance = np.abs(locations - center)
-    best = np.full(config.resamples, np.inf)
+    best = np.full(resamples, np.inf)
     np.minimum.at(best, rows, distance)
     hit = distance == best[rows]
     _, first = np.unique(rows[hit], return_index=True)
@@ -315,9 +311,9 @@ def threshold_bootstrap(initial: ShotRecord, final: ShotRecord, observable, grid
     if not len(nearest):
         estimate = EstimateWithCI(center, center, center, math.nan)
     else:
-        (estimate,) = _summarize([center], nearest[:, None], config.confidence)
+        (estimate,) = _summarize([center], nearest[:, None], confidence)
     return ThresholdResult(
         estimate=estimate,
-        resamples=config.resamples,
-        no_crossing_resamples=config.resamples - len(nearest),
+        resamples=resamples,
+        no_crossing_resamples=resamples - len(nearest),
     )

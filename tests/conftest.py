@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from heatleak import DensityOperator, UnitaryOperator
+from heatleak import DensityOperator, UnitaryOperator, resample
+from heatleak.shots import derive_seed
 
 
 def haar_matrix(dim, rng):
@@ -27,6 +28,16 @@ def random_density(num_qubits, rng, rank=None):
         v = v / np.linalg.norm(v)
         m += w * np.outer(v, v.conj())
     return DensityOperator(m)
+
+
+def record_changes(rec_i, rec_f, cfg):
+    """The point rate change rec_f - rec_i and its (cfg.resamples, outcomes)
+    resampled changes, record j of (rec_i, rec_f) redrawn from seed
+    derive_seed(cfg.seed, j), as the oracle bootstraps of tests/oracles.py
+    draw them."""
+    diffs = (resample(rec_f, cfg.resamples, derive_seed(cfg.seed, 1))
+             - resample(rec_i, cfg.resamples, derive_seed(cfg.seed, 0)))
+    return rec_f.probabilities() - rec_i.probabilities(), diffs
 
 
 @pytest.fixture

@@ -41,7 +41,7 @@ from heatleak.shots import (
     sample_shots,
 )
 
-from conftest import haar_matrix, haar_unitary, random_density
+from conftest import haar_matrix, haar_unitary, random_density, record_changes
 from oracles import (
     PIN_ALPHA_STAR_A,
     PIN_XI_STAR_B,
@@ -287,7 +287,8 @@ def test_criterion_7_bootstrap_coverage():
             rec_f = sample_shots(dists["iii"], 6700, derive_seed(101, rep, 1),
                                  stage="iii")
             bs = BootstrapConfig(resamples=600, seed=derive_seed(101, rep, 2))
-            (est,) = bootstrap_change(rec_i, rec_f, v[:, None], bs)
+            (est,) = bootstrap_change(*record_changes(rec_i, rec_f, bs), v[:, None],
+                                      bs.confidence)
             if est.ci_low <= true_delta <= est.ci_high:
                 covered += 1
         coverage = covered / reps

@@ -531,6 +531,50 @@ def test_cli_analyze_accepts_records_without_qubits(tmp_path):
     assert os.path.exists(os.path.join(out, "verdict.json"))
 
 
+@pytest.mark.parametrize("stages", [("i", "ii", "iii"), ("i", "iii")],
+                         ids=["i-ii-iii", "i-iii"])
+def test_analyze_resamples_each_record_once(tmp_path, monkeypatch, stages):
+    """analyze draws every record once: the CIs and thresholds of a stage
+    pair read one matrix of resampled changes, the difference of the pair's
+    draws, and both pairs take stage i's from the same draw."""
+    from heatleak import pipeline
+
+    sim = str(tmp_path / "sim")
+    assert main(["simulate", "--variant", "A", "--out", sim]) == 0
+    header, records = read_records(os.path.join(sim, "records.jsonl"))
+    draw, change, threshold = (pipeline.resample, pipeline.bootstrap_change,
+                               pipeline.threshold_bootstrap)
+    calls, drawn, changes, thresholds = [], {}, [], []
+
+    def resample(record, resamples, seed):
+        calls.append(record.stage)
+        drawn[record.stage] = draw(record, resamples, seed)
+        return drawn[record.stage]
+
+    def bootstrap_change(diff, diffs, *args):
+        changes.append(diffs)
+        return change(diff, diffs, *args)
+
+    def threshold_bootstrap(diffs, *args):
+        thresholds.append(diffs)
+        return threshold(diffs, *args)
+
+    monkeypatch.setattr(pipeline, "resample", resample)
+    monkeypatch.setattr(pipeline, "bootstrap_change", bootstrap_change)
+    monkeypatch.setattr(pipeline, "threshold_bootstrap", threshold_bootstrap)
+    verdict = pipeline.analyze_records(
+        [rec for rec in records if rec.stage in stages], config_from_dict(header),
+        str(tmp_path / "run"))
+
+    assert sorted(calls) == sorted(stages)  # one call per record
+    assert "global-passivity" in {t["test"] for t in verdict.thresholds}
+    pairs = [stage for stage in ("ii", "iii") if stage in stages]
+    assert len(changes) == len(pairs)
+    for stage, diffs in zip(pairs, changes):
+        assert np.array_equal(diffs, drawn[stage] - drawn["i"])
+    assert thresholds and all(any(d is c for c in changes) for d in thresholds)
+
+
 def test_config_rejects_malformed_sections():
     with pytest.raises(ShotsError, match="'spam'"):
         config_from_dict({"spam": {"flip_0_to_1": 0.1, "turbo": 1}})
@@ -670,7 +714,8 @@ def test_cli_simulate_config_string_boolean_exit_one(tmp_path, capsys):
 def test_cli_flags_are_validated_like_config_fields(tmp_path, capsys):
     rc = main(["simulate", "--epsilon", "inf", "--out", str(tmp_path)])
     assert rc == 1
-    assert "'epsilon'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "'epsilon'" in err and "finite" in err
 
 
 def test_cli_analyze_header_with_removed_protocol_fields(tmp_path, capsys):
@@ -771,8 +816,7 @@ def test_cli_constant_observables_carry_no_strength(tmp_path):
     assert set(verdict["channel_strengths"].values()) == {0.0}
 
 
-def test_threshold_without_resample_crossings_writes_null_std_error(tmp_path,
-                                                                  monkeypatch):
+def test_threshold_without_resample_crossings_writes_null_std_error(tmp_path):
     """A threshold found on the point sweep that no resample crosses has no
     std error; the verdict entry carries null there, never NaN."""
     from heatleak import shots
@@ -783,16 +827,14 @@ def test_threshold_without_resample_crossings_writes_null_std_error(tmp_path,
                        shots=100)
     rec_f = ShotRecord(stage="iii", counts={"00": 0, "01": 0, "10": 0, "11": 100},
                        shots=100)
-    # every resample redraws stage iii as stage i: no change, so no crossing
-    monkeypatch.setattr(shots, "_resample_matrices", lambda records, config: [
-        np.tile(records[0].counts_array(), (config.resamples, 1))] * 2)
     e11 = np.array([0.0, 0.0, 0.0, 1.0])
     observable = lambda x: (np.asarray(x)[..., None] - 0.5) * e11
     grid = np.linspace(0.0, 1.0, 5)
     (center,) = sweep_crossings(
         observable, rec_f.probabilities() - rec_i.probabilities(), grid)[1]
-    result = shots.threshold_bootstrap(rec_i, rec_f, observable, grid, float(center),
-                                       shots.BootstrapConfig(resamples=100, seed=2))
+    # no resample changes, so none crosses
+    result = shots.threshold_bootstrap(np.zeros((100, 4)), observable, grid,
+                                       float(center), 0.6827)
     assert result.no_crossing_resamples == 100
     entry = _threshold_entry("global-passivity", "iii", result)
     assert entry["value"] == 0.5 and entry["std_error"] is None
@@ -839,7 +881,8 @@ def test_cli_exact_pure_environment_keeps_working(tmp_path, capsys):
 
     rc, out = run("Infinity")
     assert rc == 1
-    assert "'protocol.beta_e'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "'protocol.beta_e'" in err and "finite" in err
     assert not out.exists()
     rc, out = run("1000")
     assert rc == 0

@@ -25,6 +25,7 @@ from heatleak.shots import (
     threshold_bootstrap,
 )
 
+from conftest import record_changes
 from oracles import (
     oracle_bootstrap_statistic,
     oracle_protocol_a,
@@ -151,8 +152,9 @@ def _degenerate(stage, label, shots=100):
 
 def test_bootstrap_degenerate_record_zero_width():
     cfg = BootstrapConfig(resamples=200, seed=4)
-    (est,) = bootstrap_change(_degenerate("i", "00"), _degenerate("iii", "11"),
-                              np.array([[1.0], [2.0], [3.0], [4.0]]), cfg)
+    (est,) = bootstrap_change(
+        *record_changes(_degenerate("i", "00"), _degenerate("iii", "11"), cfg),
+        np.array([[1.0], [2.0], [3.0], [4.0]]), cfg.confidence)
     assert est.ci_low == est.ci_high == est.value == 3.0
     assert est.std_error == 0.0
 
@@ -162,7 +164,8 @@ def test_bootstrap_matches_analytic_multinomial_error():
     rec_i = sample_shots([0.4, 0.3, 0.2, 0.1], 5000, seed=21)
     rec_f = sample_shots([0.1, 0.2, 0.3, 0.4], 3000, seed=23)
     cfg = BootstrapConfig(resamples=2000, seed=22)
-    (est,) = bootstrap_change(rec_i, rec_f, v[:, None], cfg)
+    (est,) = bootstrap_change(*record_changes(rec_i, rec_f, cfg), v[:, None],
+                              cfg.confidence)
     # multinomial error of a change: sqrt(var_i / n_i + var_f / n_f)
     analytic = math.sqrt(sum(
         float(r.probabilities() @ (v - r.probabilities() @ v) ** 2) / r.shots
@@ -175,8 +178,8 @@ def test_bootstrap_deterministic():
     rec_f = sample_shots([0.3, 0.3, 0.2, 0.2], 1000, seed=10)
     cfg = BootstrapConfig(resamples=300, seed=9)
     table = np.array([[0.0], [1.0], [2.0], [3.0]])
-    one = bootstrap_change(rec_i, rec_f, table, cfg)
-    two = bootstrap_change(rec_i, rec_f, table, cfg)
+    one = bootstrap_change(*record_changes(rec_i, rec_f, cfg), table, cfg.confidence)
+    two = bootstrap_change(*record_changes(rec_i, rec_f, cfg), table, cfg.confidence)
     assert one == two
 
 
@@ -185,7 +188,8 @@ def test_bootstrap_ci_encloses_point_estimate():
     rec_f = sample_shots([0.1, 0.2, 0.3, 0.4], 400, seed=33)
     cfg = BootstrapConfig(resamples=500, seed=32)
     # identity table: the change of each outcome probability
-    ests = bootstrap_change(rec_i, rec_f, np.eye(4), cfg)
+    ests = bootstrap_change(*record_changes(rec_i, rec_f, cfg), np.eye(4),
+                            cfg.confidence)
     assert len(ests) == 4
     for est in ests:
         assert est.ci_low <= est.value <= est.ci_high
@@ -198,7 +202,8 @@ def test_bootstrap_error_shrinks_with_shots():
     for n in (2000, 32000):  # 16x shots -> expect ~4x smaller error
         rec_i = sample_shots([0.4, 0.3, 0.2, 0.1], n, seed=40 + n)
         rec_f = sample_shots([0.1, 0.2, 0.3, 0.4], n, seed=41 + n)
-        (est,) = bootstrap_change(rec_i, rec_f, v[:, None], cfg)
+        (est,) = bootstrap_change(*record_changes(rec_i, rec_f, cfg), v[:, None],
+                                  cfg.confidence)
         errs.append(est.std_error)
     ratio = errs[0] / errs[1]
     assert 4.0 * 0.7 < ratio < 4.0 * 1.3
@@ -208,9 +213,10 @@ def test_bootstrap_change_non_finite_column_names_resample_0():
     rec_i = sample_shots([0.4, 0.3, 0.2, 0.1], 100, seed=2)
     rec_f = sample_shots([0.1, 0.2, 0.3, 0.4], 100, seed=4)
     table = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, np.inf], [3.0, 1.0]])
+    cfg = BootstrapConfig(resamples=100, seed=3)
     with np.errstate(invalid="ignore"), \
             pytest.raises(ShotsError, match="not finite on resample 0;"):
-        bootstrap_change(rec_i, rec_f, table, BootstrapConfig(resamples=100, seed=3))
+        bootstrap_change(*record_changes(rec_i, rec_f, cfg), table, cfg.confidence)
 
 
 def test_bootstrap_config_validation():
@@ -242,9 +248,11 @@ def test_threshold_noise_free_crossing():
     rec_i, rec_f = _degenerate("i", "00"), _degenerate("iii", "11")
     observable = _outcome_11_observable(lambda x: x - 0.5)
     grid = np.linspace(0.0, 1.0, 11)
+    cfg = BootstrapConfig(resamples=200, seed=2)
+    _, diffs = record_changes(rec_i, rec_f, cfg)
     res = threshold_bootstrap(
-        rec_i, rec_f, observable, grid, _point_crossing(rec_i, rec_f, observable, grid),
-        BootstrapConfig(resamples=200, seed=2),
+        diffs, observable, grid, _point_crossing(rec_i, rec_f, observable, grid),
+        cfg.confidence,
     )
     assert res.estimate.value == 0.5
     assert res.estimate.ci_low == res.estimate.ci_high == 0.5
@@ -277,8 +285,10 @@ def test_threshold_takes_crossing_nearest_the_point_one():
         return crossings
 
     cfg = BootstrapConfig(resamples=100, seed=7)
-    res = threshold_bootstrap(rec_i, rec_f, observable, grid,
-                              _point_crossing(rec_i, rec_f, observable, grid), cfg)
+    _, diffs = record_changes(rec_i, rec_f, cfg)
+    res = threshold_bootstrap(diffs, observable, grid,
+                              _point_crossing(rec_i, rec_f, observable, grid),
+                              cfg.confidence)
     found, want, missing = oracle_threshold(rec_i, rec_f, builder, cfg.resamples,
                                             cfg.confidence, cfg.seed)
     assert not several[0] and any(several)
@@ -295,9 +305,11 @@ def test_threshold_protocol_a_realistic():
     rec_i = sample_shots(p_i, 6700, seed=100, stage="i")
     rec_f = sample_shots(p_iii, 6700, seed=101, stage="iii")
     observable = alpha_observable(B)
-    res = threshold_bootstrap(rec_i, rec_f, observable, grid,
+    cfg = BootstrapConfig(resamples=400, seed=5)
+    _, diffs = record_changes(rec_i, rec_f, cfg)
+    res = threshold_bootstrap(diffs, observable, grid,
                               _point_crossing(rec_i, rec_f, observable, grid),
-                              BootstrapConfig(resamples=400, seed=5))
+                              cfg.confidence)
     assert 0.3 < res.estimate.value < 0.7
     assert 0.0 < res.estimate.std_error < 0.2
     assert res.estimate.ci_low <= res.estimate.value <= res.estimate.ci_high
@@ -367,7 +379,8 @@ def test_matrix_path_matches_per_resample_reference(variant):
     for k, rec_f in enumerate(records[1:]):
         cfg = BootstrapConfig(resamples=400, seed=derive_seed(78, k))
         setup = (cfg.resamples, cfg.confidence, cfg.seed)
-        matrix = bootstrap_change(records[0], rec_f, table, cfg)
+        diff, diffs = record_changes(records[0], rec_f, cfg)
+        matrix = bootstrap_change(diff, diffs, table, cfg.confidence)
         reference = oracle_bootstrap_statistic(
             [records[0], rec_f],
             lambda recs: (recs[1].probabilities() - recs[0].probabilities()) @ table,
@@ -393,8 +406,8 @@ def test_matrix_path_matches_per_resample_reference(variant):
             if not slow_found:
                 continue
             found += 1
-            fast = threshold_bootstrap(records[0], rec_f, observable, grid,
-                                       float(point[0]), cfg)
+            fast = threshold_bootstrap(diffs, observable, grid, float(point[0]),
+                                       cfg.confidence)
             assert fast.resamples == cfg.resamples
             assert fast.no_crossing_resamples == slow_missing
             for name, want in zip(("value", "ci_low", "ci_high", "std_error"), slow):
