@@ -234,27 +234,18 @@ def sweep_crossings(observable, diffs, grid) -> tuple[np.ndarray, np.ndarray]:
     row.  Exact zeros at grid points are skipped when pairing signs, so an
     all-zero row (identity evolution) has no crossings while a -,0,+ pattern
     still yields the single crossing at the touching point.  Each bracket is
-    then refined by bisection.
+    then refined by Illinois regula falsi (_refine).
     """
     diffs = np.atleast_2d(np.asarray(diffs, dtype=float))
     grid = np.asarray(grid, dtype=float)
     columns = observable(grid).T
-    positions = np.arange(len(grid))
     step = max(1, _BLOCK_VALUES // max(1, len(grid)))
     rows, lo, hi = [], [], []
     for start in range(0, len(diffs), step):
-        values = diffs[start:start + step] @ columns
-        nonzero = values != 0.0
-        # position of the last nonzero value at or before each grid point
-        last = np.where(nonzero, positions, -1)
-        np.maximum.accumulate(last, axis=1, out=last)
-        prev = last[:, :-1]
-        prev_values = np.take_along_axis(values, np.maximum(prev, 0), axis=1)
-        changes = nonzero[:, 1:] & (prev >= 0) & (prev_values * values[:, 1:] < 0)
-        r, k = np.nonzero(changes)
+        r, k_lo, k_hi = _sign_brackets(diffs[start:start + step] @ columns)
         rows.append(r + start)
-        lo.append(grid[prev[r, k]])
-        hi.append(grid[k + 1])
+        lo.append(grid[k_lo])
+        hi.append(grid[k_hi])
     rows = np.concatenate(rows)
     if not rows.size:
         return rows, np.empty(0)
@@ -262,13 +253,43 @@ def sweep_crossings(observable, diffs, grid) -> tuple[np.ndarray, np.ndarray]:
                          np.concatenate(hi))
 
 
-def _refine(observable, diffs, lo, hi, tol: float = 1e-12) -> np.ndarray:
-    """Sign-change location in each bracket [lo, hi] by plain bisection.
+def _sign_brackets(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, lo, hi) grid positions of every sign change along the rows of
+    values, each nonzero value paired with the last nonzero one before it (a
+    NaN pairs with nothing).  Neighbours of opposite sign are compared as
+    boolean arrays; only rows holding an exact zero get the forward fill of
+    the last nonzero value before each point (0 before any)."""
+    neg, pos = values < 0, values > 0
+    changes = (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
+    gaps = np.flatnonzero((values == 0.0).any(axis=1))
+    if gaps.size:
+        v = values[gaps]
+        last = np.where(v != 0.0, np.arange(v.shape[1]), 0)
+        np.maximum.accumulate(last, axis=1, out=last)
+        filled = np.take_along_axis(v, last[:, :-1], axis=1)
+        changes[gaps] = ((filled < 0) & pos[gaps, 1:]) | ((filled > 0) & neg[gaps, 1:])
+    rows, k = np.nonzero(changes)
+    lo = k.copy()
+    if gaps.size:
+        at = np.flatnonzero(np.isin(rows, gaps))
+        lo[at] = last[np.searchsorted(gaps, rows[at]), k[at]]
+    return rows, lo, k + 1
 
-    A bracket spanning the excluded alpha = 0 point is refined on the half
-    that actually changes sign (the margin -> 0 at alpha -> 0), or reported
-    at 0 when neither half does.  Per bracket, bisection stops at an exact
-    zero, at width < tol, or after 200 steps.
+
+def _refine(observable, diffs, lo, hi, tol: float = 1e-12) -> np.ndarray:
+    """Sign-change location in each bracket [lo, hi] by Illinois regula
+    falsi (Dowell & Jarratt, BIT 11 (1971) 168) on all open brackets at once.
+
+    A bracket spanning the excluded alpha = 0 point is refined on the half that
+    actually changes sign (the margin -> 0 at alpha -> 0), or reported at 0
+    when neither half does; one with an exact zero at an end is finished there.
+    A step takes the secant point, or the midpoint if that is non-finite or
+    outside the closed bracket, and halves the margin at an end kept two steps
+    running.  A bracket stops at an exact zero, at width < tol or when an
+    iterate repeats the last one (a secant landing on the end it holds), at
+    its last iterate; after 200 steps, or if narrower than tol from the start,
+    at its midpoint.  A same-side step shorter than tol is no stop: beside the
+    alpha = 0 split the margin is ~1e-12 far from the root.
     """
     def margin(d, x):
         return np.einsum("ij,ij->i", d, observable(x))
@@ -280,19 +301,28 @@ def _refine(observable, diffs, lo, hi, tol: float = 1e-12) -> np.ndarray:
         right = ~left & (margin(d, np.full(span.size, 1e-12)) * margin(d, hi[span]) < 0)
         lo[span] = np.where(left, lo[span], np.where(right, 1e-12, 0.0))
         hi[span] = np.where(left, -1e-12, np.where(right, hi[span], 0.0))
-    # a finished bracket is collapsed onto its result, which bisection keeps
-    f_lo = margin(diffs, lo)
-    np.copyto(hi, lo, where=f_lo == 0.0)
-    np.copyto(lo, hi, where=(margin(diffs, hi) == 0.0) & (f_lo != 0.0))
-    negative = f_lo < 0
+    f_lo, f_hi = margin(diffs, lo), margin(diffs, hi)
+    found = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, 0.5 * (lo + hi)))
+    open_ = np.flatnonzero((f_lo != 0.0) & (f_hi != 0.0) & (hi - lo >= tol))
+    lo, hi, f_lo, f_hi, diffs = (a[open_] for a in (lo, hi, f_lo, f_hi, diffs))
+    x, kept = np.full(open_.size, np.nan), np.zeros(open_.size)
     for _ in range(200):
-        narrow = hi - lo < tol
-        if narrow.all():
+        if not open_.size:
             break
-        mid = 0.5 * (lo + hi)
-        f_mid = margin(diffs, mid)
-        stop = narrow | (f_mid == 0.0)
-        up = ((f_mid < 0) == negative) | stop
-        np.copyto(lo, mid, where=up)
-        np.copyto(hi, mid, where=~up | stop)
-    return 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            secant = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        last, x = x, np.where((lo <= secant) & (secant <= hi), secant, 0.5 * (lo + hi))
+        f_x = margin(diffs, x)
+        up = (f_x < 0) == (f_lo < 0)
+        # the Illinois rule: an end kept for a second step running halves its margin
+        f_lo[kept < 0] *= 0.5
+        f_hi[kept > 0] *= 0.5
+        lo, f_lo = np.where(up, x, lo), np.where(up, f_x, f_lo)
+        hi, f_hi = np.where(up, hi, x), np.where(up, f_hi, f_x)
+        kept = np.where(up, 1, -1)
+        done = (f_x == 0.0) | (hi - lo < tol) | (x == last)
+        found[open_[done]] = x[done]
+        open_, lo, hi, f_lo, f_hi, diffs, x, kept = (
+            a[~done] for a in (open_, lo, hi, f_lo, f_hi, diffs, x, kept))
+    found[open_] = 0.5 * (lo + hi)
+    return found

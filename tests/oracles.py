@@ -11,6 +11,8 @@ and compares against both the frozen values and the package.
 The bootstrap references at the end are the package's former per-resample
 implementations: they rebuild records and rerun a statistic or sweep per
 resample, taking both records and sweep builders from the calling test.
+The crossing references after them are the package's former sign pairing
+and bisection.
 """
 
 import numpy as np
@@ -227,6 +229,68 @@ def oracle_threshold(initial, final, sweep_builder, resamples, confidence, seed)
         return True, (center, center, center, float("nan")), resamples
     (estimate,) = oracle_summary([center], np.array(locations)[:, None], confidence)
     return True, estimate, resamples - len(locations)
+
+
+def oracle_sign_brackets(values, grid):
+    """(rows, lo, hi) of every sign change along the rows of values, with
+    lo/hi the grid values bracketing it: each nonzero value is paired with
+    the last nonzero value before it (NaN counts as nonzero and pairs with
+    nothing), so exact zeros are skipped.
+
+    The package's former pairing: a forward fill of the last nonzero
+    position over every row, then a product sign test.
+    """
+    values = np.asarray(values, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    positions = np.arange(values.shape[1])
+    nonzero = values != 0.0
+    last = np.where(nonzero, positions, -1)
+    np.maximum.accumulate(last, axis=1, out=last)
+    prev = last[:, :-1]
+    prev_values = np.take_along_axis(values, np.maximum(prev, 0), axis=1)
+    changes = nonzero[:, 1:] & (prev >= 0) & (prev_values * values[:, 1:] < 0)
+    r, k = np.nonzero(changes)
+    return r, grid[prev[r, k]], grid[k + 1]
+
+
+def oracle_refine(observable, diffs, lo, hi, tol=1e-12):
+    """Sign-change location of diffs[r] @ observable(x) in each bracket
+    [lo[r], hi[r]] by plain bisection, all brackets at once: the package's
+    former refinement.
+
+    A bracket spanning alpha = 0 is split at +-1e-12 and refined on the
+    half that changes sign, or reported at 0 when neither does; an exact
+    zero at an end finishes a bracket there.  Bisection stops per bracket
+    at an exact zero, at width < tol, or after 200 steps.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+
+    def margin(d, x):
+        return np.einsum("ij,ij->i", d, observable(x))
+
+    span = np.flatnonzero((lo < 0.0) & (0.0 < hi))
+    if span.size:
+        d = diffs[span]
+        left = margin(d, lo[span]) * margin(d, np.full(span.size, -1e-12)) < 0
+        right = ~left & (margin(d, np.full(span.size, 1e-12)) * margin(d, hi[span]) < 0)
+        lo[span] = np.where(left, lo[span], np.where(right, 1e-12, 0.0))
+        hi[span] = np.where(left, -1e-12, np.where(right, hi[span], 0.0))
+    f_lo = margin(diffs, lo)
+    np.copyto(hi, lo, where=f_lo == 0.0)
+    np.copyto(lo, hi, where=(margin(diffs, hi) == 0.0) & (f_lo != 0.0))
+    negative = f_lo < 0
+    for _ in range(200):
+        narrow = hi - lo < tol
+        if narrow.all():
+            break
+        mid = 0.5 * (lo + hi)
+        f_mid = margin(diffs, mid)
+        stop = narrow | (f_mid == 0.0)
+        up = ((f_mid < 0) == negative) | stop
+        np.copyto(lo, mid, where=up)
+        np.copyto(hi, mid, where=~up | stop)
+    return 0.5 * (lo + hi)
 
 
 # Frozen regression constants (computed by the functions above, tolerance

@@ -216,7 +216,7 @@ _XI = [-1.0, -0.5, 0.0, 0.5]
 _ALPHA = default_alpha_grid()
 NON_INCREASING_GRIDS = {
     # the crossing search pairs neighbouring points, lower first: a reversed
-    # grid stops bisection at once, a shuffled one crosses at every turn
+    # grid stops the refinement at once, a shuffled one crosses at every turn
     "alpha_grid-reversed": ("alpha_grid", _ALPHA[::-1]),
     "alpha_grid-shuffled": (
         "alpha_grid", [_ALPHA[k] for k in np.random.default_rng(0).permutation(120)]),

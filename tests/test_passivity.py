@@ -1,8 +1,11 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 from heatleak import (
     PassivityError,
     alpha_observable,
@@ -12,21 +15,31 @@ from heatleak import (
     measure_distribution,
     mixture_channel,
     observable_table,
+    passivity,
+    pipeline,
+    resample,
+    sample_shots,
     sweep_crossings,
     tensor,
     thermal_qubit,
     xi_observable,
 )
-from heatleak.passivity import admissible_xi_grid
+from heatleak.config import config_from_dict
+from heatleak.passivity import _refine, _sign_brackets, admissible_xi_grid
+from heatleak.recordio import read_records
+from heatleak.shots import derive_seed
 
 from conftest import haar_unitary
 from oracles import (
     PIN_ALPHA_STAR_A,
     PIN_XI_STAR_B,
     check_ordering_inherited,
+    oracle_bisect,
     oracle_delta_b_alpha,
     oracle_protocol_a,
     oracle_protocol_b,
+    oracle_refine,
+    oracle_sign_brackets,
 )
 
 GRID = np.array([a for a in np.linspace(-3.0, 3.0, 121) if a != 0.0])
@@ -403,3 +416,222 @@ def test_observable_table_slices_match_channel_functions(rng, betas):
 def test_observable_table_xi_columns_need_qubits_c_and_h():
     with pytest.raises(PassivityError, match="qubits c and h"):
         observable_table(build_B({"c": 1.0}, 0.5), [1.0], [0.0])
+
+
+# ---------------------------------------------------------- crossing search
+
+def _bracket_values(rows, lo, hi, grid):
+    """_sign_brackets' grid positions as grid values, as the oracle gives them."""
+    return rows, grid[lo], grid[hi]
+
+
+@pytest.mark.parametrize("row, expected", [
+    ([-1, 0, 2], [(0, 2)]),                    # -,0,+ crosses at the touch
+    ([-1, 0, 0, 2], [(0, 3)]),                 # -,0,0,+
+    ([0, 0, 0, 0], []),                        # identity evolution
+    ([0, -1, 2, 0], [(1, 2)]),                 # leading and trailing zeros
+    ([0, 0, 2, -1, 0, 0, 2], [(2, 3), (3, 6)]),
+    ([2, np.nan, -1], []),                     # NaN pairs with nothing
+    ([2, 0, np.nan, 0, -1, 2], [(4, 5)]),
+    ([-1], []),
+    ([0, 2], []),
+    ([2, -1], [(0, 1)]),
+])
+def test_sign_brackets_hand_cases(row, expected):
+    values = np.array([row], dtype=float)
+    rows, lo, hi = _sign_brackets(values)
+    assert list(zip(lo.tolist(), hi.tolist())) == expected
+    assert rows.tolist() == [0] * len(expected)
+    grid = np.arange(len(row)) * 0.25 - 1.0
+    for got, want in zip(_bracket_values(rows, lo, hi, grid),
+                         oracle_sign_brackets(values, grid)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 5, 40])
+def test_sign_brackets_match_forward_fill_oracle(points):
+    """Matrices over {-1, 0, 2} with some NaN: zero-free rows take the
+    boolean comparison, the others the zero-only forward fill, and both
+    give the former pairing's brackets in its order."""
+    rng = np.random.default_rng(1200 + points)
+    values = rng.choice([-1.0, 0.0, 2.0], size=(600, points), p=[0.35, 0.3, 0.35])
+    values[rng.random(values.shape) < 0.03] = np.nan
+    values[:40] = rng.choice([-1.0, 2.0], size=(40, points))  # no zero
+    values[40:45] = 0.0                                       # all zero
+    grid = np.sort(rng.normal(size=points))
+    got = _bracket_values(*_sign_brackets(values), grid)
+    want = oracle_sign_brackets(values, grid)
+    assert len(want[0]) > 0 or points == 1
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_sweep_crossings_brackets_across_row_blocks(monkeypatch):
+    """More rows than one _BLOCK_VALUES block: with _refine returning the
+    midpoint, sweep_crossings gives the former pairing's brackets."""
+    points = 7
+    grid = np.linspace(-1.0, 2.0, points)
+    step = passivity._BLOCK_VALUES // points
+    rng = np.random.default_rng(1207)
+    values = rng.choice([-1.0, 0.0, 2.0], size=(2 * step + 321, points))
+    values[step - 3:step + 3] = 0.0  # all-zero rows at a block boundary
+    seen = []
+
+    def midpoints(observable, diffs, lo, hi):
+        seen.append((lo.copy(), hi.copy()))
+        return 0.5 * (lo + hi)
+
+    monkeypatch.setattr(passivity, "_refine", midpoints)
+
+    def one_hot(x):  # values @ one_hot(grid).T == values, exactly
+        return (np.asarray(x, dtype=float)[..., None] == grid).astype(float)
+
+    rows, locations = sweep_crossings(one_hot, values, grid)
+    want_rows, want_lo, want_hi = oracle_sign_brackets(values, grid)
+    assert np.array_equal(rows, want_rows)
+    (lo, hi), = seen
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+    assert np.array_equal(locations, 0.5 * (want_lo + want_hi))
+
+
+def _counted(observable, points):
+    def counted(x):
+        points.append(np.size(x))
+        return observable(x)
+    return counted
+
+
+def test_refine_linear_xi_sweep_converges_in_few_calls():
+    """The xi margin is linear, so the first secant point is the root; the
+    second lands on it (or straddles it) and stops the bracket: 2000
+    resamples of the reference B run take at most 6 observable calls."""
+    p_i, _, p_iii = oracle_protocol_b(True)
+    rec_i = sample_shots(p_i, 3200, seed=300, stage="i")
+    rec_f = sample_shots(p_iii, 3200, seed=301, stage="iii")
+    diffs = resample(rec_f, 2000, 31) - resample(rec_i, 2000, 30)
+    B = build_B({"c": 1.627, "h": 1.099}, 1e-3)
+    grid = np.linspace(-1.099, 0.528, 41)
+    calls = []
+    rows, locations = sweep_crossings(_counted(xi_observable(B), calls), diffs, grid)
+    assert len(calls) <= 6
+    assert len(rows) >= 1900
+    r, lo, hi = oracle_sign_brackets(diffs @ xi_observable(B)(grid).T, grid)
+    assert np.array_equal(rows, r)
+    reference = oracle_refine(xi_observable(B), diffs[r], lo, hi)
+    assert np.max(np.abs(locations - reference)) <= 1e-12
+
+
+def test_refine_illinois_rule_unsticks_a_stalling_bracket():
+    """exp(25 x) dominates this sum of exponentials, so plain regula falsi
+    keeps the right end for good and creeps ~6e-12 per step from the left;
+    the Illinois rule lands within 1e-12 of bisection well inside 200
+    steps."""
+    b = np.array([-20.0, 0.0, 1.0, 25.0])
+    d = np.array([0.1, -2.0, 0.5, 1.0])
+
+    def observable(x):
+        return np.exp(np.asarray(x, dtype=float)[..., None] * b)
+
+    def f(x):
+        return float(d @ np.exp(x * b))
+
+    root = oracle_bisect(f, 0.0, 1.0)
+    lo, hi = 0.0, 1.0
+    for _ in range(200):  # plain regula falsi
+        x = lo - f(lo) * (hi - lo) / (f(hi) - f(lo))
+        lo, hi = (x, hi) if f(x) < 0 else (lo, x)
+    assert hi == 1.0 and root - lo > 0.01
+    calls = []
+    (got,) = _refine(_counted(observable, calls), d[None, :], np.array([0.0]),
+                     np.array([1.0]))
+    assert abs(got - root) <= 1e-12
+    assert len(calls) <= 60
+
+
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_refine_secant_landing_on_an_end_stops_there(end):
+    """A margin of -1e-13 at one end and ~5e21 at the other puts the secant
+    point on that end exactly, twice: the bracket stops there (the root is
+    ~2e-15 away) after 2 steps, where a strict-interior test bisects."""
+    sign = 1.0 if end == "lo" else -1.0
+
+    def observable(x):
+        x = np.asarray(x, dtype=float)[..., None]
+        return np.concatenate([np.exp(50.0 * sign * (x - sign)), np.ones_like(x)], -1)
+
+    d = np.array([1.0, -(1.0 + 1e-13)])
+    lo, hi = (1.0, 2.0) if end == "lo" else (-2.0, -1.0)
+    calls = []
+    (got,) = _refine(_counted(observable, calls), d[None, :], np.array([lo]),
+                     np.array([hi]))
+    assert got == (lo if end == "lo" else hi)
+    assert len(calls) == 4  # both ends, then two steps
+    root = oracle_bisect(lambda x: float(d @ observable(x)), lo, hi)
+    assert abs(got - root) <= 1e-12
+
+
+def test_refine_alpha_zero_split_matches_bisection():
+    """Brackets [-0.5, 0.5] around the excluded alpha = 0: refined on the
+    left half, on the right half, or reported at 0 (a margin that jumps
+    sign at 0, since its diff does not sum to 0), as the former bisection
+    did; exact zeros at an end finish a bracket there."""
+    B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
+    observable = alpha_observable(B)
+    rng = np.random.default_rng(1212)
+    diffs = rng.normal(size=(600, 4))
+    diffs[:450] -= diffs[:450].mean(axis=1, keepdims=True)
+    grid = np.array([-0.5, 0.5])
+    rows, lo, hi = oracle_sign_brackets(diffs @ observable(grid).T, grid)
+    # plus finished brackets: an all-zero diff, across 0 and off it
+    d = np.vstack([diffs[rows], np.zeros((2, 4))])
+    lo, hi = np.append(lo, [-0.5, 0.2]), np.append(hi, [0.5, 0.4])
+    got = _refine(observable, d, lo.copy(), hi.copy())
+    want = oracle_refine(observable, d, lo, hi)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert got[-2:].tolist() == [0.0, 0.2]
+    split = got[:-2]
+    assert (split < 0).sum() >= 10 and (split > 0).sum() >= 10
+    assert (split == 0).sum() >= 10
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_crossings_match_bisection_on_benchmark_records(tmp_path, variant):
+    """16 record files of perfbench's analyze workload of each protocol, each
+    resampled as analyze does: every sweep of both stage pairs gives the
+    former pairing's brackets, and every resample location lies within
+    1e-12 of the former bisection."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS[f"analyze-{variant}"]
+    rng = workloads._rng(1, workload.workload_id)
+    dists = workload._dists(oracles)
+    located = 0
+    for k in range(16):
+        path = str(tmp_path / f"records_{k:02d}.jsonl")
+        workloads.write_record_file(path, variant, dists, workload.shots,
+                                    workload.resamples, rng)
+        header, records = read_records(path)
+        config = config_from_dict(header)
+        rates = {
+            rec.stage: resample(rec, config.bootstrap.resamples, derive_seed(
+                config.seed, pipeline.CI_SEED_ROLE, pipeline.STAGE_SEED_ROLE[rec.stage]))
+            for rec in records
+        }
+        _, sweeps = pipeline._plan(config)
+        for stage in ("ii", "iii"):
+            diffs = rates[stage] - rates["i"]
+            for sweep in sweeps:
+                rows, locations = sweep_crossings(sweep.observable, diffs, sweep.grid)
+                columns = sweep.observable(sweep.grid).T
+                step = passivity._BLOCK_VALUES // len(sweep.grid)
+                values = np.vstack([diffs[s:s + step] @ columns
+                                    for s in range(0, len(diffs), step)])
+                r, lo, hi = oracle_sign_brackets(values, sweep.grid)
+                assert np.array_equal(rows, r)
+                reference = oracle_refine(sweep.observable, diffs[r], lo, hi)
+                assert np.all(np.abs(locations - reference) <= 1e-12)
+                located += len(rows)
+    assert located >= 16 * 1900
