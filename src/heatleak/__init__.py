@@ -1,5 +1,5 @@
-"""heatleak: exact density-operator simulation plus passivity-based
-heat-leak detection for small qubit registers."""
+"""heatleak: exact stage statistics plus passivity-based heat-leak
+detection for small qubit registers."""
 
 from .register import (
     DensityOperator,
@@ -13,11 +13,10 @@ from .register import (
     thermal_qubit,
 )
 from .circuits import (
-    Circuit,
     ProtocolConfig,
-    build_protocol,
     phase_gate,
     ry_gate,
+    stage_unitaries,
     swap_gate,
 )
 from .passivity import (

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -196,11 +196,20 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _check_types(kwargs)
     for name, cls in (("protocol", ProtocolConfig), ("spam", SpamModel),
                       ("bootstrap", BootstrapConfig)):
-        if name in kwargs:
-            try:
-                kwargs[name] = cls(**kwargs[name])
-            except TypeError as exc:
-                raise ShotsError(f"config field {name!r}: {exc}") from exc
+        if name not in kwargs:
+            continue
+        section = kwargs[name]
+        if not isinstance(section, dict):
+            raise ShotsError(f"invalid config: {name!r} must be an object, "
+                             f"got {section!r}")
+        unknown = sorted(set(section) - set(cls.__dataclass_fields__))
+        missing = [f.name for f in fields(cls) if f.name not in section
+                   and f.default is MISSING and f.default_factory is MISSING]
+        for problem, names in (("unknown", unknown), ("missing", missing)):
+            if names:
+                raise ShotsError(f"invalid config: {problem} fields "
+                                 f"{[f'{name}.{n}' for n in names]}")
+        kwargs[name] = cls(**section)
     try:
         return ExperimentConfig(**kwargs)
     except TypeError as exc:

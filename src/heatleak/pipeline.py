@@ -19,6 +19,7 @@ any strength reaches the configured significance.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -26,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circuits import build_protocol, evolve_stages
+from .circuits import stage_unitaries
 from .config import ExperimentConfig, config_from_dict
 from .passivity import (
     alpha_observable,
@@ -38,7 +39,7 @@ from .passivity import (
     xi_observable,
 )
 from .recordio import read_records, write_json, write_records, write_sweep_csv
-from .register import measure_distribution
+from .register import thermal_qubit
 from .shots import (
     ShotsError,
     apply_spam,
@@ -73,13 +74,27 @@ class Verdict:
 
 
 def stage_distributions(config: ExperimentConfig) -> dict[str, np.ndarray]:
-    """Exact measured-qubit distributions at the three stages (no SPAM)."""
-    circuit = build_protocol(config.protocol)
-    targets = [circuit.qubit_index(lbl) for lbl in MEASURED]
-    return {
-        stage: measure_distribution(state, targets)
-        for stage, state in evolve_stages(circuit).items()
-    }
+    """Exact measured-qubit distributions at the three stages (no SPAM).
+
+    The initial state is a product of thermal qubits, so it is diagonal, and
+    its populations p0 are the Kronecker product of the qubits' thermal
+    populations.  A unitary U takes diagonal populations p0 to |U|^2 @ p0,
+    and |U|^2 is doubly stochastic (its rows and columns sum to 1): that is
+    the premise of every passivity bound the analysis tests (Uzdin & Rahav,
+    PRX 8, 021064 (2018)).  The measured
+    distribution is the (c, h) marginal of |U|^2 @ p0, renormalized.
+    """
+    protocol = config.protocol
+    p0 = functools.reduce(np.kron, (
+        np.diagonal(thermal_qubit(beta).matrix).real
+        for beta in (protocol.beta_c, protocol.beta_h, protocol.beta_e)
+    ))
+    dists = {}
+    for stage, u in stage_unitaries(protocol).items():
+        # outcome index c*4 + h*2 + e: summing adjacent pairs sums out e
+        marginal = (np.abs(u) ** 2 @ p0).reshape(4, 2).sum(axis=1)
+        dists[stage] = marginal / marginal.sum()
+    return dists
 
 
 @dataclass(frozen=True)

@@ -576,12 +576,37 @@ def test_analyze_resamples_each_record_once(tmp_path, monkeypatch, stages):
 
 
 def test_config_rejects_malformed_sections():
-    with pytest.raises(ShotsError, match="'spam'"):
+    with pytest.raises(ShotsError, match="'spam.turbo'"):
         config_from_dict({"spam": {"flip_0_to_1": 0.1, "turbo": 1}})
     with pytest.raises(ShotsError, match="'bootstrap'"):
         config_from_dict({"bootstrap": 5})
     with pytest.raises(ShotsError, match="invalid config"):
         config_from_dict({"shots_per_stage": "many"})
+
+
+_BETAS = {"beta_c": 2.23, "beta_h": 0.43, "beta_e": 2.02}
+
+
+@pytest.mark.parametrize("config, expected", [
+    # a named variant does not fill in its reference betas; --variant does
+    ({"protocol": {"variant": "A", "phi": 2.05}},
+     "invalid config: missing fields "
+     "['protocol.beta_c', 'protocol.beta_h', 'protocol.beta_e']"),
+    ({"protocol": 5}, "invalid config: 'protocol' must be an object, got 5"),
+    ({"protocol": {"variant": "A", **_BETAS, "foo": 1}},
+     "invalid config: unknown fields ['protocol.foo']"),
+    ({"spam": [0.1]}, "invalid config: 'spam' must be an object, got [0.1]"),
+    ({"bootstrap": {"resamples": 100, "foo": 1}},
+     "invalid config: unknown fields ['bootstrap.foo']"),
+], ids=["protocol-missing", "protocol-int", "protocol-unknown", "spam-list",
+        "bootstrap-unknown"])
+def test_cli_config_section_names_bad_field(tmp_path, capsys, config, expected):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "exact"
+    assert main(["exact", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not out.exists()
 
 
 MISTYPED_HEADER_FIELDS = [

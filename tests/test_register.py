@@ -240,14 +240,15 @@ def test_measure_respects_qubit_order():
 
 
 def test_measure_protocol_a_matches_oracle():
-    # full package evolution checked against the hand-built 8x8 oracle
-    from heatleak import ProtocolConfig, build_protocol
-    from heatleak.circuits import evolve_stages
+    # the package's stage-iii unitary, applied to the thermal product state
+    # by the register, checked against the hand-built 8x8 oracle
+    from heatleak import ProtocolConfig, stage_unitaries
 
-    circ = build_protocol(
+    u = stage_unitaries(
         ProtocolConfig(variant="A", beta_c=2.23, beta_h=0.43, beta_e=2.02)
-    )
-    state = evolve_stages(circ)["iii"]
+    )["iii"]
+    init = tensor(tensor(thermal_qubit(2.23), thermal_qubit(0.43)), thermal_qubit(2.02))
+    state = apply_unitary(init, UnitaryOperator(u), [0, 1, 2])
     got = measure_distribution(state, [0, 1])
     _, _, expected = oracle_protocol_a(True)
     assert np.max(np.abs(got - expected)) < 1e-12
