@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circuits import stage_unitaries
+from .circuits import QUBITS, stage_unitaries
 from .config import ExperimentConfig, config_from_dict
 from .passivity import (
     alpha_observable,
@@ -39,7 +39,7 @@ from .passivity import (
     xi_observable,
 )
 from .recordio import read_records, write_json, write_records, write_sweep_csv
-from .register import thermal_qubit
+from .register import thermal_populations
 from .shots import (
     ShotsError,
     apply_spam,
@@ -86,13 +86,13 @@ def stage_distributions(config: ExperimentConfig) -> dict[str, np.ndarray]:
     """
     protocol = config.protocol
     p0 = functools.reduce(np.kron, (
-        np.diagonal(thermal_qubit(beta).matrix).real
-        for beta in (protocol.beta_c, protocol.beta_h, protocol.beta_e)
+        thermal_populations(getattr(protocol, f"beta_{q}")) for q in QUBITS
     ))
+    unmeasured = tuple(k for k, q in enumerate(QUBITS) if q not in MEASURED)
     dists = {}
     for stage, u in stage_unitaries(protocol).items():
-        # outcome index c*4 + h*2 + e: summing adjacent pairs sums out e
-        marginal = (np.abs(u) ** 2 @ p0).reshape(4, 2).sum(axis=1)
+        populations = (np.abs(u) ** 2 @ p0).reshape((2,) * len(QUBITS))
+        marginal = populations.sum(axis=unmeasured).ravel()
         dists[stage] = marginal / marginal.sum()
     return dists
 

@@ -91,8 +91,8 @@ class UnitaryOperator:
         return f"UnitaryOperator(num_qubits={self.num_qubits})"
 
 
-def thermal_qubit(beta: float) -> DensityOperator:
-    """Single-qubit thermal state diag(p0, 1-p0) with p0 = 1/(1 + e^(-beta)).
+def thermal_populations(beta: float) -> np.ndarray:
+    """Single-qubit thermal populations (p0, 1-p0) with p0 = 1/(1 + e^(-beta)).
 
     The exponential's argument is kept non-positive, so it never overflows;
     it underflows to 0 for |beta| above about 745, which gives the pure
@@ -105,7 +105,12 @@ def thermal_qubit(beta: float) -> DensityOperator:
         p0 = 1.0 / (1.0 + math.exp(-beta))
     else:
         p0 = math.exp(beta) / (1.0 + math.exp(beta))
-    return DensityOperator(np.diag([p0, 1.0 - p0]))
+    return np.array([p0, 1.0 - p0])
+
+
+def thermal_qubit(beta: float) -> DensityOperator:
+    """Single-qubit thermal state diag(thermal_populations(beta))."""
+    return DensityOperator(np.diag(thermal_populations(beta)))
 
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:

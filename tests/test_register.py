@@ -17,7 +17,7 @@ from heatleak import (
 from heatleak.circuits import ry_gate, swap_gate
 
 from conftest import haar_unitary, random_density
-from oracles import oracle_protocol_a
+from oracles import ORACLE_SWAP, oracle_phase, oracle_protocol_a, oracle_ry
 
 
 # ---------------------------------------------------------------- thermal
@@ -240,15 +240,14 @@ def test_measure_respects_qubit_order():
 
 
 def test_measure_protocol_a_matches_oracle():
-    # the package's stage-iii unitary, applied to the thermal product state
-    # by the register, checked against the hand-built 8x8 oracle
-    from heatleak import ProtocolConfig, stage_unitaries
-
-    u = stage_unitaries(
-        ProtocolConfig(variant="A", beta_c=2.23, beta_h=0.43, beta_e=2.02)
-    )["iii"]
-    init = tensor(tensor(thermal_qubit(2.23), thermal_qubit(0.43)), thermal_qubit(2.02))
-    state = apply_unitary(init, UnitaryOperator(u), [0, 1, 2])
+    # the register alone runs protocol A gate by gate, each oracle gate
+    # matrix on its target qubits, and matches the oracle's 8x8 evolution
+    layer = [(oracle_ry(math.pi / 4), [0]), (oracle_ry(math.pi / 4), [1])]
+    gates = layer + [(oracle_phase(3 * math.pi / 4), [0, 1])] + layer
+    gates.append((ORACLE_SWAP, [1, 2]))
+    state = tensor(tensor(thermal_qubit(2.23), thermal_qubit(0.43)), thermal_qubit(2.02))
+    for matrix, targets in gates:
+        state = apply_unitary(state, UnitaryOperator(matrix), targets)
     got = measure_distribution(state, [0, 1])
     _, _, expected = oracle_protocol_a(True)
     assert np.max(np.abs(got - expected)) < 1e-12
