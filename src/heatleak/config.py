@@ -3,9 +3,9 @@
 A config file is a single JSON document in which every field has a default.
 Every config read from outside the program (a config file, the config echoed
 in a record-file header, or either one with CLI flags applied) goes through
-config_from_dict, which checks each field's JSON type before the dataclasses
-check its range.  The default alpha grid is 121 uniform points on [-3, 3]
-with 0 removed (a constant observable tests nothing).
+config_from_dict: it checks each field's annotated JSON type, then the
+dataclasses check its range.  The default alpha grid is 121 uniform points
+on [-3, 3] with 0 removed (a constant observable tests nothing).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .circuits import ProtocolConfig
-from .passivity import PassivityError, admissible_xi_grid, build_B, energy_basis_values
+from .passivity import PassivityError, build_B, deformation_bounds, energy_basis_values
 from .shots import BootstrapConfig, ShotsError, SpamModel
 
 REFERENCE_PARAMS = {
@@ -60,6 +60,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.shots_per_stage <= 0:
             raise ShotsError("shots_per_stage must be positive")
+        if self.shots_per_stage >= 2**63:  # int64, like the shots of a record
+            raise ShotsError(f"shots_per_stage must be below 2**63, got {self.shots_per_stage}")
         if self.seed < 0:
             raise ShotsError("seed must be non-negative")
         if self.epsilon <= 0 or not math.isfinite(self.epsilon):
@@ -74,30 +76,40 @@ class ExperimentConfig:
         if isinstance(self.xi_grid, list):
             _check_increasing("xi_grid", self.xi_grid)
             try:
-                B = build_B({"c": self.protocol.beta_c, "h": self.protocol.beta_h},
-                            self.epsilon)
-                admissible_xi_grid(B.basis_values, energy_basis_values(2, 1),
-                                   self.xi_grid)
+                self.deformation_grid()
             except PassivityError as exc:
                 raise ShotsError(str(exc)) from exc
         if not self.significance > 0:
             raise ShotsError("significance must be positive")
 
-    def wants_deformation(self) -> bool:
-        """Deformation tests run for variant B by default, or when a xi grid
-        is configured explicitly."""
-        return self.xi_grid is not None or self.protocol.variant == "B"
+    def deformation_grid(self) -> np.ndarray | None:
+        """The xi grid of the deformation test, None when that test does not
+        run: it runs for variant B, or when a xi grid is configured.
 
-    def resolve_xi_grid(self, xi_min: float, xi_max: float) -> np.ndarray:
-        """Materialize the xi grid; "auto"/None fill the admissible interval."""
-        if isinstance(self.xi_grid, list):
-            return np.asarray(self.xi_grid, dtype=float)
-        if not (math.isfinite(xi_min) and math.isfinite(xi_max)):
-            raise ShotsError(
-                "cannot auto-fill an unbounded deformation interval; "
-                "provide an explicit xi grid"
-            )
-        return np.linspace(xi_min, xi_max, DEFAULT_XI_POINTS)
+        An explicit grid must be finite and inside the admissible interval
+        of B + xi*H_h up to a relative 1e-12 (rounding at the exact
+        endpoints); "auto" and None fill that interval, which then must be
+        bounded, with DEFAULT_XI_POINTS points.
+        """
+        if self.xi_grid is None and self.protocol.variant != "B":
+            return None
+        B = build_B({"c": self.protocol.beta_c, "h": self.protocol.beta_h}, self.epsilon)
+        bounds = deformation_bounds(B.basis_values, energy_basis_values(2, 1))
+        lo, hi = bounds.xi_min, bounds.xi_max
+        if not isinstance(self.xi_grid, list):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ShotsError("cannot auto-fill an unbounded deformation interval; "
+                                 "provide an explicit xi grid")
+            return np.linspace(lo, hi, DEFAULT_XI_POINTS)
+        grid = np.asarray(self.xi_grid, dtype=float)
+        if not np.all(np.isfinite(grid)):
+            raise ShotsError("xi grid must be finite")
+        slack = 1e-12 * max([1.0, *(abs(x) for x in (lo, hi) if math.isfinite(x))])
+        outside = (grid < lo - slack) | (grid > hi + slack)
+        if outside.any():
+            raise ShotsError(f"xi grid point {float(grid[outside][0])} outside the "
+                             f"admissible interval [{lo}, {hi}]")
+        return grid
 
     def to_dict(self) -> dict:
         """The config as JSON-ready data, equal to dataclasses.asdict(self).
@@ -128,92 +140,74 @@ def _fields(instance) -> dict:
     return {f.name: getattr(instance, f.name) for f in fields(instance)}
 
 
-# JSON type of every typed field per config section ("" is the top level);
-# numbers must be finite (|beta| >= 1000 already gives an exact pure state)
-_INTEGER, _NUMBER = "an integer", "a finite number"
-_FIELD_TYPES = {
-    "": {"shots_per_stage": _INTEGER, "seed": _INTEGER,
-         "epsilon": _NUMBER, "significance": _NUMBER},
-    "protocol": {"variant": "a string", "include_env_swap": "a boolean",
-                 "beta_c": _NUMBER, "beta_h": _NUMBER, "beta_e": _NUMBER,
-                 "phi": _NUMBER, "theta": _NUMBER},
-    "spam": {"flip_0_to_1": _NUMBER, "flip_1_to_0": _NUMBER},
-    "bootstrap": {"resamples": _INTEGER, "seed": _INTEGER, "confidence": _NUMBER},
-}
-
 # protocol fields that were removed, with the one value that record headers
 # written before the removal echo; only that value is accepted (and dropped)
 _REMOVED_PROTOCOL_FIELDS = {"b_gate_order": "swap_then_rotate",
                             "env_swap_partner": None}
 
 
-def _has_type(value, kind: str) -> bool:
-    if kind in ("a string", "a boolean"):
-        return isinstance(value, str if kind == "a string" else bool)
-    if isinstance(value, bool) or not isinstance(
-            value, int if kind == _INTEGER else (int, float)):
-        return False
-    return not isinstance(value, float) or math.isfinite(value)
+def _number(value) -> bool:
+    """A JSON number, finite (|beta| >= 1000 already gives an exact pure state)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
 
 
-def _check_types(data: dict) -> None:
-    """Reject mistyped fields before they reach the dataclasses or numpy."""
-    for section, types in _FIELD_TYPES.items():
-        fields = data.get(section, {}) if section else data
-        if not isinstance(fields, dict):
-            continue  # reported when the section is built
-        for name, kind in types.items():
-            if name in fields and not _has_type(fields[name], kind):
-                label = f"{section}.{name}" if section else name
-                raise ShotsError(f"invalid config: {label!r} must be {kind}, "
-                                 f"got {fields[name]!r}")
-    for name in ("alpha_grid", "xi_grid"):
-        if name not in data or (name == "xi_grid" and data[name] in (None, "auto")):
-            continue
-        grid = data[name]
-        if not isinstance(grid, list) or not grid or not all(
-                _has_type(x, _NUMBER) for x in grid):
-            raise ShotsError(f"invalid config: {name!r} must be a non-empty list "
-                             f"of finite numbers, got {grid!r}")
+# the JSON type that each field annotation names: its wording and its test
+_GRID = ("a non-empty list of finite numbers",
+         lambda v: isinstance(v, list) and len(v) > 0 and all(map(_number, v)))
+_JSON_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a finite number", _number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "list[float]": _GRID,
+    "list[float] | str | None": (_GRID[0], lambda v: v in (None, "auto") or _GRID[1](v)),
+}
+_SECTIONS = {cls.__name__: cls for cls in (ProtocolConfig, SpamModel, BootstrapConfig)}
+
+
+def _read(cls, data, path: str = ""):
+    """cls built from the JSON object data, path its dotted name ("" at the
+    top level).  Unknown and missing fields are rejected first, then each
+    field is checked against the JSON type its annotation names, a config
+    section by reading it in turn; ShotsError names the bad field."""
+    if not isinstance(data, dict):
+        raise ShotsError(f"invalid config: {path!r} must be an object, got {data!r}")
+    spec = cls.__dataclass_fields__
+    prefix = f"{path}." if path else ""
+    unknown = sorted(set(data) - set(spec))
+    missing = [name for name, f in spec.items() if name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    for problem, names in (("unknown", unknown), ("missing", missing)):
+        if names:
+            raise ShotsError(f"invalid config: {problem} fields "
+                             f"{[prefix + name for name in names]}")
+    kwargs = {}
+    for name, value in data.items():
+        kind = spec[name].type
+        if kind in _SECTIONS:
+            value = _read(_SECTIONS[kind], value, prefix + name)
+        elif not _JSON_TYPES[kind][1](value):
+            raise ShotsError(f"invalid config: {prefix + name!r} must be "
+                             f"{_JSON_TYPES[kind][0]}, got {value!r}")
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """The validated config of a JSON object; ShotsError names a bad field."""
     if not isinstance(data, dict):
         raise ShotsError("config must be a JSON object")
-    kwargs = dict(data)
-    unknown = set(kwargs) - set(ExperimentConfig.__dataclass_fields__)
-    if unknown:
-        raise ShotsError(f"unknown config fields {sorted(unknown)}")
-    if isinstance(kwargs.get("protocol"), dict):
-        kwargs["protocol"] = protocol = dict(kwargs["protocol"])
+    if isinstance(data.get("protocol"), dict):
+        protocol = dict(data["protocol"])
         for name, legacy in _REMOVED_PROTOCOL_FIELDS.items():
             value = protocol.pop(name, legacy)
             if value != legacy:
                 raise ShotsError(f"invalid config: 'protocol.{name}' was removed; "
                                  f"older record files echo it as {legacy!r}, "
                                  f"got {value!r}")
-    _check_types(kwargs)
-    for name, cls in (("protocol", ProtocolConfig), ("spam", SpamModel),
-                      ("bootstrap", BootstrapConfig)):
-        if name not in kwargs:
-            continue
-        section = kwargs[name]
-        if not isinstance(section, dict):
-            raise ShotsError(f"invalid config: {name!r} must be an object, "
-                             f"got {section!r}")
-        unknown = sorted(set(section) - set(cls.__dataclass_fields__))
-        missing = [f.name for f in fields(cls) if f.name not in section
-                   and f.default is MISSING and f.default_factory is MISSING]
-        for problem, names in (("unknown", unknown), ("missing", missing)):
-            if names:
-                raise ShotsError(f"invalid config: {problem} fields "
-                                 f"{[f'{name}.{n}' for n in names]}")
-        kwargs[name] = cls(**section)
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ShotsError(f"invalid config: {exc}") from exc
+        data = {**data, "protocol": protocol}
+    return _read(ExperimentConfig, data)
 
 
 def load_config(path: str) -> ExperimentConfig:

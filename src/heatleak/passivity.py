@@ -41,13 +41,12 @@ def energy_basis_values(num_qubits: int, qubit: int) -> np.ndarray:
 class GlobalPassivityOperator:
     """Diagonal globally passive operator built from inverse temperatures.
 
-    basis_values[k] = sum_j beta_j * E_j(k) - d with the shift d chosen so
-    that min(basis_values) is exactly epsilon > 0.
+    basis_values[k] = sum_j beta_j * E_j(k) shifted so that
+    min(basis_values) is exactly epsilon > 0 (see build_B).
     """
 
     betas: dict[str, float]
     epsilon: float
-    d: float
     basis_values: np.ndarray
 
 
@@ -84,7 +83,7 @@ def build_B(betas, epsilon: float) -> GlobalPassivityOperator:
         raise PassivityError(f"epsilon = {epsilon} swamps the betas: the eigenvalues "
                              "of B lose the order of the outcome energies")
     values.setflags(write=False)
-    return GlobalPassivityOperator(betas=betas, epsilon=epsilon, d=d, basis_values=values)
+    return GlobalPassivityOperator(betas=betas, epsilon=epsilon, basis_values=values)
 
 
 def observable_table(B: GlobalPassivityOperator, alpha_grid,
@@ -171,25 +170,6 @@ def deformation_bounds(b_values, a_values) -> DeformationBounds:
         xi_max=xi_max,
         binding_pairs={"xi_min": min_pairs, "xi_max": max_pairs},
     )
-
-
-def admissible_xi_grid(b_values, a_values, grid) -> np.ndarray:
-    """The xi grid as a float array, checked to be finite and inside the
-    interval of deformation_bounds up to a relative 1e-12 (rounding at the
-    exact endpoints); PassivityError otherwise."""
-    grid = np.asarray(grid, dtype=float)
-    if not np.all(np.isfinite(grid)):
-        raise PassivityError("xi grid must be finite")
-    bounds = deformation_bounds(b_values, a_values)
-    finite = [abs(x) for x in (bounds.xi_min, bounds.xi_max) if math.isfinite(x)]
-    slack = 1e-12 * max([1.0, *finite])
-    outside = (grid < bounds.xi_min - slack) | (grid > bounds.xi_max + slack)
-    if outside.any():
-        raise PassivityError(
-            f"xi grid point {float(grid[outside][0])} outside the admissible "
-            f"interval [{bounds.xi_min}, {bounds.xi_max}]"
-        )
-    return grid
 
 
 # Sign detection takes the rows of a sweep in blocks of about this many grid

@@ -130,11 +130,9 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep]]:
         alpha_observable(B), alpha_grid,
         slice(0, n_alpha), 1.0,
     )]
-    xi_grid = None
-    if config.wants_deformation():
+    xi_grid = config.deformation_grid()
+    if xi_grid is not None:
         h_c, h_h = energy_basis_values(2, 0), energy_basis_values(2, 1)
-        bounds = deformation_bounds(B.basis_values, h_h)
-        xi_grid = config.resolve_xi_grid(bounds.xi_min, bounds.xi_max)
         beta_c, beta_h = B.betas["c"], B.betas["h"]
         sweeps.append(Sweep(
             "deformation", "xi",

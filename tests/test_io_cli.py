@@ -8,10 +8,12 @@ import pytest
 
 from heatleak import (
     ExperimentConfig,
+    ProtocolConfig,
     ShotRecord,
     ShotsError,
     SpamModel,
     build_B,
+    deformation_bounds,
     observable_table,
     reference_protocol,
 )
@@ -176,7 +178,7 @@ def test_config_defaults():
 
 
 def test_config_rejects_unknown_fields():
-    with pytest.raises(ShotsError, match="unknown config fields"):
+    with pytest.raises(ShotsError, match=r"^invalid config: unknown fields \['turbo'\]$"):
         config_from_dict({"turbo": True})
 
 
@@ -197,19 +199,44 @@ def test_load_config_file(tmp_path):
 
 
 def test_config_auto_xi_grid():
-    cfg = ExperimentConfig(protocol=reference_protocol("B"))
-    grid = cfg.resolve_xi_grid(-1.099, 0.528)
+    # the deformation test runs for variant B, or when a xi grid is configured
+    assert ExperimentConfig().deformation_grid() is None
+    for cfg in (ExperimentConfig(protocol=reference_protocol("B")),
+                ExperimentConfig(protocol=reference_protocol("B"), xi_grid="auto"),
+                ExperimentConfig(xi_grid="auto")):
+        grid = cfg.deformation_grid()
+        bounds = deformation_bounds(
+            build_B({"c": cfg.protocol.beta_c, "h": cfg.protocol.beta_h},
+                    cfg.epsilon).basis_values, [0.0, 1.0, 0.0, 1.0])
+        assert np.array_equal(grid, np.linspace(bounds.xi_min, bounds.xi_max, 41))
+    assert grid[0] == pytest.approx(-0.43) and grid[-1] == pytest.approx(1.8)
+    grid = ExperimentConfig(protocol=reference_protocol("B")).deformation_grid()
     assert grid[0] == pytest.approx(-1.099)
     assert grid[-1] == pytest.approx(0.528)
-    assert cfg.wants_deformation()
-    assert not ExperimentConfig().wants_deformation()
+    # beta_c == beta_h leaves the interval unbounded above: nothing to fill
+    tie = ProtocolConfig(variant="B", beta_c=1.0, beta_h=1.0, beta_e=2.0)
+    for xi_grid in (None, "auto"):
+        with pytest.raises(ShotsError, match="cannot auto-fill an unbounded"):
+            ExperimentConfig(protocol=tie, xi_grid=xi_grid).deformation_grid()
 
 
 def test_config_rejects_xi_grid_outside_bounds():
-    with pytest.raises(ShotsError, match="admissible interval"):
-        ExperimentConfig(protocol=reference_protocol("B"), xi_grid=[-2.0])
+    for xi_grid in ([-2.0], [0.6], [-1.0, 0.0, 0.6]):
+        with pytest.raises(ShotsError, match="admissible interval"):
+            ExperimentConfig(protocol=reference_protocol("B"), xi_grid=xi_grid)
     cfg = ExperimentConfig(protocol=reference_protocol("B"), xi_grid=[-1.0, 0.0, 0.5])
-    assert cfg.wants_deformation()
+    assert np.array_equal(cfg.deformation_grid(), [-1.0, 0.0, 0.5])
+    # the endpoints themselves are admissible, up to rounding
+    cfg.xi_grid = [-1.099 * (1 + 1e-13), 0.528 * (1 + 1e-13)]
+    assert cfg.deformation_grid().tolist() == cfg.xi_grid
+    # the method checks the grid itself, not only the constructor
+    for xi_grid, message in (([-2.0], r"xi grid point -2\.0 outside the admissible "
+                                      r"interval \[-1\.099, 0\.528\]"),
+                             ([0.6], "xi grid point 0.6 outside"),
+                             ([float("nan")], "xi grid must be finite")):
+        cfg.xi_grid = xi_grid
+        with pytest.raises(ShotsError, match=message):
+            cfg.deformation_grid()
 
 
 _XI = [-1.0, -0.5, 0.0, 0.5]
@@ -609,6 +636,23 @@ def test_cli_config_section_names_bad_field(tmp_path, capsys, config, expected):
     assert not out.exists()
 
 
+def test_cli_shots_per_stage_beyond_int64_exit_one(tmp_path, capsys):
+    """numpy draws int64 shot counts, and record files hold shot totals below
+    2**63: a larger shots_per_stage is a config error, not a traceback."""
+    out = tmp_path / "run"
+    assert main(["simulate", "--shots-per-stage", str(2**63), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: shots_per_stage must be below 2**63, got 9223372036854775808\n")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"shots_per_stage": 2**64}))
+    assert main(["exact", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: shots_per_stage must be below 2**63")
+    assert not out.exists()
+    assert main(["simulate", "--shots-per-stage", str(2**63 - 1), "--out", str(out)]) == 0
+    _, records = read_records(str(out / "records.jsonl"))
+    assert {rec.shots for rec in records} == {2**63 - 1}
+
+
 MISTYPED_HEADER_FIELDS = [
     ("alpha_grid", ["a"]),
     ("seed", "x"),
@@ -623,6 +667,11 @@ MISTYPED_HEADER_FIELDS = [
     ("bootstrap.seed", "x"),
     ("protocol.include_env_swap", "false"),
     ("protocol.variant", 1),
+    ("protocol.beta_c", "x"),
+    ("protocol.beta_h", None),
+    ("protocol.beta_e", float("inf")),
+    ("spam.flip_0_to_1", "0.1"),
+    ("bootstrap.confidence", True),
 ]
 
 

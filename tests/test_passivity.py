@@ -25,7 +25,7 @@ from heatleak import (
     xi_observable,
 )
 from heatleak.config import config_from_dict
-from heatleak.passivity import _refine, _sign_brackets, admissible_xi_grid
+from heatleak.passivity import _refine, _sign_brackets
 from heatleak.recordio import read_records
 from heatleak.shots import derive_seed
 
@@ -332,14 +332,6 @@ def test_deformation_sweep_flag_matches_raw_sign():
     grid = np.linspace(-1.099, 0.528, 21)
     assert np.array_equal(_normal_form(B, p_i, p_iii, grid) < 0,
                           _raw_form(B, p_i, p_iii, grid) < 0)
-
-
-def test_deformation_sweep_rejects_out_of_bounds_grid():
-    B = build_B({"c": 1.627, "h": 1.099}, 1e-3)
-    with pytest.raises(PassivityError):
-        admissible_xi_grid(B.basis_values, A_VALUES_HH, [-2.0])
-    with pytest.raises(PassivityError):
-        admissible_xi_grid(B.basis_values, A_VALUES_HH, [0.6])
 
 
 def test_deformation_sweep_rejects_nonpositive_beta_c():
