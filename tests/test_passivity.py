@@ -7,7 +7,9 @@ import pytest
 
 import oracles
 from heatleak import (
+    ExperimentConfig,
     PassivityError,
+    ShotsError,
     alpha_observable,
     build_B,
     deformation_bounds,
@@ -17,6 +19,7 @@ from heatleak import (
     observable_table,
     passivity,
     pipeline,
+    reference_protocol,
     resample,
     sample_shots,
     sweep_crossings,
@@ -332,6 +335,19 @@ def test_deformation_sweep_flag_matches_raw_sign():
     grid = np.linspace(-1.099, 0.528, 21)
     assert np.array_equal(_normal_form(B, p_i, p_iii, grid) < 0,
                           _raw_form(B, p_i, p_iii, grid) < 0)
+
+
+def test_deformation_sweep_rejects_out_of_bounds_grid():
+    # the xi grid is checked against the admissible interval of B + xi*H_h
+    cfg = ExperimentConfig(protocol=reference_protocol("B"))
+    assert (cfg.protocol.beta_c, cfg.protocol.beta_h) == (1.627, 1.099)
+    B = build_B({"c": 1.627, "h": 1.099}, cfg.epsilon)
+    bounds = deformation_bounds(B.basis_values, A_VALUES_HH)
+    for xi in (-2.0, 0.6):
+        assert not bounds.xi_min <= xi <= bounds.xi_max
+        cfg.xi_grid = [xi]
+        with pytest.raises(ShotsError, match="outside the admissible interval"):
+            cfg.deformation_grid()
 
 
 def test_deformation_sweep_rejects_nonpositive_beta_c():
