@@ -88,14 +88,15 @@ def stage_unitaries(config: ProtocolConfig) -> dict[str, np.ndarray]:
     def on(u: UnitaryOperator, *labels: str) -> np.ndarray:
         return embed_unitary(u, [QUBITS.index(lbl) for lbl in labels], len(QUBITS))
 
+    swap = swap_gate()
     if config.variant == "A":
-        # joint pi/2 rotation layer of both system qubits, one gate per layer
-        half = ry_gate(math.pi / 4).matrix
-        layer = on(UnitaryOperator(np.kron(half, half)), "c", "h")
+        # joint pi/2 rotation layer of both system qubits
+        half = ry_gate(math.pi / 4)
+        layer = on(half, "c") @ on(half, "h")
         system = layer @ on(phase_gate(config.phi), "c", "h") @ layer
         partner = "h"
     else:
-        system = on(ry_gate(config.theta / 2.0), "h") @ on(swap_gate(), "c", "h")
+        system = on(ry_gate(config.theta / 2.0), "h") @ on(swap, "c", "h")
         partner = "c"
-    env = on(swap_gate(), partner, "e") @ system if config.include_env_swap else system
+    env = on(swap, partner, "e") @ system if config.include_env_swap else system
     return {"i": np.eye(2 ** len(QUBITS), dtype=complex), "ii": system, "iii": env}

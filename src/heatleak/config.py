@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -147,9 +148,10 @@ _REMOVED_PROTOCOL_FIELDS = {"b_gate_order": "swap_then_rotate",
 
 
 def _number(value) -> bool:
-    """A JSON number, finite (|beta| >= 1000 already gives an exact pure state)."""
+    """A JSON number that a finite float holds (|beta| >= 1000 already gives
+    an exact pure state); the bound is exact for integers, false for inf and NaN."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and (isinstance(value, int) or math.isfinite(value)))
+            and abs(value) <= sys.float_info.max)
 
 
 # the JSON type that each field annotation names: its wording and its test
@@ -214,6 +216,6 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an int over the digit limit
             raise ShotsError(f"config {path}: invalid JSON ({exc})") from exc
     return config_from_dict(data)

@@ -1,20 +1,21 @@
 """Experiment orchestration: exact curves, simulation, analysis, verdicts.
 
 The analysis compares the measured stage-ii and stage-iii distributions
-against stage i through three channels:
+against stage i through three channels, each a column group of
+``passivity.observable_table`` that ``_plan`` states:
 
-* ``second-law``        beta-weighted energy change (alpha = 1 member),
-* ``global-passivity``  the full alpha family delta<B^alpha> >= 0,
-* ``deformation``       delta<B> + xi*delta<H_h> >= 0 on the admissible
-                        xi interval (variant B, or any explicit xi grid).
+* ``second-law``        the B column, delta<B> >= 0 (alpha = 1 member),
+* ``global-passivity``  the alpha block, delta<B^alpha> >= 0,
+* ``deformation``       the xi block, delta<B> + xi*delta<H_h> >= 0 on the
+                        admissible xi interval (variant B, or any xi grid).
 
-Every channel value is the change in expectation of one column of
-``passivity.observable_table``, so one bootstrap of ``(pf - p0) @ V`` serves
-all three.  Each record is resampled once, from a per-stage seed, and every
-statistic of a stage pair (CIs and thresholds) reads the same resampled
-changes; both pairs share stage i's draw.  Each channel's strength is its
-worst violation measured in bootstrap standard errors; a verdict fires when
-any strength reaches the configured significance.
+One bootstrap of ``(pf - p0) @ V`` serves all three.  Each record is
+resampled once, from a per-stage seed, and every statistic of a stage pair
+(CIs and thresholds) reads the same resampled changes; both pairs share
+stage i's draw.  A column's depth is its violation in bootstrap standard
+errors; a channel's strength is the largest depth over its group and both
+stage pairs, and a verdict fires when any strength reaches the configured
+significance.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .shots import (
 STAGE_SEED_ROLE = {"i": 0, "ii": 1, "iii": 2}
 CI_SEED_ROLE = 100
 
-CHANNELS = ("second-law", "global-passivity", "deformation")
 MEASURED = ("c", "h")
 
 
@@ -68,9 +68,6 @@ class Verdict:
     thresholds: list[dict] = field(default_factory=list)
     significance: float = 3.0
     notes: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def stage_distributions(config: ExperimentConfig) -> dict[str, np.ndarray]:
@@ -101,11 +98,11 @@ def stage_distributions(config: ExperimentConfig) -> dict[str, np.ndarray]:
 class Sweep:
     """One parameter sweep of a channel and how its outputs are written.
 
-    columns is the sweep's slice of the observable table; sides(diff,
-    values) gives the CSV's lhs and rhs from the distribution change and
-    its values on those columns, and the CSV's CI columns are the bootstrap
-    CI of the values divided by ci_divisor.  The sweep's thresholds are the
-    sign crossings of diff @ observable(x) over grid.
+    sides(diff, values) gives the CSV's lhs and rhs from the distribution
+    change and its values on the channel's column group, and the CSV's CI
+    columns are the bootstrap CI of the values divided by ci_divisor.  The
+    sweep's thresholds are the sign crossings of diff @ observable(x) over
+    grid.
     """
 
     channel: str
@@ -113,12 +110,13 @@ class Sweep:
     sides: Callable[[np.ndarray, np.ndarray], tuple]
     observable: Callable[[np.ndarray], np.ndarray]
     grid: np.ndarray
-    columns: slice
     ci_divisor: float
 
 
-def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep]]:
-    """The observable table and the sweeps this config runs."""
+def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep], dict[str, slice]]:
+    """The observable table, the sweeps this config runs and each channel's
+    column group of the table, in verdict order; the only code that states
+    the table's layout."""
     B = build_B(
         {"c": config.protocol.beta_c, "h": config.protocol.beta_h}, config.epsilon
     )
@@ -127,8 +125,7 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep]]:
     sweeps = [Sweep(
         "global-passivity", "alpha",
         lambda diff, values: (values, np.zeros_like(values)),
-        alpha_observable(B), alpha_grid,
-        slice(0, n_alpha), 1.0,
+        alpha_observable(B), alpha_grid, 1.0,
     )]
     xi_grid = config.deformation_grid()
     if xi_grid is not None:
@@ -142,18 +139,22 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep]]:
                 np.full_like(xi_grid, float(np.dot(diff, h_c))),
                 -((beta_h + xi_grid) / beta_c) * float(np.dot(diff, h_h)),
             ),
-            xi_observable(B), xi_grid,
             # the CSV margin lhs - rhs is the raw form over beta_c
-            slice(n_alpha + 1, None), beta_c,
+            xi_observable(B), xi_grid, beta_c,
         ))
-    return observable_table(B, alpha_grid, xi_grid), sweeps
+    groups = {
+        "second-law": slice(n_alpha, n_alpha + 1),
+        "global-passivity": slice(0, n_alpha),
+        "deformation": slice(n_alpha + 1, None),  # empty without xi columns
+    }
+    return observable_table(B, alpha_grid, xi_grid), sweeps, groups
 
 
 def run_exact(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
     """Exact theory curves and stage distributions, written as CSV/JSON;
     returns the written paths by key."""
     dists = stage_distributions(config)
-    table, sweeps = _plan(config)
+    table, sweeps, groups = _plan(config)
     diffs = {stage: dists[stage] - dists["i"] for stage in ("ii", "iii")}
     values = {stage: diff @ table for stage, diff in diffs.items()}
     os.makedirs(out_dir, exist_ok=True)
@@ -163,7 +164,7 @@ def run_exact(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
             key = f"{sweep.prefix}_i_{stage}"
             paths[key] = os.path.join(out_dir, f"{sweep.prefix}_sweep_i_to_{stage}.csv")
             write_sweep_csv(paths[key], sweep.grid,
-                            *sweep.sides(diff, values[stage][sweep.columns]))
+                            *sweep.sides(diff, values[stage][groups[sweep.channel]]))
     dist_path = os.path.join(out_dir, "stage_distributions.json")
     write_json(
         dist_path,
@@ -235,9 +236,9 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
     if "i" not in by_stage or not ({"ii", "iii"} & set(by_stage)):
         raise ShotsError("records must contain stage i and at least one of ii/iii")
 
-    table, sweeps = _plan(config)
+    table, sweeps, groups = _plan(config)
     os.makedirs(out_dir, exist_ok=True)  # once the records and config validate
-    strengths = {name: 0.0 for name in CHANNELS}
+    strengths = {name: 0.0 for name in groups}
     thresholds = []
     notes = []
     rec_i = by_stage["i"]
@@ -247,18 +248,6 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
                         derive_seed(config.seed, CI_SEED_ROLE, STAGE_SEED_ROLE[stage]))
         for stage, rec in by_stage.items()
     }
-
-    def worst(channel: str, estimates, resolution) -> None:
-        # the violation depth in sigmas, with sigma floored at the column's
-        # one-shot resolution: a zero-width bootstrap (all shots in one
-        # outcome) is no sharper than moving one shot, and a constant column
-        # (resolution 0) changes by float noise only, so it carries none
-        strengths[channel] = max(strengths[channel], max(
-            -e.value / max(e.std_error, r) if e.value < 0 and r > 0 else 0.0
-            for e, r in zip(estimates, resolution)
-        ))
-
-    n_alpha = len(config.alpha_grid)
     for stage in ("ii", "iii"):
         if stage not in by_stage:
             continue
@@ -267,17 +256,22 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
         diffs = rates[stage] - rates["i"]
         estimates = bootstrap_change(diff, diffs, table, confidence)
         resolution = (np.ptp(table, axis=0) / min(rec_i.shots, rec_f.shots)).tolist()
-        second_law = slice(n_alpha, n_alpha + 1)
-        worst("second-law", estimates[second_law], resolution[second_law])
+        # each column's violation depth in sigmas, with sigma floored at the
+        # column's one-shot resolution: a zero-width bootstrap (all shots in
+        # one outcome) is no sharper than moving one shot, and a constant
+        # column (resolution 0) changes by float noise only, so it carries none
+        depths = [-e.value / max(e.std_error, r) if e.value < 0 and r > 0 else 0.0
+                  for e, r in zip(estimates, resolution)]
+        for name, group in groups.items():
+            strengths[name] = max([strengths[name], *depths[group]])
         for sweep in sweeps:
-            est = estimates[sweep.columns]
+            est = estimates[groups[sweep.channel]]
             write_sweep_csv(
                 os.path.join(out_dir, f"{sweep.prefix}_sweep_i_to_{stage}.csv"),
                 sweep.grid, *sweep.sides(diff, np.array([e.value for e in est])),
                 [e.ci_low / sweep.ci_divisor for e in est],
                 [e.ci_high / sweep.ci_divisor for e in est],
             )
-            worst(sweep.channel, est, resolution[sweep.columns])
             _, crossings = sweep_crossings(sweep.observable, diff, sweep.grid)
             if len(crossings) == 1:
                 res = threshold_bootstrap(diffs, sweep.observable, sweep.grid,
@@ -291,19 +285,12 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
 
     strength = max(strengths.values())
     detected = strength >= config.significance
-    channel = None
-    if detected:
-        channel = max(strengths, key=lambda name: strengths[name])
-    verdict = Verdict(
-        detected=detected,
-        channel=channel,
-        strength=strength,
-        channel_strengths=strengths,
-        thresholds=thresholds,
-        significance=config.significance,
-        notes=notes,
-    )
-    write_json(os.path.join(out_dir, "verdict.json"), verdict.to_dict())
+    # the first strongest channel, in group order
+    channel = max(strengths, key=strengths.get) if detected else None
+    verdict = Verdict(detected=detected, channel=channel, strength=strength,
+                      channel_strengths=strengths, thresholds=thresholds,
+                      significance=config.significance, notes=notes)
+    write_json(os.path.join(out_dir, "verdict.json"), asdict(verdict))
     return verdict
 
 

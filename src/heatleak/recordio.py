@@ -86,8 +86,9 @@ def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
     def parse(line_no: int, text: str) -> dict:
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise RecordFormatError(f"{path}:{line_no}: invalid JSON ({exc.msg})")
+        except ValueError as exc:  # bad JSON, or an int over the digit limit
+            raise RecordFormatError(f"{path}:{line_no}: invalid JSON "
+                                    f"({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(obj, dict):
             raise RecordFormatError(f"{path}:{line_no}: expected a JSON object")
         return obj

@@ -1094,3 +1094,98 @@ def test_cli_analyze_two_point_crossings_write_a_note(tmp_path):
     assert verdict["notes"] == [
         "alpha sweep i->iii has 2 sign crossings; no threshold reported"]
     assert verdict["thresholds"] == []
+
+
+def test_channel_strengths_read_their_column_groups(tmp_path):
+    """Each channel's strength is the largest depth over its own column group
+    and both stage pairs: second-law reads the B column alone,
+    global-passivity the alpha columns, and deformation no column for
+    protocol A without a xi grid.  The alpha grid lacks 1.0, so no alpha
+    column equals B."""
+    from heatleak import pipeline
+    from heatleak.shots import bootstrap_change, derive_seed, resample
+
+    config = ExperimentConfig(alpha_grid=[-2.0, 0.5, 2.0])
+    counts = {  # stage iii, and less so stage ii, shifted toward 00: <B> drops
+        "i": [4000, 1200, 1000, 500],
+        "ii": [4100, 1150, 970, 480],
+        "iii": [4300, 1100, 900, 400],
+    }
+    records = {stage: ShotRecord(stage=stage, counts=dict(zip(["00", "01", "10", "11"], c)),
+                                 shots=6700, qubits=("c", "h"))
+               for stage, c in counts.items()}
+    verdict = pipeline.analyze_records(list(records.values()), config, str(tmp_path))
+
+    b = build_B({"c": config.protocol.beta_c, "h": config.protocol.beta_h},
+                config.epsilon).basis_values
+    groups = {
+        "second-law": b[:, None],
+        "global-passivity": np.stack([np.sign(a) * b**a for a in config.alpha_grid], axis=1),
+    }
+    rates = {stage: resample(rec, config.bootstrap.resamples, derive_seed(
+        config.seed, pipeline.CI_SEED_ROLE, pipeline.STAGE_SEED_ROLE[stage]))
+        for stage, rec in records.items()}
+    expected = {"second-law": 0.0, "global-passivity": 0.0, "deformation": 0.0}
+    for stage in ("ii", "iii"):
+        diff = records[stage].probabilities() - records["i"].probabilities()
+        for name, table in groups.items():
+            estimates = bootstrap_change(diff, rates[stage] - rates["i"], table,
+                                         config.bootstrap.confidence)
+            for e, r in zip(estimates, np.ptp(table, axis=0) / 6700):
+                if e.value < 0:
+                    expected[name] = max(expected[name], -e.value / max(e.std_error, r))
+    assert expected["second-law"] > 3.0 and expected["global-passivity"] > 3.0
+    assert verdict.channel_strengths == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert verdict.channel == max(expected, key=expected.get)
+
+
+_HUGE = "9" * 401  # a JSON integer that no float holds
+_LONG = "1" * 4301  # beyond Python's 4300-digit limit for int(str)
+_REF_A = '"variant": "A", "beta_c": 2.23, "beta_h": 0.43, "beta_e": 2.02'
+
+# case -> config file text (None: a record file) and the start of its error
+HUGE_INTEGER_INPUTS = {
+    "epsilon": (f'{{"epsilon": {_HUGE}}}',
+                "invalid config: 'epsilon' must be a finite number, got 999"),
+    "protocol.beta_c": (f'{{"protocol": {{{_REF_A.replace("2.23", _HUGE)}}}}}',
+                        "invalid config: 'protocol.beta_c' must be a finite number"),
+    "protocol.phi": (f'{{"protocol": {{{_REF_A}, "phi": {_HUGE}}}}}',
+                     "invalid config: 'protocol.phi' must be a finite number"),
+    "alpha_grid": (f'{{"alpha_grid": [1.0, {_HUGE}]}}',
+                   "invalid config: 'alpha_grid' must be a non-empty list of finite"),
+    "config-digits": (f'{{"epsilon": {_LONG}}}',
+                      "config {path}: invalid JSON (Exceeds the limit (4300 digits)"),
+    "record-digits": (None, "{path}:4: invalid JSON (Exceeds the limit (4300 digits)"),
+}
+
+
+def _count_placeholder(lines):
+    lines[3]["counts"]["00"] = "COUNT"  # replaced by raw JSON text after writing
+    return lines
+
+
+@pytest.mark.parametrize("case", list(HUGE_INTEGER_INPUTS))
+def test_cli_huge_json_integer_exit_one(tmp_path, capsys, case):
+    """A JSON integer that no float holds, in a float field, or one with more
+    digits than Python converts, in a config or record file, ends in one
+    error line, not a traceback."""
+    text, expected = HUGE_INTEGER_INPUTS[case]
+    if text is None:
+        path = _edited_records(tmp_path, _count_placeholder)
+        with open(path) as fh:
+            text = fh.read().replace('"COUNT"', _LONG)
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = ["analyze", path]
+    else:
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = ["exact", "--config", path]
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {expected.format(path=path)}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()

@@ -628,7 +628,7 @@ def test_crossings_match_bisection_on_benchmark_records(tmp_path, variant):
                 config.seed, pipeline.CI_SEED_ROLE, pipeline.STAGE_SEED_ROLE[rec.stage]))
             for rec in records
         }
-        _, sweeps = pipeline._plan(config)
+        _, sweeps, _ = pipeline._plan(config)
         for stage in ("ii", "iii"):
             diffs = rates[stage] - rates["i"]
             for sweep in sweeps:
