@@ -3,7 +3,7 @@ detection for small qubit registers."""
 
 from .register import (
     DensityOperator,
-    RegisterError,
+    HeatleakError,
     UnitaryOperator,
     apply_unitary,
     measure_distribution,
@@ -22,7 +22,6 @@ from .circuits import (
 from .passivity import (
     DeformationBounds,
     GlobalPassivityOperator,
-    PassivityError,
     alpha_observable,
     build_B,
     deformation_bounds,
@@ -35,7 +34,6 @@ from .shots import (
     BootstrapConfig,
     EstimateWithCI,
     ShotRecord,
-    ShotsError,
     SpamModel,
     ThresholdResult,
     apply_spam,

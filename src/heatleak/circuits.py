@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .register import RegisterError, UnitaryOperator, embed_unitary
+from .register import HeatleakError, UnitaryOperator, embed_unitary
 
 QUBITS = ("c", "h", "e")  # register order: qubit 0 is the most significant bit
 
@@ -33,7 +33,7 @@ QUBITS = ("c", "h", "e")  # register order: qubit 0 is the most significant bit
 def ry_gate(theta: float) -> UnitaryOperator:
     """exp(-i*theta*sigma_y) = [[cos t, -sin t], [sin t, cos t]] (real orthogonal)."""
     if not math.isfinite(theta):
-        raise RegisterError("rotation parameter must be finite")
+        raise HeatleakError("rotation parameter must be finite")
     c, s = math.cos(theta), math.sin(theta)
     return UnitaryOperator(np.array([[c, -s], [s, c]], dtype=complex))
 
@@ -41,7 +41,7 @@ def ry_gate(theta: float) -> UnitaryOperator:
 def phase_gate(phi: float) -> UnitaryOperator:
     """Two-qubit phase gate diag(e^{i*phi}, 1, 1, e^{i*phi}) in basis 00,01,10,11."""
     if not math.isfinite(phi):
-        raise RegisterError("phase must be finite")
+        raise HeatleakError("phase must be finite")
     p = np.exp(1j * phi)
     return UnitaryOperator(np.diag([p, 1.0, 1.0, p]))
 
@@ -75,10 +75,10 @@ class ProtocolConfig:
 
     def __post_init__(self):
         if self.variant not in ("A", "B"):
-            raise RegisterError(f"unknown protocol variant {self.variant!r}")
+            raise HeatleakError(f"unknown protocol variant {self.variant!r}")
         for name in ("beta_c", "beta_h", "beta_e"):
             if not math.isfinite(getattr(self, name)):
-                raise RegisterError(f"{name} must be finite")
+                raise HeatleakError(f"{name} must be finite")
 
 
 def stage_unitaries(config: ProtocolConfig) -> dict[str, np.ndarray]:

@@ -24,11 +24,9 @@ import functools
 import sys
 
 from .config import REFERENCE_PARAMS, ExperimentConfig, config_from_dict, load_config
-from .passivity import PassivityError
 from .pipeline import analyze_records, run_bounds, run_exact, run_simulate
-from .recordio import RecordFormatError, read_records
-from .register import RegisterError
-from .shots import ShotsError
+from .recordio import read_records
+from .register import HeatleakError
 
 # config field (dotted path) -> flag that overrides it, its type and help;
 # a flag without a type sets the field to False
@@ -128,7 +126,6 @@ def main(argv=None) -> int:
             f"channels {verdict.channel_strengths}"
         )
         return 2 if verdict.detected else 0
-    except (ShotsError, RegisterError, PassivityError, RecordFormatError,
-            OSError) as exc:
+    except (HeatleakError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,8 +18,9 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .circuits import ProtocolConfig
-from .passivity import PassivityError, build_B, deformation_bounds, energy_basis_values
-from .shots import BootstrapConfig, ShotsError, SpamModel
+from .passivity import build_B, deformation_bounds, energy_basis_values
+from .register import HeatleakError
+from .shots import BootstrapConfig, SpamModel
 
 REFERENCE_PARAMS = {
     # reference operating points of the two bundled protocols
@@ -31,7 +32,7 @@ REFERENCE_PARAMS = {
 def reference_protocol(variant: str, include_env_swap: bool = True) -> ProtocolConfig:
     """Protocol config at the reference operating point of a variant."""
     if variant not in REFERENCE_PARAMS:
-        raise ShotsError(f"unknown protocol variant {variant!r}")
+        raise HeatleakError(f"unknown protocol variant {variant!r}")
     return ProtocolConfig(
         variant=variant,
         include_env_swap=include_env_swap,
@@ -60,28 +61,25 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.shots_per_stage <= 0:
-            raise ShotsError("shots_per_stage must be positive")
+            raise HeatleakError("shots_per_stage must be positive")
         if self.shots_per_stage >= 2**63:  # int64, like the shots of a record
-            raise ShotsError(f"shots_per_stage must be below 2**63, got {self.shots_per_stage}")
+            raise HeatleakError(f"shots_per_stage must be below 2**63, got {self.shots_per_stage}")
         if self.seed < 0:
-            raise ShotsError("seed must be non-negative")
+            raise HeatleakError("seed must be non-negative")
         if self.epsilon <= 0 or not math.isfinite(self.epsilon):
-            raise ShotsError("epsilon must be positive and finite")
+            raise HeatleakError("epsilon must be positive and finite")
         if not len(self.alpha_grid):
-            raise ShotsError("alpha grid must not be empty")
+            raise HeatleakError("alpha grid must not be empty")
         if any(a == 0.0 for a in self.alpha_grid):
-            raise ShotsError("alpha grid must exclude 0")
+            raise HeatleakError("alpha grid must exclude 0")
         _check_increasing("alpha_grid", self.alpha_grid)
         if isinstance(self.xi_grid, str) and self.xi_grid != "auto":
-            raise ShotsError(f'xi_grid must be a list, "auto" or null')
+            raise HeatleakError(f'xi_grid must be a list, "auto" or null')
         if isinstance(self.xi_grid, list):
             _check_increasing("xi_grid", self.xi_grid)
-            try:
-                self.deformation_grid()
-            except PassivityError as exc:
-                raise ShotsError(str(exc)) from exc
+            self.deformation_grid()
         if not self.significance > 0:
-            raise ShotsError("significance must be positive")
+            raise HeatleakError("significance must be positive")
 
     def deformation_grid(self) -> np.ndarray | None:
         """The xi grid of the deformation test, None when that test does not
@@ -99,17 +97,17 @@ class ExperimentConfig:
         lo, hi = bounds.xi_min, bounds.xi_max
         if not isinstance(self.xi_grid, list):
             if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ShotsError("cannot auto-fill an unbounded deformation interval; "
-                                 "provide an explicit xi grid")
+                raise HeatleakError("cannot auto-fill an unbounded deformation interval; "
+                                    "provide an explicit xi grid")
             return np.linspace(lo, hi, DEFAULT_XI_POINTS)
         grid = np.asarray(self.xi_grid, dtype=float)
         if not np.all(np.isfinite(grid)):
-            raise ShotsError("xi grid must be finite")
+            raise HeatleakError("xi grid must be finite")
         slack = 1e-12 * max([1.0, *(abs(x) for x in (lo, hi) if math.isfinite(x))])
         outside = (grid < lo - slack) | (grid > hi + slack)
         if outside.any():
-            raise ShotsError(f"xi grid point {float(grid[outside][0])} outside the "
-                             f"admissible interval [{lo}, {hi}]")
+            raise HeatleakError(f"xi grid point {float(grid[outside][0])} outside the "
+                                f"admissible interval [{lo}, {hi}]")
         return grid
 
     def to_dict(self) -> dict:
@@ -129,12 +127,12 @@ class ExperimentConfig:
 
 
 def _check_increasing(name: str, grid) -> None:
-    """ShotsError unless grid is strictly increasing: the crossing search
+    """HeatleakError unless grid is strictly increasing: the crossing search
     brackets each crossing by neighbouring grid points, the lower first."""
     for a, b in zip(grid, grid[1:]):
         if not a < b:
-            raise ShotsError(f"invalid config: {name!r} must be strictly increasing, "
-                             f"got {a!r} before {b!r}")
+            raise HeatleakError(f"invalid config: {name!r} must be strictly increasing, "
+                                f"got {a!r} before {b!r}")
 
 
 def _fields(instance) -> dict:
@@ -172,9 +170,9 @@ def _read(cls, data, path: str = ""):
     """cls built from the JSON object data, path its dotted name ("" at the
     top level).  Unknown and missing fields are rejected first, then each
     field is checked against the JSON type its annotation names, a config
-    section by reading it in turn; ShotsError names the bad field."""
+    section by reading it in turn; HeatleakError names the bad field."""
     if not isinstance(data, dict):
-        raise ShotsError(f"invalid config: {path!r} must be an object, got {data!r}")
+        raise HeatleakError(f"invalid config: {path!r} must be an object, got {data!r}")
     spec = cls.__dataclass_fields__
     prefix = f"{path}." if path else ""
     unknown = sorted(set(data) - set(spec))
@@ -182,32 +180,32 @@ def _read(cls, data, path: str = ""):
                and f.default is MISSING and f.default_factory is MISSING]
     for problem, names in (("unknown", unknown), ("missing", missing)):
         if names:
-            raise ShotsError(f"invalid config: {problem} fields "
-                             f"{[prefix + name for name in names]}")
+            raise HeatleakError(f"invalid config: {problem} fields "
+                                f"{[prefix + name for name in names]}")
     kwargs = {}
     for name, value in data.items():
         kind = spec[name].type
         if kind in _SECTIONS:
             value = _read(_SECTIONS[kind], value, prefix + name)
         elif not _JSON_TYPES[kind][1](value):
-            raise ShotsError(f"invalid config: {prefix + name!r} must be "
-                             f"{_JSON_TYPES[kind][0]}, got {value!r}")
+            raise HeatleakError(f"invalid config: {prefix + name!r} must be "
+                                f"{_JSON_TYPES[kind][0]}, got {value!r}")
         kwargs[name] = value
     return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """The validated config of a JSON object; ShotsError names a bad field."""
+    """The validated config of a JSON object; HeatleakError names a bad field."""
     if not isinstance(data, dict):
-        raise ShotsError("config must be a JSON object")
+        raise HeatleakError("config must be a JSON object")
     if isinstance(data.get("protocol"), dict):
         protocol = dict(data["protocol"])
         for name, legacy in _REMOVED_PROTOCOL_FIELDS.items():
             value = protocol.pop(name, legacy)
             if value != legacy:
-                raise ShotsError(f"invalid config: 'protocol.{name}' was removed; "
-                                 f"older record files echo it as {legacy!r}, "
-                                 f"got {value!r}")
+                raise HeatleakError(f"invalid config: 'protocol.{name}' was removed; "
+                                    f"older record files echo it as {legacy!r}, "
+                                    f"got {value!r}")
         data = {**data, "protocol": protocol}
     return _read(ExperimentConfig, data)
 
@@ -217,5 +215,5 @@ def load_config(path: str) -> ExperimentConfig:
         try:
             data = json.load(fh)
         except ValueError as exc:  # bad JSON or UTF-8, or an int over the digit limit
-            raise ShotsError(f"config {path}: invalid JSON ({exc})") from exc
+            raise HeatleakError(f"config {path}: invalid JSON ({exc})") from exc
     return config_from_dict(data)

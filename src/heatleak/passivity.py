@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-class PassivityError(ValueError):
-    """Invalid inputs to a passivity test."""
+from .register import HeatleakError
 
 
 def energy_basis_values(num_qubits: int, qubit: int) -> np.ndarray:
@@ -32,7 +30,7 @@ def energy_basis_values(num_qubits: int, qubit: int) -> np.ndarray:
     Outcome index bit of the first qubit is the most significant bit.
     """
     if qubit < 0 or qubit >= num_qubits:
-        raise PassivityError(f"qubit {qubit} outside {num_qubits}-qubit outcome space")
+        raise HeatleakError(f"qubit {qubit} outside {num_qubits}-qubit outcome space")
     idx = np.arange(2**num_qubits)
     return ((idx >> (num_qubits - 1 - qubit)) & 1).astype(float)
 
@@ -63,12 +61,12 @@ def build_B(betas, epsilon: float) -> GlobalPassivityOperator:
     """
     betas = dict(betas)
     if not betas:
-        raise PassivityError("at least one qubit required")
+        raise HeatleakError("at least one qubit required")
     if epsilon <= 0 or not math.isfinite(epsilon):
-        raise PassivityError(f"epsilon must be positive and finite, got {epsilon}")
+        raise HeatleakError(f"epsilon must be positive and finite, got {epsilon}")
     for label, beta in betas.items():
         if not math.isfinite(beta):
-            raise PassivityError(f"beta[{label!r}] must be finite, got {beta}")
+            raise HeatleakError(f"beta[{label!r}] must be finite, got {beta}")
     n = len(betas)
     raw = np.zeros(2**n)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -77,11 +75,11 @@ def build_B(betas, epsilon: float) -> GlobalPassivityOperator:
         d = float(raw.min()) - epsilon
         values = raw - d
     if not np.isfinite(values).all():
-        raise PassivityError(f"betas {betas} overflow: the outcome energies "
-                             "sum_j beta_j E_j exceed the float range")
+        raise HeatleakError(f"betas {betas} overflow: the outcome energies "
+                            "sum_j beta_j E_j exceed the float range")
     if not np.array_equal(np.sign(raw[:, None] - raw), np.sign(values[:, None] - values)):
-        raise PassivityError(f"epsilon = {epsilon} swamps the betas: the eigenvalues "
-                             "of B lose the order of the outcome energies")
+        raise HeatleakError(f"epsilon = {epsilon} swamps the betas: the eigenvalues "
+                            "of B lose the order of the outcome energies")
     values.setflags(write=False)
     return GlobalPassivityOperator(betas=betas, epsilon=epsilon, basis_values=values)
 
@@ -103,18 +101,18 @@ def observable_table(B: GlobalPassivityOperator, alpha_grid,
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     if np.any(alpha_grid == 0.0):
-        raise PassivityError("alpha grid must exclude 0")
+        raise HeatleakError("alpha grid must exclude 0")
     b = B.basis_values[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         powers = np.sign(alpha_grid) * b**alpha_grid
     bad = np.flatnonzero(~np.isfinite(powers).all(axis=0))
     if bad.size:
-        raise PassivityError(f"epsilon = {B.epsilon} makes B^alpha non-finite "
-                             f"at alpha = {alpha_grid[bad[0]]}")
+        raise HeatleakError(f"epsilon = {B.epsilon} makes B^alpha non-finite "
+                            f"at alpha = {alpha_grid[bad[0]]}")
     parts = [powers, b]
     if xi_grid is not None and len(xi_grid):
         if set(B.betas) != {"c", "h"}:
-            raise PassivityError("xi columns require B on qubits c and h")
+            raise HeatleakError("xi columns require B on qubits c and h")
         h_h = energy_basis_values(2, 1)[:, None]
         parts.append(b + h_h * np.asarray(xi_grid, dtype=float))
     return np.hstack(parts)
@@ -144,7 +142,7 @@ def deformation_bounds(b_values, a_values) -> DeformationBounds:
     b = np.asarray(b_values, dtype=float)
     a = np.asarray(a_values, dtype=float)
     if b.shape != a.shape:
-        raise PassivityError("b and a must have equal lengths")
+        raise HeatleakError("b and a must have equal lengths")
     xi_min, xi_max = -math.inf, math.inf
     min_pairs: list[tuple[int, int]] = []
     max_pairs: list[tuple[int, int]] = []
@@ -194,10 +192,10 @@ def xi_observable(B: GlobalPassivityOperator):
     as a function of xi, like alpha_observable.  Its expectation change has
     the sign of the raw form delta<B> + xi*delta<H_h> for beta_c > 0."""
     if set(B.betas) != {"c", "h"}:
-        raise PassivityError("deformation sweep requires B on qubits c and h")
+        raise HeatleakError("deformation sweep requires B on qubits c and h")
     beta_c, beta_h = B.betas["c"], B.betas["h"]
     if beta_c <= 0:
-        raise PassivityError("the normal form divides by beta_c; need beta_c > 0")
+        raise HeatleakError("the normal form divides by beta_c; need beta_c > 0")
     e_c, e_h = energy_basis_values(2, 0), energy_basis_values(2, 1)
 
     def observable(xi):

@@ -40,9 +40,8 @@ from .passivity import (
     xi_observable,
 )
 from .recordio import read_records, write_json, write_records, write_sweep_csv
-from .register import thermal_populations
+from .register import HeatleakError, thermal_populations
 from .shots import (
-    ShotsError,
     apply_spam,
     bootstrap_change,
     derive_seed,
@@ -222,19 +221,19 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
     by_stage = {}
     for rec in records:
         if rec.stage not in STAGE_SEED_ROLE:
-            raise ShotsError(f"unknown record stage {rec.stage!r}")
+            raise HeatleakError(f"unknown record stage {rec.stage!r}")
         if rec.stage in by_stage:
-            raise ShotsError(f"duplicate records for stage {rec.stage}")
+            raise HeatleakError(f"duplicate records for stage {rec.stage}")
         if rec.num_measured != 2:
-            raise ShotsError("analysis expects two measured qubits per record")
+            raise HeatleakError("analysis expects two measured qubits per record")
         if rec.qubits is not None and tuple(rec.qubits) != MEASURED:
-            raise ShotsError(
+            raise HeatleakError(
                 f"stage {rec.stage} record measures qubits {list(rec.qubits)}, "
                 f"expected {list(MEASURED)}"
             )
         by_stage[rec.stage] = rec
     if "i" not in by_stage or not ({"ii", "iii"} & set(by_stage)):
-        raise ShotsError("records must contain stage i and at least one of ii/iii")
+        raise HeatleakError("records must contain stage i and at least one of ii/iii")
 
     table, sweeps, groups = _plan(config)
     os.makedirs(out_dir, exist_ok=True)  # once the records and config validate
@@ -314,7 +313,7 @@ def run_bounds(beta_c: float, beta_h: float, observable: str = "Hh") -> tuple:
     elif observable == "Hc":
         a_values = energy_basis_values(2, 0)
     else:
-        raise ShotsError(f"unknown deformation observable {observable!r}")
+        raise HeatleakError(f"unknown deformation observable {observable!r}")
     bounds = deformation_bounds(B.basis_values, a_values)
     lines = [
         f"xi_min = {bounds.xi_min}",

@@ -16,11 +16,8 @@ from __future__ import annotations
 import json
 import os
 
-from .shots import ShotRecord, ShotsError
-
-
-class RecordFormatError(ValueError):
-    """Malformed record or sweep file; message carries the line number."""
+from .register import HeatleakError
+from .shots import ShotRecord
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -77,25 +74,30 @@ def _json_labels(value) -> tuple[str, ...] | None:
 
 
 def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
-    """Parse a record file; raises RecordFormatError with 1-based line numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
+    """Parse a record file; raises HeatleakError with 1-based line numbers."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        raw_lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line_no = 1 + data.count(b"\n", 0, exc.start)
+        raise HeatleakError(f"{path}:{line_no}: invalid UTF-8 ({exc.reason})") from exc
     if not raw_lines:
-        raise RecordFormatError(f"{path}: empty file")
+        raise HeatleakError(f"{path}: empty file")
 
     def parse(line_no: int, text: str) -> dict:
         try:
             obj = json.loads(text)
         except ValueError as exc:  # bad JSON, or an int over the digit limit
-            raise RecordFormatError(f"{path}:{line_no}: invalid JSON "
-                                    f"({getattr(exc, 'msg', exc)})") from exc
+            raise HeatleakError(f"{path}:{line_no}: invalid JSON "
+                                f"({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(obj, dict):
-            raise RecordFormatError(f"{path}:{line_no}: expected a JSON object")
+            raise HeatleakError(f"{path}:{line_no}: expected a JSON object")
         return obj
 
     header = parse(1, raw_lines[0])
     if "config" not in header:
-        raise RecordFormatError(f"{path}:1: header line must carry a 'config' key")
+        raise HeatleakError(f"{path}:1: header line must carry a 'config' key")
     records = []
     for line_no, text in enumerate(raw_lines[1:], start=2):
         if not text.strip():
@@ -103,7 +105,7 @@ def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
         obj = parse(line_no, text)
         missing = {"stage", "counts", "shots"} - set(obj)
         if missing:
-            raise RecordFormatError(
+            raise HeatleakError(
                 f"{path}:{line_no}: record missing fields {sorted(missing)}"
             )
         try:
@@ -118,8 +120,8 @@ def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
                     meta=obj.get("meta") or {},
                 )
             )
-        except (ShotsError, TypeError, ValueError, AttributeError) as exc:
-            raise RecordFormatError(f"{path}:{line_no}: {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise HeatleakError(f"{path}:{line_no}: {exc}") from exc
     return header["config"], records
 
 

@@ -23,25 +23,27 @@ EIGENVALUE_TOL = -1e-10
 UNITARITY_TOL = 1e-12
 
 
-class RegisterError(ValueError):
-    """Invalid state, operator or qubit addressing."""
+class HeatleakError(ValueError):
+    """Input that heatleak rejects: a state, operator, protocol, record, grid
+    or config that fails its checks.  Every layer raises this one type; the
+    CLI prints it as one ``error:`` line and exits 1."""
 
 
 def _square_complex(matrix) -> np.ndarray:
     m = np.array(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise RegisterError(f"expected a square matrix, got shape {m.shape}")
+        raise HeatleakError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise RegisterError("matrix entries must be finite")
+        raise HeatleakError("matrix entries must be finite")
     return m
 
 
 def _num_qubits_for_dim(dim: int) -> int:
     n = dim.bit_length() - 1
     if dim != 2**n:
-        raise RegisterError(f"matrix dimension {dim} is not a power of two")
+        raise HeatleakError(f"matrix dimension {dim} is not a power of two")
     if n > MAX_QUBITS:
-        raise RegisterError(f"register of {n} qubits exceeds cap of {MAX_QUBITS}")
+        raise HeatleakError(f"register of {n} qubits exceeds cap of {MAX_QUBITS}")
     return n
 
 
@@ -54,11 +56,11 @@ class DensityOperator:
         m = _square_complex(matrix)
         n = _num_qubits_for_dim(m.shape[0])
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise RegisterError("density matrix is not Hermitian")
+            raise HeatleakError("density matrix is not Hermitian")
         if abs(np.trace(m) - 1.0) > TRACE_TOL:
-            raise RegisterError(f"density matrix trace {np.trace(m)} != 1")
+            raise HeatleakError(f"density matrix trace {np.trace(m)} != 1")
         if np.linalg.eigvalsh(m).min() < EIGENVALUE_TOL:
-            raise RegisterError("density matrix is not positive semidefinite")
+            raise HeatleakError("density matrix is not positive semidefinite")
         m.setflags(write=False)
         object.__setattr__(self, "num_qubits", n)
         object.__setattr__(self, "matrix", m)
@@ -79,7 +81,7 @@ class UnitaryOperator:
         m = _square_complex(matrix)
         n = _num_qubits_for_dim(m.shape[0])
         if np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) > UNITARITY_TOL:
-            raise RegisterError("matrix is not unitary")
+            raise HeatleakError("matrix is not unitary")
         m.setflags(write=False)
         object.__setattr__(self, "num_qubits", n)
         object.__setattr__(self, "matrix", m)
@@ -100,7 +102,7 @@ def thermal_populations(beta: float) -> np.ndarray:
     does.
     """
     if math.isnan(beta):
-        raise RegisterError("inverse temperature must not be NaN")
+        raise HeatleakError("inverse temperature must not be NaN")
     if beta >= 0:
         p0 = 1.0 / (1.0 + math.exp(-beta))
     else:
@@ -116,18 +118,18 @@ def thermal_qubit(beta: float) -> DensityOperator:
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Kronecker product a (x) b; qubit indices of b follow those of a."""
     if a.num_qubits + b.num_qubits > MAX_QUBITS:
-        raise RegisterError("tensor product exceeds register cap")
+        raise HeatleakError("tensor product exceeds register cap")
     return DensityOperator(np.kron(a.matrix, b.matrix))
 
 
 def _check_targets(targets, arity: int, num_qubits: int) -> tuple[int, ...]:
     t = tuple(int(q) for q in targets)
     if len(t) != arity:
-        raise RegisterError(f"gate acts on {arity} qubits, got targets {t}")
+        raise HeatleakError(f"gate acts on {arity} qubits, got targets {t}")
     if len(set(t)) != len(t):
-        raise RegisterError(f"duplicate target qubits {t}")
+        raise HeatleakError(f"duplicate target qubits {t}")
     if any(q < 0 or q >= num_qubits for q in t):
-        raise RegisterError(f"targets {t} outside register of {num_qubits} qubits")
+        raise HeatleakError(f"targets {t} outside register of {num_qubits} qubits")
     return t
 
 
@@ -165,9 +167,9 @@ def mixture_channel(state: DensityOperator, terms) -> DensityOperator:
     terms = list(terms)
     probs = np.array([p for p, _, _ in terms], dtype=float)
     if np.any(probs < 0):
-        raise RegisterError("mixture probabilities must be non-negative")
+        raise HeatleakError("mixture probabilities must be non-negative")
     if abs(probs.sum() - 1.0) > 1e-12:
-        raise RegisterError(f"mixture probabilities sum to {probs.sum()}, not 1")
+        raise HeatleakError(f"mixture probabilities sum to {probs.sum()}, not 1")
     out = np.zeros_like(state.matrix)
     for p, u, targets in terms:
         full = embed_unitary(u, targets, state.num_qubits)
@@ -180,7 +182,7 @@ def partial_trace(state: DensityOperator, keep) -> DensityOperator:
     the 0-qubit scalar state [[1]]."""
     kept = sorted(set(int(q) for q in keep))
     if any(q < 0 or q >= state.num_qubits for q in kept):
-        raise RegisterError(f"keep set {kept} outside register")
+        raise HeatleakError(f"keep set {kept} outside register")
     n = state.num_qubits
     traced = [q for q in range(n) if q not in kept]
     t = state.matrix.reshape((2,) * (2 * n))
@@ -200,9 +202,9 @@ def measure_distribution(state: DensityOperator, qubits) -> np.ndarray:
     """
     q = list(int(x) for x in qubits)
     if len(set(q)) != len(q):
-        raise RegisterError(f"duplicate qubits {q}")
+        raise HeatleakError(f"duplicate qubits {q}")
     if any(x < 0 or x >= state.num_qubits for x in q):
-        raise RegisterError(f"qubits {q} outside register")
+        raise HeatleakError(f"qubits {q} outside register")
     n = state.num_qubits
     diag = np.real(np.diagonal(state.matrix)).reshape((2,) * n if n else (1,))
     if n == 0:
@@ -211,7 +213,7 @@ def measure_distribution(state: DensityOperator, qubits) -> np.ndarray:
     kept_order = sorted(q)
     marg = summed.transpose([kept_order.index(x) for x in q]).reshape(-1)
     if marg.min() < -1e-12:
-        raise RegisterError(f"negative outcome probability {marg.min()}")
+        raise HeatleakError(f"negative outcome probability {marg.min()}")
     marg = np.clip(marg, 0.0, 1.0)
     return marg / marg.sum()
 

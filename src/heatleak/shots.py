@@ -20,10 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .passivity import sweep_crossings
-
-
-class ShotsError(ValueError):
-    """Invalid shot record or statistics configuration."""
+from .register import HeatleakError
 
 
 # table columns per matrix product in bootstrap_change
@@ -59,22 +56,22 @@ class ShotRecord:
 
     def __post_init__(self):
         if self.shots <= 0:
-            raise ShotsError("a record needs at least one shot")
+            raise HeatleakError("a record needs at least one shot")
         lengths = {len(k) for k in self.counts}
         if len(lengths) != 1:
-            raise ShotsError(f"inconsistent outcome label lengths {lengths}")
+            raise HeatleakError(f"inconsistent outcome label lengths {lengths}")
         m = lengths.pop()
         valid = set(outcome_labels(m))
         bad = set(self.counts) - valid
         if bad:
-            raise ShotsError(f"invalid outcome labels {sorted(bad)}")
+            raise HeatleakError(f"invalid outcome labels {sorted(bad)}")
         if any(c < 0 or c != int(c) for c in self.counts.values()):
-            raise ShotsError("counts must be non-negative integers")
+            raise HeatleakError("counts must be non-negative integers")
         total = sum(self.counts.values())
         if total != self.shots:
-            raise ShotsError(f"counts sum to {total}, expected {self.shots}")
+            raise HeatleakError(f"counts sum to {total}, expected {self.shots}")
         if self.qubits is not None and len(self.qubits) != m:
-            raise ShotsError("qubit labels do not match outcome width")
+            raise HeatleakError("qubit labels do not match outcome width")
 
     @property
     def num_measured(self) -> int:
@@ -111,7 +108,7 @@ class SpamModel:
         for name in ("flip_0_to_1", "flip_1_to_0"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise ShotsError(f"{name} = {p} outside [0, 1]")
+                raise HeatleakError(f"{name} = {p} outside [0, 1]")
 
 
 def apply_spam(distribution, model: SpamModel) -> np.ndarray:
@@ -119,7 +116,7 @@ def apply_spam(distribution, model: SpamModel) -> np.ndarray:
     p = np.asarray(distribution, dtype=float)
     n = len(p).bit_length() - 1
     if len(p) != 2**n:
-        raise ShotsError(f"distribution length {len(p)} is not a power of two")
+        raise HeatleakError(f"distribution length {len(p)} is not a power of two")
     # column-stochastic single-qubit confusion matrix, rows = observed bit
     m1 = np.array(
         [
@@ -144,9 +141,9 @@ class BootstrapConfig:
 
     def __post_init__(self):
         if self.resamples < 100:
-            raise ShotsError("at least 100 resamples required for reported CIs")
+            raise HeatleakError("at least 100 resamples required for reported CIs")
         if not 0.0 < self.confidence < 1.0:
-            raise ShotsError(f"confidence {self.confidence} outside (0, 1)")
+            raise HeatleakError(f"confidence {self.confidence} outside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -161,10 +158,10 @@ def sample_shots(distribution, n: int, seed: int, stage: str = "i",
                  qubits=None, meta=None) -> ShotRecord:
     """One multinomial draw of n shots, bit-reproducible from the seed."""
     if n <= 0:
-        raise ShotsError("shot count must be positive")
+        raise HeatleakError("shot count must be positive")
     p = np.asarray(distribution, dtype=float)
     if abs(p.sum() - 1.0) > 1e-9:
-        raise ShotsError(f"distribution sums to {p.sum()}, not 1")
+        raise HeatleakError(f"distribution sums to {p.sum()}, not 1")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, p / p.sum())
     m = len(p).bit_length() - 1
@@ -191,7 +188,7 @@ def resample(record: ShotRecord, resamples: int, seed: int) -> np.ndarray:
     totals = draw.sum(axis=1)
     bad = np.flatnonzero(totals != record.shots)
     if bad.size:
-        raise ShotsError(
+        raise HeatleakError(
             f"resample {bad[0]} of stage {record.stage} has {totals[bad[0]]} "
             f"shots, expected {record.shots}"
         )
@@ -257,7 +254,7 @@ def bootstrap_change(diff, diffs: np.ndarray, table,
     resample matrices.  Each resample's statistic is the same product on its
     row of diffs, taken a block of _BLOCK_COLUMNS table columns at a time to
     bound memory.  See _summarize for the CIs; a non-finite resample
-    statistic raises ShotsError naming the first such resample.
+    statistic raises HeatleakError naming the first such resample.
     """
     table = np.asarray(table, dtype=float)
     point = np.asarray(diff, dtype=float) @ table
@@ -268,7 +265,7 @@ def bootstrap_change(diff, diffs: np.ndarray, table,
         bad = np.flatnonzero(~np.isfinite(stats).all(axis=1))
         if bad.size:
             r = bad[0]
-            raise ShotsError(
+            raise HeatleakError(
                 f"statistic is not finite on resample {r}; diffs={diffs[r].tolist()}"
             )
         estimates += _summarize(point[columns], stats, confidence)

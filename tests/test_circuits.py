@@ -6,8 +6,8 @@ import pytest
 from heatleak import (
     DensityOperator,
     ExperimentConfig,
+    HeatleakError,
     ProtocolConfig,
-    RegisterError,
     UnitaryOperator,
     apply_unitary,
     measure_distribution,
@@ -214,10 +214,10 @@ def test_all_stages_produce_valid_states():
 
 
 def test_protocol_config_validation():
-    with pytest.raises(RegisterError):
+    with pytest.raises(HeatleakError):
         ProtocolConfig(variant="C", beta_c=1, beta_h=1, beta_e=1)
     for beta_e in (math.inf, -math.inf, math.nan):
-        with pytest.raises(RegisterError, match="beta_e must be finite"):
+        with pytest.raises(HeatleakError, match="beta_e must be finite"):
             ProtocolConfig(variant="A", beta_c=1, beta_h=1, beta_e=beta_e)
 
 

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -8,14 +9,15 @@ import pytest
 
 from heatleak import (
     ExperimentConfig,
+    HeatleakError,
     ProtocolConfig,
     ShotRecord,
-    ShotsError,
     SpamModel,
     build_B,
     deformation_bounds,
     observable_table,
     reference_protocol,
+    ry_gate,
 )
 from heatleak.cli import main
 from heatleak.config import (
@@ -26,7 +28,6 @@ from heatleak.config import (
 )
 from heatleak.passivity import sweep_crossings
 from heatleak.recordio import (
-    RecordFormatError,
     read_records,
     write_records,
     write_sweep_csv,
@@ -76,20 +77,20 @@ def test_record_file_field_names(tmp_path):
 def test_read_rejects_missing_header(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"stage": "i", "counts": {"0": 1}, "shots": 1}\n')
-    with pytest.raises(RecordFormatError, match=":1"):
+    with pytest.raises(HeatleakError, match=":1"):
         read_records(str(path))
 
 
 def test_read_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"config": {}}\n{"stage": "i", "counts": {"0": 1}, "shots": 1}\nnot json\n')
-    with pytest.raises(RecordFormatError, match=":3"):
+    with pytest.raises(HeatleakError, match=":3"):
         read_records(str(path))
     path.write_text('{"config": {}}\n{"stage": "i", "shots": 1}\n')
-    with pytest.raises(RecordFormatError, match=":2.*counts"):
+    with pytest.raises(HeatleakError, match=":2.*counts"):
         read_records(str(path))
     path.write_text('{"config": {}}\n{"stage": "i", "counts": {"0": 2}, "shots": 1}\n')
-    with pytest.raises(RecordFormatError, match=":2"):
+    with pytest.raises(HeatleakError, match=":2"):
         read_records(str(path))
 
 
@@ -105,7 +106,7 @@ def test_read_rejects_mistyped_stage_and_qubits(tmp_path, field, value):
     path = tmp_path / "bad.jsonl"
     record = {"stage": "i", "qubits": ["c", "h"], "counts": {"00": 1}, "shots": 1}
     path.write_text('{"config": {}}\n' + json.dumps({**record, field: value}) + "\n")
-    with pytest.raises(RecordFormatError, match=f":2: {field} must be"):
+    with pytest.raises(HeatleakError, match=f":2: {field} must be"):
         read_records(str(path))
 
 
@@ -178,12 +179,12 @@ def test_config_defaults():
 
 
 def test_config_rejects_unknown_fields():
-    with pytest.raises(ShotsError, match=r"^invalid config: unknown fields \['turbo'\]$"):
+    with pytest.raises(HeatleakError, match=r"^invalid config: unknown fields \['turbo'\]$"):
         config_from_dict({"turbo": True})
 
 
 def test_config_rejects_zero_alpha():
-    with pytest.raises(ShotsError):
+    with pytest.raises(HeatleakError):
         ExperimentConfig(alpha_grid=[-1.0, 0.0, 1.0])
 
 
@@ -194,7 +195,7 @@ def test_load_config_file(tmp_path):
     assert cfg.seed == 77
     assert cfg.shots_per_stage == 123
     path.write_text("{broken")
-    with pytest.raises(ShotsError):
+    with pytest.raises(HeatleakError):
         load_config(str(path))
 
 
@@ -216,13 +217,13 @@ def test_config_auto_xi_grid():
     # beta_c == beta_h leaves the interval unbounded above: nothing to fill
     tie = ProtocolConfig(variant="B", beta_c=1.0, beta_h=1.0, beta_e=2.0)
     for xi_grid in (None, "auto"):
-        with pytest.raises(ShotsError, match="cannot auto-fill an unbounded"):
+        with pytest.raises(HeatleakError, match="cannot auto-fill an unbounded"):
             ExperimentConfig(protocol=tie, xi_grid=xi_grid).deformation_grid()
 
 
 def test_config_rejects_xi_grid_outside_bounds():
     for xi_grid in ([-2.0], [0.6], [-1.0, 0.0, 0.6]):
-        with pytest.raises(ShotsError, match="admissible interval"):
+        with pytest.raises(HeatleakError, match="admissible interval"):
             ExperimentConfig(protocol=reference_protocol("B"), xi_grid=xi_grid)
     cfg = ExperimentConfig(protocol=reference_protocol("B"), xi_grid=[-1.0, 0.0, 0.5])
     assert np.array_equal(cfg.deformation_grid(), [-1.0, 0.0, 0.5])
@@ -235,7 +236,7 @@ def test_config_rejects_xi_grid_outside_bounds():
                              ([0.6], "xi grid point 0.6 outside"),
                              ([float("nan")], "xi grid must be finite")):
         cfg.xi_grid = xi_grid
-        with pytest.raises(ShotsError, match=message):
+        with pytest.raises(HeatleakError, match=message):
             cfg.deformation_grid()
 
 
@@ -261,7 +262,7 @@ def _grid_config(name, grid):
 @pytest.mark.parametrize("name, grid", NON_INCREASING_GRIDS.values(),
                          ids=NON_INCREASING_GRIDS.keys())
 def test_config_rejects_non_increasing_grid(name, grid):
-    with pytest.raises(ShotsError, match=f"'{name}' must be strictly increasing"):
+    with pytest.raises(HeatleakError, match=f"'{name}' must be strictly increasing"):
         config_from_dict(_grid_config(name, grid))
     assert config_from_dict(_grid_config(name, sorted(set(grid))))
 
@@ -603,11 +604,11 @@ def test_analyze_resamples_each_record_once(tmp_path, monkeypatch, stages):
 
 
 def test_config_rejects_malformed_sections():
-    with pytest.raises(ShotsError, match="'spam.turbo'"):
+    with pytest.raises(HeatleakError, match="'spam.turbo'"):
         config_from_dict({"spam": {"flip_0_to_1": 0.1, "turbo": 1}})
-    with pytest.raises(ShotsError, match="'bootstrap'"):
+    with pytest.raises(HeatleakError, match="'bootstrap'"):
         config_from_dict({"bootstrap": 5})
-    with pytest.raises(ShotsError, match="invalid config"):
+    with pytest.raises(HeatleakError, match="invalid config"):
         config_from_dict({"shots_per_stage": "many"})
 
 
@@ -931,7 +932,7 @@ def test_config_rejects_xi_grid_outside_half_bounded_interval():
     # beta_c == beta_h leaves xi unbounded above; the bound below still holds
     protocol = {"variant": "B", "beta_c": 1.0, "beta_h": 1.0, "beta_e": 2.0}
     assert config_from_dict({"protocol": protocol, "xi_grid": [-1.0, 5.0]})
-    with pytest.raises(ShotsError, match="admissible interval"):
+    with pytest.raises(HeatleakError, match="admissible interval"):
         config_from_dict({"protocol": protocol, "xi_grid": [-5.0]})
 
 
@@ -1189,3 +1190,50 @@ def test_cli_huge_json_integer_exit_one(tmp_path, capsys, case):
     assert err.startswith(f"error: {expected.format(path=path)}")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def _meta_placeholder(lines):
+    assert lines[2]["stage"] == "ii"
+    lines[2]["meta"]["note"] = "BYTE"  # replaced by a raw 0xff byte after writing
+    return lines
+
+
+def test_cli_non_utf8_record_file_exit_one(tmp_path, capsys):
+    """A byte that is not UTF-8 ends in one error line naming its line, not a
+    UnicodeDecodeError traceback."""
+    path = _edited_records(tmp_path, _meta_placeholder)
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"BYTE", b"\xff")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["analyze", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:3: invalid UTF-8 (invalid start byte)\n"
+    assert not out.exists()
+
+
+def _bad_json_records(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"config": {}}\nnot json\n')
+    return read_records(str(path))
+
+
+# one rejected input per layer: register/circuits, circuits, passivity,
+# shots, recordio and config
+REJECTED_INPUTS = {
+    "ry_gate-nan": lambda tmp_path: ry_gate(float("nan")),
+    "protocol-variant-C": lambda tmp_path: ProtocolConfig("C", 1.0, 1.0, 1.0),
+    "build_B-inf": lambda tmp_path: build_B({"c": math.inf}, 1e-3),
+    "record-counts-sum": lambda tmp_path: ShotRecord("i", {"00": 1}, 2),
+    "record-bad-json": _bad_json_records,
+    "config-unknown-field": lambda tmp_path: config_from_dict({"turbo": 1}),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED_INPUTS))
+def test_every_rejected_input_is_a_heatleak_error(tmp_path, case):
+    """Every layer rejects input with the one error type the CLI reports."""
+    assert issubclass(HeatleakError, ValueError)
+    with pytest.raises(HeatleakError):
+        REJECTED_INPUTS[case](tmp_path)

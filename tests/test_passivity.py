@@ -8,8 +8,7 @@ import pytest
 import oracles
 from heatleak import (
     ExperimentConfig,
-    PassivityError,
-    ShotsError,
+    HeatleakError,
     alpha_observable,
     build_B,
     deformation_bounds,
@@ -71,13 +70,13 @@ def test_build_B_degenerate_betas():
 
 def test_build_B_rejects_bad_epsilon():
     for eps in (0.0, -1e-3, math.inf):
-        with pytest.raises(PassivityError):
+        with pytest.raises(HeatleakError):
             build_B({"c": 1.0}, eps)
     # energies 0 and 1 round to one eigenvalue above 2**53
     for eps in (1e17, 1e200):
-        with pytest.raises(PassivityError, match="epsilon"):
+        with pytest.raises(HeatleakError, match="epsilon"):
             build_B({"c": 1.0}, eps)
-    with pytest.raises(PassivityError):
+    with pytest.raises(HeatleakError):
         build_B({"c": math.inf}, 1e-3)
 
 
@@ -87,7 +86,7 @@ def test_build_B_rejects_bad_epsilon():
     {"c": 1.7e308, "h": -1.7e308},  # finite energies, their spread overflows
 ])
 def test_build_B_rejects_overflowing_betas(betas):
-    with pytest.raises(PassivityError, match=r"^betas .* overflow"):
+    with pytest.raises(HeatleakError, match=r"^betas .* overflow"):
         build_B(betas, 1e-3)
 
 
@@ -112,7 +111,7 @@ def test_b_alpha_square():
 
 def test_b_alpha_rejects_zero():
     B = build_B({"c": 1.0}, 0.5)
-    with pytest.raises(PassivityError):
+    with pytest.raises(HeatleakError):
         observable_table(B, [0.0])
 
 
@@ -186,7 +185,7 @@ def test_alpha_sweep_crossing_residual_is_tiny():
 
 def test_alpha_sweep_rejects_zero_in_grid():
     B = build_B({"c": 1.0}, 0.5)
-    with pytest.raises(PassivityError):
+    with pytest.raises(HeatleakError):
         observable_table(B, [-1.0, 0.0, 1.0])
 
 
@@ -346,13 +345,13 @@ def test_deformation_sweep_rejects_out_of_bounds_grid():
     for xi in (-2.0, 0.6):
         assert not bounds.xi_min <= xi <= bounds.xi_max
         cfg.xi_grid = [xi]
-        with pytest.raises(ShotsError, match="outside the admissible interval"):
+        with pytest.raises(HeatleakError, match="outside the admissible interval"):
             cfg.deformation_grid()
 
 
 def test_deformation_sweep_rejects_nonpositive_beta_c():
     B = build_B({"c": -0.5, "h": 1.0}, 1e-3)
-    with pytest.raises(PassivityError):
+    with pytest.raises(HeatleakError):
         xi_observable(B)
 
 
@@ -422,7 +421,7 @@ def test_observable_table_slices_match_channel_functions(rng, betas):
 
 
 def test_observable_table_xi_columns_need_qubits_c_and_h():
-    with pytest.raises(PassivityError, match="qubits c and h"):
+    with pytest.raises(HeatleakError, match="qubits c and h"):
         observable_table(build_B({"c": 1.0}, 0.5), [1.0], [0.0])
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from heatleak import (
     DensityOperator,
-    RegisterError,
+    HeatleakError,
     UnitaryOperator,
     apply_unitary,
     measure_distribution,
@@ -39,7 +39,7 @@ def test_thermal_pure_limits():
 
 
 def test_thermal_rejects_nan():
-    with pytest.raises(RegisterError):
+    with pytest.raises(HeatleakError):
         thermal_qubit(float("nan"))
 
 
@@ -101,11 +101,11 @@ def test_ry_quarter_turn_population():
 
 def test_apply_unitary_rejects_bad_targets():
     rho = tensor(thermal_qubit(0.0), thermal_qubit(0.0))
-    with pytest.raises(RegisterError):
+    with pytest.raises(HeatleakError):
         apply_unitary(rho, ry_gate(0.3), [2])
-    with pytest.raises(RegisterError):
+    with pytest.raises(HeatleakError):
         apply_unitary(rho, swap_gate(), [0, 0])
-    with pytest.raises(RegisterError):
+    with pytest.raises(HeatleakError):
         apply_unitary(rho, swap_gate(), [0])
 
 
@@ -173,9 +173,9 @@ def test_dephasing_mixture_zeroes_off_diagonals(rng):
 def test_mixture_rejects_bad_probabilities(rng):
     rho = random_density(1, rng)
     ident = UnitaryOperator(np.eye(2))
-    with pytest.raises(RegisterError):
+    with pytest.raises(HeatleakError):
         mixture_channel(rho, [(0.6, ident, [0]), (0.5, ident, [0])])
-    with pytest.raises(RegisterError):
+    with pytest.raises(HeatleakError):
         mixture_channel(rho, [(-0.1, ident, [0]), (1.1, ident, [0])])
 
 
@@ -264,18 +264,18 @@ def test_measure_distribution_normalized(rng):
 # ------------------------------------------------------------- type checks
 
 def test_density_operator_validation():
-    with pytest.raises(RegisterError):
+    with pytest.raises(HeatleakError):
         DensityOperator(np.array([[0.5, 0.1], [0.2, 0.5]]))  # not Hermitian
-    with pytest.raises(RegisterError):
+    with pytest.raises(HeatleakError):
         DensityOperator(np.diag([0.7, 0.7]))  # trace 1.4
-    with pytest.raises(RegisterError):
+    with pytest.raises(HeatleakError):
         DensityOperator(np.diag([1.5, -0.5]))  # negative eigenvalue
-    with pytest.raises(RegisterError):
+    with pytest.raises(HeatleakError):
         DensityOperator(np.full((2, 2), np.nan))
 
 
 def test_unitary_operator_validation():
-    with pytest.raises(RegisterError):
+    with pytest.raises(HeatleakError):
         UnitaryOperator(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 

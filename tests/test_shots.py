@@ -5,8 +5,8 @@ import pytest
 
 from heatleak import (
     BootstrapConfig,
+    HeatleakError,
     ShotRecord,
-    ShotsError,
     SpamModel,
     apply_spam,
     build_B,
@@ -60,23 +60,23 @@ def test_sample_deterministic():
 
 
 def test_sample_rejects_zero_shots():
-    with pytest.raises(ShotsError):
+    with pytest.raises(HeatleakError):
         sample_shots([1.0, 0.0], 0, seed=1)
 
 
 def test_sample_rejects_unnormalized():
-    with pytest.raises(ShotsError):
+    with pytest.raises(HeatleakError):
         sample_shots([0.6, 0.6], 10, seed=1)
 
 
 def test_record_validation():
-    with pytest.raises(ShotsError):
+    with pytest.raises(HeatleakError):
         ShotRecord(stage="i", counts={"00": 5, "01": 4}, shots=10)
-    with pytest.raises(ShotsError):
+    with pytest.raises(HeatleakError):
         ShotRecord(stage="i", counts={"00": 5, "0": 5}, shots=10)
-    with pytest.raises(ShotsError):
+    with pytest.raises(HeatleakError):
         ShotRecord(stage="i", counts={"02": 10}, shots=10)
-    with pytest.raises(ShotsError):
+    with pytest.raises(HeatleakError):
         ShotRecord(stage="i", counts={"00": -1, "01": 11}, shots=10)
 
 
@@ -123,9 +123,9 @@ def test_spam_monotone_in_flip_probability():
 
 
 def test_spam_model_validation():
-    with pytest.raises(ShotsError):
+    with pytest.raises(HeatleakError):
         SpamModel(flip_0_to_1=1.2)
-    with pytest.raises(ShotsError):
+    with pytest.raises(HeatleakError):
         SpamModel(flip_1_to_0=-0.1)
 
 
@@ -215,14 +215,14 @@ def test_bootstrap_change_non_finite_column_names_resample_0():
     table = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, np.inf], [3.0, 1.0]])
     cfg = BootstrapConfig(resamples=100, seed=3)
     with np.errstate(invalid="ignore"), \
-            pytest.raises(ShotsError, match="not finite on resample 0;"):
+            pytest.raises(HeatleakError, match="not finite on resample 0;"):
         bootstrap_change(*record_changes(rec_i, rec_f, cfg), table, cfg.confidence)
 
 
 def test_bootstrap_config_validation():
-    with pytest.raises(ShotsError):
+    with pytest.raises(HeatleakError):
         BootstrapConfig(resamples=50)
-    with pytest.raises(ShotsError):
+    with pytest.raises(HeatleakError):
         BootstrapConfig(confidence=1.5)
 
 
