@@ -90,10 +90,10 @@ def observable_table(B: GlobalPassivityOperator, alpha_grid,
 
     With n = len(alpha_grid), the columns are, in order:
 
-    * ``V[:, :n]``     sgn(alpha) * B^alpha per alpha (global passivity),
+    * ``V[:, :n]``     alpha_observable(B) per alpha (global passivity),
     * ``V[:, n]``      B itself (second law),
-    * ``V[:, n + 1:]`` B + xi * H_h per xi (deformation by the h qubit's
-      energy, so B must be on qubits c and h; none when xi_grid is None or
+    * ``V[:, n + 1:]`` xi_observable(B) per xi, the normal form of the
+      deformation by the h qubit's energy (none when xi_grid is None or
       empty).
 
     Each channel's value is the change in expectation of its columns,
@@ -102,20 +102,17 @@ def observable_table(B: GlobalPassivityOperator, alpha_grid,
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     if np.any(alpha_grid == 0.0):
         raise HeatleakError("alpha grid must exclude 0")
-    b = B.basis_values[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.sign(alpha_grid) * b**alpha_grid
-    bad = np.flatnonzero(~np.isfinite(powers).all(axis=0))
+        powers = alpha_observable(B)(alpha_grid)
+    bad = np.flatnonzero(~np.isfinite(powers).all(axis=1))
     if bad.size:
         raise HeatleakError(f"epsilon = {B.epsilon} makes B^alpha non-finite "
                             f"at alpha = {alpha_grid[bad[0]]}")
-    parts = [powers, b]
+    rows = [powers, B.basis_values[None]]
     if xi_grid is not None and len(xi_grid):
-        if set(B.betas) != {"c", "h"}:
-            raise HeatleakError("xi columns require B on qubits c and h")
-        h_h = energy_basis_values(2, 1)[:, None]
-        parts.append(b + h_h * np.asarray(xi_grid, dtype=float))
-    return np.hstack(parts)
+        rows.append(xi_observable(B)(xi_grid))
+    # one row per observable, transposed into a C-ordered outcome x column table
+    return np.concatenate(rows).T.copy()
 
 
 @dataclass(frozen=True)
@@ -189,8 +186,9 @@ def alpha_observable(B: GlobalPassivityOperator):
 
 def xi_observable(B: GlobalPassivityOperator):
     """Normal-form deformation observable H_c + ((beta_h + xi)/beta_c) * H_h
-    as a function of xi, like alpha_observable.  Its expectation change has
-    the sign of the raw form delta<B> + xi*delta<H_h> for beta_c > 0."""
+    as a function of xi, like alpha_observable.  It is (B + xi*H_h)/beta_c
+    less a constant, so its expectation change is the raw form
+    delta<B> + xi*delta<H_h> over beta_c, of the same sign for beta_c > 0."""
     if set(B.betas) != {"c", "h"}:
         raise HeatleakError("deformation sweep requires B on qubits c and h")
     beta_c, beta_h = B.betas["c"], B.betas["h"]

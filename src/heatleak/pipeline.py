@@ -6,7 +6,7 @@ against stage i through three channels, each a column group of
 
 * ``second-law``        the B column, delta<B> >= 0 (alpha = 1 member),
 * ``global-passivity``  the alpha block, delta<B^alpha> >= 0,
-* ``deformation``       the xi block, delta<B> + xi*delta<H_h> >= 0 on the
+* ``deformation``       the xi block, delta<B + xi*H_h>/beta_c >= 0 on the
                         admissible xi interval (variant B, or any xi grid).
 
 One bootstrap of ``(pf - p0) @ V`` serves all three.  Each record is
@@ -99,9 +99,8 @@ class Sweep:
 
     sides(diff, values) gives the CSV's lhs and rhs from the distribution
     change and its values on the channel's column group, and the CSV's CI
-    columns are the bootstrap CI of the values divided by ci_divisor.  The
-    sweep's thresholds are the sign crossings of diff @ observable(x) over
-    grid.
+    columns are the bootstrap CI of those values.  The sweep's thresholds
+    are the sign crossings of diff @ observable(x) over grid.
     """
 
     channel: str
@@ -109,7 +108,6 @@ class Sweep:
     sides: Callable[[np.ndarray, np.ndarray], tuple]
     observable: Callable[[np.ndarray], np.ndarray]
     grid: np.ndarray
-    ci_divisor: float
 
 
 def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep], dict[str, slice]]:
@@ -124,7 +122,7 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep], dict[str, 
     sweeps = [Sweep(
         "global-passivity", "alpha",
         lambda diff, values: (values, np.zeros_like(values)),
-        alpha_observable(B), alpha_grid, 1.0,
+        alpha_observable(B), alpha_grid,
     )]
     xi_grid = config.deformation_grid()
     if xi_grid is not None:
@@ -132,14 +130,12 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep], dict[str, 
         beta_c, beta_h = B.betas["c"], B.betas["h"]
         sweeps.append(Sweep(
             "deformation", "xi",
-            # normal form: lhs = d<H_c> < rhs = -((beta_h + xi)/beta_c) d<H_h>
-            # iff the raw form d<B> + xi*d<H_h> is negative, for beta_c > 0
+            # normal form: violated iff d<H_c> < -((beta_h + xi)/beta_c) d<H_h>
             lambda diff, values: (
                 np.full_like(xi_grid, float(np.dot(diff, h_c))),
                 -((beta_h + xi_grid) / beta_c) * float(np.dot(diff, h_h)),
             ),
-            # the CSV margin lhs - rhs is the raw form over beta_c
-            xi_observable(B), xi_grid, beta_c,
+            xi_observable(B), xi_grid,
         ))
     groups = {
         "second-law": slice(n_alpha, n_alpha + 1),
@@ -268,8 +264,7 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
             write_sweep_csv(
                 os.path.join(out_dir, f"{sweep.prefix}_sweep_i_to_{stage}.csv"),
                 sweep.grid, *sweep.sides(diff, np.array([e.value for e in est])),
-                [e.ci_low / sweep.ci_divisor for e in est],
-                [e.ci_high / sweep.ci_divisor for e in est],
+                [e.ci_low for e in est], [e.ci_high for e in est],
             )
             _, crossings = sweep_crossings(sweep.observable, diff, sweep.grid)
             if len(crossings) == 1:

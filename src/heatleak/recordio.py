@@ -74,20 +74,24 @@ def _json_labels(value) -> tuple[str, ...] | None:
 
 
 def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
-    """Parse a record file; raises HeatleakError with 1-based line numbers."""
+    """Parse a record file; raises HeatleakError with 1-based line numbers.
+
+    Lines end at b"\\n" only: JSON strings may hold U+2028 and its kin raw,
+    and a CRLF line's "\\r" is JSON whitespace."""
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        raw_lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        line_no = 1 + data.count(b"\n", 0, exc.start)
-        raise HeatleakError(f"{path}:{line_no}: invalid UTF-8 ({exc.reason})") from exc
-    if not raw_lines:
+    if not data:
         raise HeatleakError(f"{path}: empty file")
 
-    def parse(line_no: int, text: str) -> dict:
+    def parse(line_no: int, line: bytes) -> dict | None:
+        """The line's JSON object, or None for a blank record line."""
         try:
+            text = line.decode("utf-8")
+            if line_no > 1 and not text.strip():
+                return None
             obj = json.loads(text)
+        except UnicodeDecodeError as exc:
+            raise HeatleakError(f"{path}:{line_no}: invalid UTF-8 ({exc.reason})") from exc
         except ValueError as exc:  # bad JSON, or an int over the digit limit
             raise HeatleakError(f"{path}:{line_no}: invalid JSON "
                                 f"({getattr(exc, 'msg', exc)})") from exc
@@ -95,14 +99,15 @@ def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
             raise HeatleakError(f"{path}:{line_no}: expected a JSON object")
         return obj
 
-    header = parse(1, raw_lines[0])
+    lines = data.split(b"\n")
+    header = parse(1, lines[0])
     if "config" not in header:
         raise HeatleakError(f"{path}:1: header line must carry a 'config' key")
     records = []
-    for line_no, text in enumerate(raw_lines[1:], start=2):
-        if not text.strip():
+    for line_no, line in enumerate(lines[1:], start=2):
+        obj = parse(line_no, line)
+        if obj is None:
             continue
-        obj = parse(line_no, text)
         missing = {"stage", "counts", "shots"} - set(obj)
         if missing:
             raise HeatleakError(

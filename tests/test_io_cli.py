@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -331,6 +332,16 @@ def test_cli_analyze_variant_b_detects_via_deformation(tmp_path):
     assert verdict["channel_strengths"]["global-passivity"] < 3.0
     xi_thresholds = [t for t in verdict["thresholds"] if t["test"] == "deformation"]
     assert xi_thresholds and abs(xi_thresholds[0]["value"] - PIN_XI_STAR_B) < 0.2
+    # the CI columns bound the normal-form margin lhs - rhs, the point
+    # estimate of the xi columns that the bootstrap resamples
+    for stage in ("ii", "iii"):
+        with open(os.path.join(out, f"xi_sweep_i_to_{stage}.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            lhs, rhs, lo, hi = (float(row[k]) for k in ("lhs", "rhs", "ci_low", "ci_high"))
+            tol = 1e-12 * max(abs(lhs), abs(rhs), abs(lo), abs(hi))
+            assert lo - tol <= lhs - rhs <= hi + tol, row
 
 
 def test_cli_analyze_malformed_file_exit_one(tmp_path, capsys):
@@ -1100,13 +1111,20 @@ def test_cli_analyze_two_point_crossings_write_a_note(tmp_path):
 def test_channel_strengths_read_their_column_groups(tmp_path):
     """Each channel's strength is the largest depth over its own column group
     and both stage pairs: second-law reads the B column alone,
-    global-passivity the alpha columns, and deformation no column for
-    protocol A without a xi grid.  The alpha grid lacks 1.0, so no alpha
-    column equals B."""
-    from heatleak import pipeline
+    global-passivity the alpha columns, and deformation the normal-form xi
+    columns of protocol B's auto-filled grid, or no column for protocol A
+    without a xi grid.  The alpha grid lacks 1.0, so no alpha column equals
+    B."""
+    for variant in ("A", "B"):
+        _check_channel_strengths(tmp_path / variant, variant)
+
+
+def _check_channel_strengths(out, variant):
+    from heatleak import pipeline, xi_observable
     from heatleak.shots import bootstrap_change, derive_seed, resample
 
-    config = ExperimentConfig(alpha_grid=[-2.0, 0.5, 2.0])
+    config = ExperimentConfig(protocol=reference_protocol(variant),
+                              alpha_grid=[-2.0, 0.5, 2.0])
     counts = {  # stage iii, and less so stage ii, shifted toward 00: <B> drops
         "i": [4000, 1200, 1000, 500],
         "ii": [4100, 1150, 970, 480],
@@ -1115,14 +1133,19 @@ def test_channel_strengths_read_their_column_groups(tmp_path):
     records = {stage: ShotRecord(stage=stage, counts=dict(zip(["00", "01", "10", "11"], c)),
                                  shots=6700, qubits=("c", "h"))
                for stage, c in counts.items()}
-    verdict = pipeline.analyze_records(list(records.values()), config, str(tmp_path))
+    verdict = pipeline.analyze_records(list(records.values()), config, str(out))
 
-    b = build_B({"c": config.protocol.beta_c, "h": config.protocol.beta_h},
-                config.epsilon).basis_values
+    B = build_B({"c": config.protocol.beta_c, "h": config.protocol.beta_h},
+                config.epsilon)
+    b = B.basis_values
     groups = {
         "second-law": b[:, None],
         "global-passivity": np.stack([np.sign(a) * b**a for a in config.alpha_grid], axis=1),
     }
+    xi_grid = config.deformation_grid()
+    assert (xi_grid is None) == (variant == "A")
+    if xi_grid is not None:
+        groups["deformation"] = xi_observable(B)(xi_grid).T
     rates = {stage: resample(rec, config.bootstrap.resamples, derive_seed(
         config.seed, pipeline.CI_SEED_ROLE, pipeline.STAGE_SEED_ROLE[stage]))
         for stage, rec in records.items()}
@@ -1136,6 +1159,7 @@ def test_channel_strengths_read_their_column_groups(tmp_path):
                 if e.value < 0:
                     expected[name] = max(expected[name], -e.value / max(e.std_error, r))
     assert expected["second-law"] > 3.0 and expected["global-passivity"] > 3.0
+    assert (expected["deformation"] > 3.0) == (variant == "B")
     assert verdict.channel_strengths == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert verdict.channel == max(expected, key=expected.get)
 
@@ -1211,6 +1235,32 @@ def test_cli_non_utf8_record_file_exit_one(tmp_path, capsys):
     assert main(["analyze", path, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {path}:3: invalid UTF-8 (invalid start byte)\n"
     assert not out.exists()
+
+
+def test_cli_record_line_with_raw_line_separator(tmp_path):
+    """Record lines end at \\n alone: a raw U+2028 in a meta string, as
+    json.dumps(..., ensure_ascii=False) writes it, reads like its escaped
+    twin, and so does the same file with CRLF line ends."""
+    def note(lines):
+        lines[2]["meta"]["note"] = "a\u2028b"
+        return lines
+
+    escaped = _edited_records(tmp_path, note)
+    with open(escaped, encoding="utf-8") as fh:
+        raw = "".join(json.dumps(json.loads(t), ensure_ascii=False) + "\n" for t in fh)
+    assert "\u2028" in raw
+    paths = {"escaped": escaped}
+    for name, text in (("raw", raw), ("crlf", raw.replace("\n", "\r\n"))):
+        paths[name] = str(tmp_path / f"{name}.jsonl")
+        with open(paths[name], "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    runs = {}
+    for name, path in paths.items():
+        out = tmp_path / f"run-{name}"
+        rc = main(["analyze", path, "--out", str(out)])
+        runs[name] = rc, {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+    assert runs["escaped"][0] in (0, 2) and runs["escaped"][1]
+    assert runs["raw"] == runs["escaped"] == runs["crlf"]
 
 
 def _bad_json_records(tmp_path):

@@ -296,8 +296,8 @@ def _normal_form(B, p0, pf, grid):
 
 
 def _raw_form(B, p0, pf, grid):
-    """d<B> + xi*d<H_h> per xi: the xi columns of the observable table."""
-    return (pf - p0) @ observable_table(B, [], grid)[:, 1:]
+    """d<B> + xi*d<H_h> per xi: the paper's deformation of B by H_h."""
+    return (pf - p0) @ (B.basis_values[:, None] + A_VALUES_HH[:, None] * grid)
 
 
 def test_deformation_sweep_identity_no_violation():
@@ -392,32 +392,30 @@ def test_deformed_inequality_holds_for_unitaries(rng):
         final = mixture_channel(state, [(1.0, u, [0, 1])])
         p0 = measure_distribution(state, [0, 1])
         pf = measure_distribution(final, [0, 1])
-        raw = (pf - p0) @ observable_table(B, [], grid)[:, 1:]
-        assert raw.min() >= -1e-9
+        assert _raw_form(B, p0, pf, grid).min() >= -1e-9
 
 
 # --------------------------------------------------------- observable_table
 
 @pytest.mark.parametrize("betas", [{"c": 2.23, "h": 0.43}, {"c": 1.627, "h": 1.099}])
 def test_observable_table_slices_match_channel_functions(rng, betas):
+    """The alpha and xi blocks are the family functions on their grids, bit
+    for bit, around the B column, in one C-ordered table."""
     B = build_B(betas, 1e-3)
     bounds = deformation_bounds(B.basis_values, A_VALUES_HH)
     xi_grid = np.linspace(bounds.xi_min, bounds.xi_max, 41)
     table = observable_table(B, GRID, xi_grid)
     n = len(GRID)
     assert table.shape == (4, n + 1 + len(xi_grid))
-    alpha_only = observable_table(B, GRID, None)
-    assert alpha_only.shape == (4, n + 1)
+    assert table.flags.c_contiguous
+    assert np.array_equal(table[:, :n], alpha_observable(B)(GRID).T)
+    assert np.array_equal(table[:, n], B.basis_values)
+    assert np.array_equal(table[:, n + 1:], xi_observable(B)(xi_grid).T)
+    assert np.array_equal(observable_table(B, GRID, None), table[:, :n + 1])
     for _ in range(50):
         p0 = rng.dirichlet(np.ones(4))
         pf = rng.dirichlet(np.ones(4))
-        values = (pf - p0) @ table
-        assert np.allclose(values[:n], (pf - p0) @ alpha_only[:, :n],
-                           rtol=0, atol=1e-12)
-        assert abs(values[n] - _second_law(p0, pf, betas)) < 1e-12
-        # the raw form is beta_c times the normal form, B's shift cancelling
-        raw = betas["c"] * _normal_form(B, p0, pf, xi_grid)
-        assert np.allclose(values[n + 1:], raw, rtol=0, atol=1e-12)
+        assert abs((pf - p0) @ table[:, n] - _second_law(p0, pf, betas)) < 1e-12
 
 
 def test_observable_table_xi_columns_need_qubits_c_and_h():
