@@ -8,7 +8,9 @@ seed, independently of evaluation order.
 Each record is redrawn once, by resample, into a (resamples, outcomes)
 matrix of multinomial rates; both bootstraps read the difference of two such
 matrices whole: bootstrap_change takes CIs of expectation changes by matrix
-products, threshold_bootstrap locates the sweep crossings of every resample.
+products, with standard errors from the (outcomes, outcomes) sample
+covariance of that difference, and threshold_bootstrap locates the sweep
+crossings of every resample.
 """
 
 from __future__ import annotations
@@ -219,29 +221,29 @@ def _linear_quantile(ordered: np.ndarray, q: float) -> np.ndarray:
     return value
 
 
-def _summarize(point, stats: np.ndarray, confidence: float) -> list[EstimateWithCI]:
-    """Estimates from point values and (resamples, k) resample statistics.
+def _summarize(point, stats: np.ndarray, std: np.ndarray,
+               confidence: float) -> list[EstimateWithCI]:
+    """Estimates from point values, (resamples, k) resample statistics and
+    their k standard errors.
 
     CIs are empirical quantiles at (1 +- confidence)/2 by numpy's default
-    "linear" rule, widened to enclose the point estimate if needed;
-    std_error is the resample standard deviation (0 for a single resample).
+    "linear" rule, widened to enclose the point estimate if needed, as
+    min(ci_low, point) and max(ci_high, point) would (a NaN bound stays NaN).
     """
     lo_q = (1.0 - confidence) / 2.0
-    std = stats.std(axis=0, ddof=1) if len(stats) > 1 else np.zeros(stats.shape[1])
+    point = np.asarray(point, dtype=float)
     # one in-place sort of contiguous rows (numpy's SIMD sort) serves both
     # quantiles; it is faster than np.quantile's partition at six positions
     ordered = stats.T.copy()
     ordered.sort(axis=1)
     ci_low = _linear_quantile(ordered, lo_q)
     ci_high = _linear_quantile(ordered, 1.0 - lo_q)
+    ci_low = np.where(point < ci_low, point, ci_low)
+    ci_high = np.where(point > ci_high, point, ci_high)
     return [
-        EstimateWithCI(
-            value=float(point[k]),
-            ci_low=float(min(ci_low[k], point[k])),
-            ci_high=float(max(ci_high[k], point[k])),
-            std_error=float(std[k]),
-        )
-        for k in range(len(point))
+        EstimateWithCI(value=v, ci_low=lo, ci_high=hi, std_error=s)
+        for v, lo, hi, s in zip(point.tolist(), ci_low.tolist(), ci_high.tolist(),
+                                std.tolist())
     ]
 
 
@@ -253,22 +255,30 @@ def bootstrap_change(diff, diffs: np.ndarray, table,
     diffs its (resamples, outcomes) resampled changes, the difference of two
     resample matrices.  Each resample's statistic is the same product on its
     row of diffs, taken a block of _BLOCK_COLUMNS table columns at a time to
-    bound memory.  See _summarize for the CIs; a non-finite resample
-    statistic raises HeatleakError naming the first such resample.
+    bound memory.  A column v is linear in diffs, so its std_error, the
+    ddof=1 standard deviation of diffs @ v, is sqrt(v^T C v) with C the
+    sample covariance of diffs (equal up to rounding; 0 for a single
+    resample).  See _summarize for the CIs; a non-finite resample statistic
+    raises HeatleakError naming the first such resample.
     """
     table = np.asarray(table, dtype=float)
     point = np.asarray(diff, dtype=float) @ table
+    if len(diffs) > 1:
+        variance = np.einsum("ij,ij->j", table, np.cov(diffs, rowvar=False) @ table)
+        # v^T C v of a (near-)constant column can round below zero
+        std = np.sqrt(np.maximum(variance, 0.0))
+    else:
+        std = np.zeros(table.shape[1])
     estimates = []
     for start in range(0, table.shape[1], _BLOCK_COLUMNS):
         columns = slice(start, start + _BLOCK_COLUMNS)
         stats = diffs @ table[:, columns]
-        bad = np.flatnonzero(~np.isfinite(stats).all(axis=1))
-        if bad.size:
-            r = bad[0]
+        if not np.isfinite(stats).all():
+            r = np.flatnonzero(~np.isfinite(stats).all(axis=1))[0]
             raise HeatleakError(
                 f"statistic is not finite on resample {r}; diffs={diffs[r].tolist()}"
             )
-        estimates += _summarize(point[columns], stats, confidence)
+        estimates += _summarize(point[columns], stats, std[columns], confidence)
     return estimates
 
 
@@ -308,7 +318,10 @@ def threshold_bootstrap(diffs: np.ndarray, observable, grid, center: float,
     if not len(nearest):
         estimate = EstimateWithCI(center, center, center, math.nan)
     else:
-        (estimate,) = _summarize([center], nearest[:, None], confidence)
+        # crossings are not linear in diffs: their std is the sample std
+        stats = nearest[:, None]
+        std = stats.std(axis=0, ddof=1) if len(stats) > 1 else np.zeros(1)
+        (estimate,) = _summarize([center], stats, std, confidence)
     return ThresholdResult(
         estimate=estimate,
         resamples=resamples,

@@ -219,6 +219,13 @@ def test_bootstrap_change_non_finite_column_names_resample_0():
         bootstrap_change(*record_changes(rec_i, rec_f, cfg), table, cfg.confidence)
 
 
+def test_bootstrap_change_non_finite_diffs_names_first_bad_resample():
+    diffs = np.zeros((20, 4))
+    diffs[7, 2] = np.nan
+    with pytest.raises(HeatleakError, match="not finite on resample 7;"):
+        bootstrap_change(np.zeros(4), diffs, np.eye(4), 0.6827)
+
+
 def test_bootstrap_config_validation():
     with pytest.raises(HeatleakError):
         BootstrapConfig(resamples=50)
@@ -348,10 +355,54 @@ def test_summary_matches_np_quantile_reference(resamples, kind):
     with np.errstate(invalid="ignore"):  # std and lerp of infinities give NaN
         for confidence in (0.05, 0.6827, 0.99):
             for columns in (1, 16):
-                got = _summarize(point[:columns], stats[:, :columns], confidence)
+                std = (stats[:, :columns].std(axis=0, ddof=1) if resamples > 1
+                       else np.zeros(columns))
+                got = _summarize(point[:columns], stats[:, :columns], std, confidence)
                 want = oracle_summary(point[:columns], stats[:, :columns], confidence)
                 assert [tuple(map(repr, (e.value, e.ci_low, e.ci_high, e.std_error)))
                         for e in got] == [tuple(map(repr, w)) for w in want]
+
+
+# ------------------------------------------ std error from the covariance
+
+def _reference_tables_and_records(variant):
+    """Protocol A or B: the table of observable_table at the default alpha
+    grid and a 41-point xi grid, and three stage records drawn from the
+    exact distributions."""
+    if variant == "A":
+        betas, shots, dists = {"c": 2.23, "h": 0.43}, 6700, oracle_protocol_a(True)
+    else:
+        betas, shots, dists = {"c": 1.627, "h": 1.099}, 3200, oracle_protocol_b(True)
+    B = build_B(betas, 1e-3)
+    bounds = deformation_bounds(B.basis_values, energy_basis_values(2, 1))
+    alpha_grid = np.array(default_alpha_grid())
+    xi_grid = np.linspace(bounds.xi_min, bounds.xi_max, 41)
+    records = [
+        sample_shots(np.real(p), shots, seed=derive_seed(77, k), stage=stage)
+        for k, (stage, p) in enumerate(zip(("i", "ii", "iii"), dists))
+    ]
+    return B, alpha_grid, xi_grid, observable_table(B, alpha_grid, xi_grid), records
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_bootstrap_std_error_matches_resample_std(variant):
+    """std_error, sqrt(v^T C v) from the sample covariance C of diffs, is the
+    ddof=1 std of diffs @ v up to rounding; a constant column, where v^T C v
+    is rounding noise that can fall below zero, gets a finite std_error >= 0."""
+    *_, table, records = _reference_tables_and_records(variant)
+    table = np.column_stack([table, np.ones(4)])  # the last column is constant
+    for k, rec_f in enumerate(records[1:]):
+        cfg = BootstrapConfig(resamples=400, seed=derive_seed(78, k))
+        diff, diffs = record_changes(records[0], rec_f, cfg)
+        got = np.array([e.std_error for e in bootstrap_change(diff, diffs, table,
+                                                              cfg.confidence)])
+        want = np.std(diffs @ table, axis=0, ddof=1)
+        assert np.all(np.abs(got[:-1] - want[:-1]) <= 1e-12 * want[:-1])
+        # diffs @ ones is ~1e-17, but v^T C v sums entries of C's scale
+        # (~1e-4) to rounding noise of ~1e-20, whose square root is ~1e-10
+        assert math.isfinite(got[-1]) and 0.0 <= got[-1] < 1e-8
+        single = bootstrap_change(diff, diffs[:1], table, cfg.confidence)
+        assert [e.std_error for e in single] == [0.0] * table.shape[1]
 
 
 # ------------------------------------------- count-matrix path vs reference
@@ -360,20 +411,7 @@ def test_summary_matches_np_quantile_reference(resamples, kind):
 def test_matrix_path_matches_per_resample_reference(variant):
     """bootstrap_change / threshold_bootstrap reproduce the per-resample
     references of tests/oracles.py, which rebuild records and sweeps."""
-    if variant == "A":
-        betas, shots, dists = {"c": 2.23, "h": 0.43}, 6700, oracle_protocol_a(True)
-    else:
-        betas, shots, dists = {"c": 1.627, "h": 1.099}, 3200, oracle_protocol_b(True)
-    B = build_B(betas, 1e-3)
-    a_values = energy_basis_values(2, 1)
-    bounds = deformation_bounds(B.basis_values, a_values)
-    alpha_grid = np.array(default_alpha_grid())
-    xi_grid = np.linspace(bounds.xi_min, bounds.xi_max, 41)
-    table = observable_table(B, alpha_grid, xi_grid)
-    records = [
-        sample_shots(np.real(p), shots, seed=derive_seed(77, k), stage=stage)
-        for k, (stage, p) in enumerate(zip(("i", "ii", "iii"), dists))
-    ]
+    B, alpha_grid, xi_grid, table, records = _reference_tables_and_records(variant)
     sweeps = [(alpha_observable(B), alpha_grid), (xi_observable(B), xi_grid)]
     found = 0
     for k, rec_f in enumerate(records[1:]):
