@@ -180,6 +180,7 @@ def run_simulate(config: ExperimentConfig, out_dir: str) -> str:
     SWAP is disabled).
     """
     dists = stage_distributions(config)
+    _plan(config)  # refuse, before sampling, a config that analyze refuses
     records = [
         sample_shots(
             apply_spam(dists[stage], config.spam),

@@ -57,6 +57,12 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def _json_string(value, name: str) -> str:
     if not isinstance(value, str):
         raise TypeError(f"{name} must be a JSON string, got {value!r}")
@@ -118,14 +124,14 @@ def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
                 ShotRecord(
                     stage=_json_string(obj["stage"], "stage"),
                     counts={str(k): _json_int(v, f"count of {k!r}")
-                            for k, v in obj["counts"].items()},
+                            for k, v in _json_object(obj["counts"], "counts").items()},
                     shots=_json_int(obj["shots"], "shots"),
                     qubits=_json_labels(obj.get("qubits")),
                     seed=obj.get("seed"),
                     meta=obj.get("meta") or {},
                 )
             )
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError) as exc:
             raise HeatleakError(f"{path}:{line_no}: {exc}") from exc
     return header["config"], records
 

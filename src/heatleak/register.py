@@ -29,68 +29,58 @@ class HeatleakError(ValueError):
     CLI prints it as one ``error:`` line and exits 1."""
 
 
-def _square_complex(matrix) -> np.ndarray:
-    m = np.array(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise HeatleakError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise HeatleakError("matrix entries must be finite")
-    return m
-
-
-def _num_qubits_for_dim(dim: int) -> int:
-    n = dim.bit_length() - 1
-    if dim != 2**n:
-        raise HeatleakError(f"matrix dimension {dim} is not a power of two")
-    if n > MAX_QUBITS:
-        raise HeatleakError(f"register of {n} qubits exceeds cap of {MAX_QUBITS}")
-    return n
-
-
-class DensityOperator:
-    """Exact mixed state of an n-qubit register: Hermitian, trace-1, PSD matrix."""
+class _Operator:
+    """Read-only square complex matrix on an n-qubit register; a subclass's
+    _check(m) adds its physical condition after the shared checks."""
 
     __slots__ = ("num_qubits", "matrix")
 
     def __init__(self, matrix):
-        m = _square_complex(matrix)
-        n = _num_qubits_for_dim(m.shape[0])
+        m = np.array(matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise HeatleakError(f"expected a square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise HeatleakError("matrix entries must be finite")
+        dim = m.shape[0]
+        n = dim.bit_length() - 1
+        if dim != 2**n:
+            raise HeatleakError(f"matrix dimension {dim} is not a power of two")
+        if n > MAX_QUBITS:
+            raise HeatleakError(f"register of {n} qubits exceeds cap of {MAX_QUBITS}")
+        self._check(m)
+        m.setflags(write=False)
+        object.__setattr__(self, "num_qubits", n)
+        object.__setattr__(self, "matrix", m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        return f"{type(self).__name__}(num_qubits={self.num_qubits})"
+
+
+class DensityOperator(_Operator):
+    """Exact mixed state of an n-qubit register: Hermitian, trace-1, PSD matrix."""
+
+    __slots__ = ()
+
+    def _check(self, m):
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise HeatleakError("density matrix is not Hermitian")
         if abs(np.trace(m) - 1.0) > TRACE_TOL:
             raise HeatleakError(f"density matrix trace {np.trace(m)} != 1")
         if np.linalg.eigvalsh(m).min() < EIGENVALUE_TOL:
             raise HeatleakError("density matrix is not positive semidefinite")
-        m.setflags(write=False)
-        object.__setattr__(self, "num_qubits", n)
-        object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityOperator is immutable")
-
-    def __repr__(self):
-        return f"DensityOperator(num_qubits={self.num_qubits})"
 
 
-class UnitaryOperator:
+class UnitaryOperator(_Operator):
     """Unitary on an n-qubit register (U U^dagger = 1 within UNITARITY_TOL)."""
 
-    __slots__ = ("num_qubits", "matrix")
+    __slots__ = ()
 
-    def __init__(self, matrix):
-        m = _square_complex(matrix)
-        n = _num_qubits_for_dim(m.shape[0])
+    def _check(self, m):
         if np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) > UNITARITY_TOL:
             raise HeatleakError("matrix is not unitary")
-        m.setflags(write=False)
-        object.__setattr__(self, "num_qubits", n)
-        object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitaryOperator is immutable")
-
-    def __repr__(self):
-        return f"UnitaryOperator(num_qubits={self.num_qubits})"
 
 
 def thermal_populations(beta: float) -> np.ndarray:
@@ -154,8 +144,7 @@ def embed_unitary(u: UnitaryOperator, targets, num_qubits: int) -> np.ndarray:
 
 def apply_unitary(state: DensityOperator, u: UnitaryOperator, targets) -> DensityOperator:
     """Conjugate the state by u embedded on the given target qubits."""
-    full = embed_unitary(u, targets, state.num_qubits)
-    return DensityOperator(full @ state.matrix @ full.conj().T)
+    return mixture_channel(state, [(1.0, u, targets)])
 
 
 def mixture_channel(state: DensityOperator, terms) -> DensityOperator:
@@ -206,12 +195,10 @@ def measure_distribution(state: DensityOperator, qubits) -> np.ndarray:
     if any(x < 0 or x >= state.num_qubits for x in q):
         raise HeatleakError(f"qubits {q} outside register")
     n = state.num_qubits
-    diag = np.real(np.diagonal(state.matrix)).reshape((2,) * n if n else (1,))
-    if n == 0:
-        return np.array([1.0])
-    summed = diag.sum(axis=tuple(a for a in range(n) if a not in q)) if len(q) < n else diag
-    kept_order = sorted(q)
-    marg = summed.transpose([kept_order.index(x) for x in q]).reshape(-1)
+    diag = np.real(np.diagonal(state.matrix)).reshape((2,) * n)
+    summed = diag.sum(axis=tuple(a for a in range(n) if a not in q))
+    # summed's axes are the listed qubits in register order; put them in q's
+    marg = summed.transpose(np.argsort(np.argsort(q))).reshape(-1)
     if marg.min() < -1e-12:
         raise HeatleakError(f"negative outcome probability {marg.min()}")
     marg = np.clip(marg, 0.0, 1.0)

@@ -59,6 +59,8 @@ class ShotRecord:
     def __post_init__(self):
         if self.shots <= 0:
             raise HeatleakError("a record needs at least one shot")
+        if not self.counts:
+            raise HeatleakError("a record needs at least one outcome")
         lengths = {len(k) for k in self.counts}
         if len(lengths) != 1:
             raise HeatleakError(f"inconsistent outcome label lengths {lengths}")

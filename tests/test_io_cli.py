@@ -784,6 +784,30 @@ def test_cli_analyze_non_integer_record_number_exit_one(tmp_path, capsys, case):
     assert err.startswith(f"error: {path}:4: {name} must be a JSON integer")
 
 
+BAD_COUNTS = {
+    "list": ([1, 2], "counts must be a JSON object, got [1, 2]"),
+    "empty": ({}, "a record needs at least one outcome"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_COUNTS))
+def test_cli_analyze_bad_counts_exit_one(tmp_path, capsys, case):
+    """counts that are no JSON object, or an empty one, get an error line
+    naming the fault, not Python's internal text."""
+    counts, expected = BAD_COUNTS[case]
+
+    def edit(lines):
+        lines[3]["counts"] = counts
+        return lines
+
+    path = _edited_records(tmp_path, edit)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["analyze", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:4: {expected}\n"
+    assert not out.exists()
+
+
 def test_cli_simulate_config_string_boolean_exit_one(tmp_path, capsys):
     """A JSON string "false" is truthy; taken as a boolean it would switch
     the environment SWAP on."""
@@ -1043,6 +1067,41 @@ def test_cli_exact_overflowing_betas_exit_one(tmp_path, capsys, recwarn):
     assert err.startswith("error: betas {'c': 1e+308, 'h': 1e+308} overflow")
     assert not out.exists()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+REFUSED_CONFIGS = {
+    "swamped-betas": (["--variant", "A", "--epsilon", "1e17"], None,
+                      SWAMPED_BETAS.format("1e+17")),
+    "non-finite-table": (["--variant", "A", "--epsilon", "1e-200"], None,
+                         "error: epsilon = 1e-200 makes B^alpha non-finite at alpha = -3.0\n"),
+    "overflowing-betas": ([], {"protocol": {"variant": "A", "beta_c": 1e308,
+                                            "beta_h": 1e308, "beta_e": 2.02}},
+                          "error: betas {'c': 1e+308, 'h': 1e+308} overflow: the outcome "
+                          "energies sum_j beta_j E_j exceed the float range\n"),
+    "unbounded-interval": ([], {"protocol": {"variant": "B", "beta_c": 1.0,
+                                             "beta_h": 1.0, "beta_e": 2.232}},
+                           "error: cannot auto-fill an unbounded deformation interval; "
+                           "provide an explicit xi grid\n"),
+    "negative-beta-c": ([], {"protocol": {"variant": "A", "beta_c": -0.5,
+                                          "beta_h": 0.43, "beta_e": 2.02},
+                             "xi_grid": [-0.2, 0.0]},
+                        "error: the normal form divides by beta_c; need beta_c > 0\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_CONFIGS))
+def test_cli_simulate_refuses_what_analyze_refuses(tmp_path, capsys, case):
+    """simulate builds analyze's plan before it samples, so a config that
+    analyze of its records would refuse never reaches a record file."""
+    argv, config, expected = REFUSED_CONFIGS[case]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg)]
+    out = tmp_path / "sim"
+    assert main(["simulate", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
 
 
 # ------------------------------------------- thresholds, decided by analyze

@@ -253,6 +253,19 @@ def test_measure_protocol_a_matches_oracle():
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
+def test_measure_scalar_state_of_no_qubits(rng):
+    scalar = partial_trace(random_density(2, rng), [])
+    assert np.array_equal(measure_distribution(scalar, []), [1.0])
+
+
+def test_measure_reversed_non_adjacent_qubits_match_einsum(rng):
+    rho = random_density(3, rng)
+    diag = np.real(np.diagonal(rho.matrix)).reshape(2, 2, 2)
+    expected = np.einsum("abc->ca", diag).reshape(-1)
+    got = measure_distribution(rho, [2, 0])
+    assert np.max(np.abs(got - expected / expected.sum())) < 1e-15
+
+
 def test_measure_distribution_normalized(rng):
     for _ in range(50):
         rho = random_density(3, rng)
@@ -285,3 +298,12 @@ def test_operators_are_immutable():
         rho.matrix = np.eye(2)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 5.0
+    u = UnitaryOperator(np.eye(4))
+    with pytest.raises(AttributeError, match="^UnitaryOperator is immutable$"):
+        u.matrix = np.eye(4)
+    with pytest.raises(AttributeError, match="^DensityOperator is immutable$"):
+        rho.num_qubits = 2
+    with pytest.raises(ValueError):
+        u.matrix[0, 0] = 5.0
+    assert repr(rho) == "DensityOperator(num_qubits=1)"
+    assert repr(u) == "UnitaryOperator(num_qubits=2)"
