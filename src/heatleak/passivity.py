@@ -145,9 +145,7 @@ def deformation_bounds(b_values, a_values) -> DeformationBounds:
     max_pairs: list[tuple[int, int]] = []
     for i in range(len(b)):
         for j in range(len(b)):
-            if b[i] >= b[j]:
-                continue
-            if a[i] == a[j]:
+            if b[i] >= b[j] or a[i] == a[j]:
                 continue
             ratio = (b[j] - b[i]) / (a[i] - a[j])
             if a[i] > a[j]:  # upper bound

@@ -12,10 +12,10 @@ against stage i through three channels, each a column group of
 One bootstrap of ``(pf - p0) @ V`` serves all three.  Each record is
 resampled once, from a per-stage seed, and every statistic of a stage pair
 (CIs and thresholds) reads the same resampled changes; both pairs share
-stage i's draw.  A column's depth is its violation in bootstrap standard
-errors; a channel's strength is the largest depth over its group and both
-stage pairs, and a verdict fires when any strength reaches the configured
-significance.
+stage i's draw.  A column's depth is its violation in multinomial standard
+errors, a closed form of the counts; a channel's strength is the largest
+depth over its group and both stage pairs, and a verdict fires when any
+strength reaches the configured significance.
 """
 
 from __future__ import annotations
@@ -250,12 +250,12 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
         rec_f = by_stage[stage]
         diff = rec_f.probabilities() - rec_i.probabilities()
         diffs = rates[stage] - rates["i"]
-        estimates = bootstrap_change(diff, diffs, table, confidence)
+        estimates = bootstrap_change(rec_i, rec_f, diffs, table, confidence)
         resolution = (np.ptp(table, axis=0) / min(rec_i.shots, rec_f.shots)).tolist()
         # each column's violation depth in sigmas, with sigma floored at the
-        # column's one-shot resolution: a zero-width bootstrap (all shots in
-        # one outcome) is no sharper than moving one shot, and a constant
-        # column (resolution 0) changes by float noise only, so it carries none
+        # column's one-shot resolution: a zero closed-form sigma (all shots in
+        # one outcome per record) is no sharper than moving one shot, and a
+        # constant column (resolution 0) moves by float noise only: no depth
         depths = [-e.value / max(e.std_error, r) if e.value < 0 and r > 0 else 0.0
                   for e, r in zip(estimates, resolution)]
         for name, group in groups.items():

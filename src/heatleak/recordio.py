@@ -119,7 +119,10 @@ def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
             raise HeatleakError(
                 f"{path}:{line_no}: record missing fields {sorted(missing)}"
             )
+        seed, meta = obj.get("seed"), obj.get("meta")
         try:
+            if seed is not None and (type(seed) is not int or not 0 <= seed < 2**64):
+                raise TypeError(f"seed must be a JSON integer in [0, 2**64), got {seed!r}")
             records.append(
                 ShotRecord(
                     stage=_json_string(obj["stage"], "stage"),
@@ -127,8 +130,8 @@ def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
                             for k, v in _json_object(obj["counts"], "counts").items()},
                     shots=_json_int(obj["shots"], "shots"),
                     qubits=_json_labels(obj.get("qubits")),
-                    seed=obj.get("seed"),
-                    meta=obj.get("meta") or {},
+                    seed=seed,
+                    meta={} if meta is None else _json_object(meta, "meta"),
                 )
             )
         except (TypeError, ValueError) as exc:

@@ -8,9 +8,8 @@ seed, independently of evaluation order.
 Each record is redrawn once, by resample, into a (resamples, outcomes)
 matrix of multinomial rates; both bootstraps read the difference of two such
 matrices whole: bootstrap_change takes CIs of expectation changes by matrix
-products, with standard errors from the (outcomes, outcomes) sample
-covariance of that difference, and threshold_bootstrap locates the sweep
-crossings of every resample.
+products, with each column's closed-form multinomial standard error, and
+threshold_bootstrap locates the sweep crossings of every resample.
 """
 
 from __future__ import annotations
@@ -249,37 +248,37 @@ def _summarize(point, stats: np.ndarray, std: np.ndarray,
     ]
 
 
-def bootstrap_change(diff, diffs: np.ndarray, table,
-                     confidence: float) -> list[EstimateWithCI]:
-    """Bootstrap of diff @ table, one estimate per column.
+def bootstrap_change(rec_i: ShotRecord, rec_f: ShotRecord, diffs: np.ndarray,
+                     table, confidence: float) -> list[EstimateWithCI]:
+    """Bootstrap of the rate change from rec_i to rec_f times table, one
+    estimate per column; see _summarize for the CIs.
 
-    diff is the point change of outcome rates (p_final - p_initial) and
-    diffs its (resamples, outcomes) resampled changes, the difference of two
-    resample matrices.  Each resample's statistic is the same product on its
-    row of diffs, taken a block of _BLOCK_COLUMNS table columns at a time to
-    bound memory.  A column v is linear in diffs, so its std_error, the
-    ddof=1 standard deviation of diffs @ v, is sqrt(v^T C v) with C the
-    sample covariance of diffs (equal up to rounding; 0 for a single
-    resample).  See _summarize for the CIs; a non-finite resample statistic
-    raises HeatleakError naming the first such resample.
+    diffs holds the (resamples, outcomes) resampled changes; a resample's
+    statistic is the same product on its row, _BLOCK_COLUMNS table columns
+    at a time to bound memory, and a non-finite one raises HeatleakError.
+    Column v's std_error is the plug-in multinomial error sqrt(var_i/n_i +
+    var_f/n_f), var = p @ (v - p @ v)**2 at a record's rates p and shots n,
+    which the std of diffs @ v estimates (noise ~ 1/sqrt(2 resamples)); var
+    is summed pairwise, sum_jk p_j p_k (v_j - v_k)**2 / 2, over v / max|v|:
+    exactly 0 on a constant column, and no square overflows.
     """
     table = np.asarray(table, dtype=float)
-    point = np.asarray(diff, dtype=float) @ table
-    if len(diffs) > 1:
-        variance = np.einsum("ij,ij->j", table, np.cov(diffs, rowvar=False) @ table)
-        # v^T C v of a (near-)constant column can round below zero
-        std = np.sqrt(np.maximum(variance, 0.0))
-    else:
-        std = np.zeros(table.shape[1])
+    p_i, p_f = rec_i.probabilities(), rec_f.probabilities()
+    point = (p_f - p_i) @ table
+    scale = np.abs(table).max(axis=0)
+    with np.errstate(invalid="ignore"):  # inf / inf: the resample check raises
+        unit = table / np.where(scale > 0, scale, 1.0)
+    gaps = (unit[:, None] - unit) ** 2  # (outcomes, outcomes, columns)
+    std = scale * np.sqrt(p_i @ (p_i @ gaps) / (2 * rec_i.shots)
+                          + p_f @ (p_f @ gaps) / (2 * rec_f.shots))
     estimates = []
     for start in range(0, table.shape[1], _BLOCK_COLUMNS):
         columns = slice(start, start + _BLOCK_COLUMNS)
         stats = diffs @ table[:, columns]
         if not np.isfinite(stats).all():
             r = np.flatnonzero(~np.isfinite(stats).all(axis=1))[0]
-            raise HeatleakError(
-                f"statistic is not finite on resample {r}; diffs={diffs[r].tolist()}"
-            )
+            raise HeatleakError(f"statistic is not finite on resample {r}; "
+                                f"diffs={diffs[r].tolist()}")
         estimates += _summarize(point[columns], stats, std[columns], confidence)
     return estimates
 

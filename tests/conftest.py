@@ -31,13 +31,13 @@ def random_density(num_qubits, rng, rank=None):
 
 
 def record_changes(rec_i, rec_f, cfg):
-    """The point rate change rec_f - rec_i and its (cfg.resamples, outcomes)
-    resampled changes, record j of (rec_i, rec_f) redrawn from seed
-    derive_seed(cfg.seed, j), as the oracle bootstraps of tests/oracles.py
-    draw them."""
+    """(rec_i, rec_f, diffs), the leading arguments of bootstrap_change: the
+    two records and their (cfg.resamples, outcomes) resampled rate changes,
+    record j of (rec_i, rec_f) redrawn from seed derive_seed(cfg.seed, j), as
+    the oracle bootstraps of tests/oracles.py draw them."""
     diffs = (resample(rec_f, cfg.resamples, derive_seed(cfg.seed, 1))
              - resample(rec_i, cfg.resamples, derive_seed(cfg.seed, 0)))
-    return rec_f.probabilities() - rec_i.probabilities(), diffs
+    return rec_i, rec_f, diffs
 
 
 @pytest.fixture

@@ -590,9 +590,9 @@ def test_analyze_resamples_each_record_once(tmp_path, monkeypatch, stages):
         drawn[record.stage] = draw(record, resamples, seed)
         return drawn[record.stage]
 
-    def bootstrap_change(diff, diffs, *args):
+    def bootstrap_change(rec_i, rec_f, diffs, *args):
         changes.append(diffs)
-        return change(diff, diffs, *args)
+        return change(rec_i, rec_f, diffs, *args)
 
     def threshold_bootstrap(diffs, *args):
         thresholds.append(diffs)
@@ -806,6 +806,61 @@ def test_cli_analyze_bad_counts_exit_one(tmp_path, capsys, case):
     assert main(["analyze", path, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {path}:4: {expected}\n"
     assert not out.exists()
+
+
+_SEED_ERROR = "seed must be a JSON integer in [0, 2**64), got "
+
+# case -> (field, value) on the first record line and its error
+BAD_RECORD_FIELDS = {
+    "meta-list": ("meta", [1], "meta must be a JSON object, got [1]"),
+    "meta-zero": ("meta", 0, "meta must be a JSON object, got 0"),
+    "meta-empty-list": ("meta", [], "meta must be a JSON object, got []"),
+    "meta-string": ("meta", "note", "meta must be a JSON object, got 'note'"),
+    "seed-string": ("seed", "x", _SEED_ERROR + "'x'"),
+    "seed-float": ("seed", 1.5, _SEED_ERROR + "1.5"),
+    "seed-bool": ("seed", True, _SEED_ERROR + "True"),
+    "seed-negative": ("seed", -1, _SEED_ERROR + "-1"),
+    "seed-2**64": ("seed", 2**64, _SEED_ERROR + "18446744073709551616"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RECORD_FIELDS))
+def test_cli_analyze_bad_meta_or_seed_exit_one(tmp_path, capsys, case):
+    """A record's meta is a JSON object and its seed an integer that
+    derive_seed can give (uint64); either one null or absent is allowed."""
+    name, value, expected = BAD_RECORD_FIELDS[case]
+
+    def edit(lines):
+        lines[1][name] = value
+        return lines
+
+    path = _edited_records(tmp_path, edit)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["analyze", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: {expected}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, value", [("seed", 2**64 - 1), ("seed", None),
+                                         ("meta", None), ("seed", ...), ("meta", ...)],
+                         ids=["seed-max", "seed-null", "meta-null", "seed-absent",
+                              "meta-absent"])
+def test_cli_analyze_null_absent_or_uint64_meta_seed(tmp_path, name, value):
+    """These analyze to the verdict of the file as simulate wrote it."""
+    def edit(lines):
+        for line in lines[1:]:
+            if value is ...:
+                del line[name]
+            else:
+                line[name] = value
+        return lines
+
+    path = _edited_records(tmp_path, edit)
+    for src, out in ((path, "run"), (str(tmp_path / "sim" / "records.jsonl"), "ref")):
+        assert main(["analyze", src, "--out", str(tmp_path / out)]) in (0, 2)
+    assert ((tmp_path / "run" / "verdict.json").read_text()
+            == (tmp_path / "ref" / "verdict.json").read_text())
 
 
 def test_cli_simulate_config_string_boolean_exit_one(tmp_path, capsys):
@@ -1180,7 +1235,6 @@ def test_channel_strengths_read_their_column_groups(tmp_path):
 
 def _check_channel_strengths(out, variant):
     from heatleak import pipeline, xi_observable
-    from heatleak.shots import bootstrap_change, derive_seed, resample
 
     config = ExperimentConfig(protocol=reference_protocol(variant),
                               alpha_grid=[-2.0, 0.5, 2.0])
@@ -1205,22 +1259,45 @@ def _check_channel_strengths(out, variant):
     assert (xi_grid is None) == (variant == "A")
     if xi_grid is not None:
         groups["deformation"] = xi_observable(B)(xi_grid).T
-    rates = {stage: resample(rec, config.bootstrap.resamples, derive_seed(
-        config.seed, pipeline.CI_SEED_ROLE, pipeline.STAGE_SEED_ROLE[stage]))
-        for stage, rec in records.items()}
     expected = {"second-law": 0.0, "global-passivity": 0.0, "deformation": 0.0}
+    p_i = records["i"].probabilities()
     for stage in ("ii", "iii"):
-        diff = records[stage].probabilities() - records["i"].probabilities()
+        p_f = records[stage].probabilities()
         for name, table in groups.items():
-            estimates = bootstrap_change(diff, rates[stage] - rates["i"], table,
-                                         config.bootstrap.confidence)
-            for e, r in zip(estimates, np.ptp(table, axis=0) / 6700):
-                if e.value < 0:
-                    expected[name] = max(expected[name], -e.value / max(e.std_error, r))
+            for v, r in zip(table.T, np.ptp(table, axis=0) / 6700):
+                value = float((p_f - p_i) @ v)
+                # the multinomial standard error of the change, from the counts
+                sigma = math.sqrt(sum(float(p @ (v - p @ v) ** 2) / 6700
+                                      for p in (p_i, p_f)))
+                if value < 0:
+                    expected[name] = max(expected[name], -value / max(sigma, r))
     assert expected["second-law"] > 3.0 and expected["global-passivity"] > 3.0
     assert (expected["deformation"] > 3.0) == (variant == "B")
     assert verdict.channel_strengths == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert verdict.channel == max(expected, key=expected.get)
+
+
+def test_strengths_do_not_depend_on_resamples(tmp_path):
+    """A depth's sigma is a closed form of the counts, so the strengths of
+    simulated A and B records are equal at 100 and at 2000 resamples, while
+    the CSVs' bootstrap CIs move."""
+    from heatleak.pipeline import analyze_records, run_simulate
+    from heatleak.shots import BootstrapConfig
+
+    for variant, shots in (("A", 6700), ("B", 3200)):
+        config = ExperimentConfig(protocol=reference_protocol(variant),
+                                  shots_per_stage=shots, seed=3)
+        _, records = read_records(run_simulate(config, str(tmp_path / variant)))
+        verdicts, csvs = [], []
+        for resamples in (100, 2000):
+            out = tmp_path / f"{variant}-{resamples}"
+            verdicts.append(analyze_records(records, dataclasses.replace(
+                config, bootstrap=BootstrapConfig(resamples=resamples)), str(out)))
+            csvs.append((out / "alpha_sweep_i_to_iii.csv").read_text())
+        assert verdicts[0].detected and verdicts[0].channel == verdicts[1].channel
+        assert verdicts[0].channel_strengths == verdicts[1].channel_strengths
+        assert verdicts[0].strength == verdicts[1].strength
+        assert csvs[0] != csvs[1]
 
 
 _HUGE = "9" * 401  # a JSON integer that no float holds

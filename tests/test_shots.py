@@ -170,7 +170,7 @@ def test_bootstrap_matches_analytic_multinomial_error():
     analytic = math.sqrt(sum(
         float(r.probabilities() @ (v - r.probabilities() @ v) ** 2) / r.shots
         for r in (rec_i, rec_f)))
-    assert abs(est.std_error - analytic) / analytic < 0.20
+    assert abs(est.std_error - analytic) <= 1e-12 * analytic
 
 
 def test_bootstrap_deterministic():
@@ -220,10 +220,12 @@ def test_bootstrap_change_non_finite_column_names_resample_0():
 
 
 def test_bootstrap_change_non_finite_diffs_names_first_bad_resample():
+    rec_i = sample_shots([0.4, 0.3, 0.2, 0.1], 100, seed=2)
+    rec_f = sample_shots([0.1, 0.2, 0.3, 0.4], 100, seed=4)
     diffs = np.zeros((20, 4))
     diffs[7, 2] = np.nan
     with pytest.raises(HeatleakError, match="not finite on resample 7;"):
-        bootstrap_change(np.zeros(4), diffs, np.eye(4), 0.6827)
+        bootstrap_change(rec_i, rec_f, diffs, np.eye(4), 0.6827)
 
 
 def test_bootstrap_config_validation():
@@ -256,7 +258,7 @@ def test_threshold_noise_free_crossing():
     observable = _outcome_11_observable(lambda x: x - 0.5)
     grid = np.linspace(0.0, 1.0, 11)
     cfg = BootstrapConfig(resamples=200, seed=2)
-    _, diffs = record_changes(rec_i, rec_f, cfg)
+    *_, diffs = record_changes(rec_i, rec_f, cfg)
     res = threshold_bootstrap(
         diffs, observable, grid, _point_crossing(rec_i, rec_f, observable, grid),
         cfg.confidence,
@@ -292,7 +294,7 @@ def test_threshold_takes_crossing_nearest_the_point_one():
         return crossings
 
     cfg = BootstrapConfig(resamples=100, seed=7)
-    _, diffs = record_changes(rec_i, rec_f, cfg)
+    *_, diffs = record_changes(rec_i, rec_f, cfg)
     res = threshold_bootstrap(diffs, observable, grid,
                               _point_crossing(rec_i, rec_f, observable, grid),
                               cfg.confidence)
@@ -313,7 +315,7 @@ def test_threshold_protocol_a_realistic():
     rec_f = sample_shots(p_iii, 6700, seed=101, stage="iii")
     observable = alpha_observable(B)
     cfg = BootstrapConfig(resamples=400, seed=5)
-    _, diffs = record_changes(rec_i, rec_f, cfg)
+    *_, diffs = record_changes(rec_i, rec_f, cfg)
     res = threshold_bootstrap(diffs, observable, grid,
                               _point_crossing(rec_i, rec_f, observable, grid),
                               cfg.confidence)
@@ -363,7 +365,7 @@ def test_summary_matches_np_quantile_reference(resamples, kind):
                         for e in got] == [tuple(map(repr, w)) for w in want]
 
 
-# ------------------------------------------ std error from the covariance
+# ------------------------------------------ std error in closed form
 
 def _reference_tables_and_records(variant):
     """Protocol A or B: the table of observable_table at the default alpha
@@ -384,25 +386,52 @@ def _reference_tables_and_records(variant):
     return B, alpha_grid, xi_grid, observable_table(B, alpha_grid, xi_grid), records
 
 
+def _plug_in_std(rec_i, rec_f, v):
+    """The multinomial standard error of the change of <v>, by hand:
+    sqrt(var_i / n_i + var_f / n_f), var = p @ (v - p @ v)**2 at a record's
+    rates p."""
+    return math.sqrt(sum(
+        float(r.probabilities() @ (v - r.probabilities() @ v) ** 2) / r.shots
+        for r in (rec_i, rec_f)))
+
+
 @pytest.mark.parametrize("variant", ["A", "B"])
-def test_bootstrap_std_error_matches_resample_std(variant):
-    """std_error, sqrt(v^T C v) from the sample covariance C of diffs, is the
-    ddof=1 std of diffs @ v up to rounding; a constant column, where v^T C v
-    is rounding noise that can fall below zero, gets a finite std_error >= 0."""
+def test_bootstrap_std_error_is_plug_in_multinomial(variant):
+    """std_error is the closed form of every column, for stage pairs of
+    equal and unequal shots and a record with a zero-count outcome: a
+    constant column reads exactly 0, even where the rates' sum rounds below
+    1, and a column scaled to 1e300 stays finite.  The ddof=1 std of
+    diffs @ v, which the bootstrap used to report, estimates it."""
     *_, table, records = _reference_tables_and_records(variant)
+    n = records[0].shots
+    p_iii = records[2].probabilities()
+    records += [
+        # fewer shots than stage i, and an outcome that no shot reached
+        sample_shots(p_iii, n // 5, seed=derive_seed(79, 0), stage="iii"),
+        ShotRecord(stage="iii", counts={"00": 0, "01": n // 4, "10": n // 2,
+                                        "11": n - n // 4 - n // 2}, shots=n),
+    ]
+    # the centred form of the constant column is not 0 on every record
+    assert any(r.probabilities() @ np.ones(4) != 1.0 for r in records)
     table = np.column_stack([table, np.ones(4)])  # the last column is constant
-    for k, rec_f in enumerate(records[1:]):
-        cfg = BootstrapConfig(resamples=400, seed=derive_seed(78, k))
-        diff, diffs = record_changes(records[0], rec_f, cfg)
-        got = np.array([e.std_error for e in bootstrap_change(diff, diffs, table,
+    # 400 resamples: the relative standard error of a sample std is about
+    # 1/sqrt(2 * 400) = 0.035 (Efron & Tibshirani 1993); the bound is 5 of them
+    resamples, bound = 400, 5 / math.sqrt(2 * 400)
+    pairs = [(records[0], rec_f) for rec_f in records[1:]] + [(records[3], records[4])]
+    for k, (rec_i, rec_f) in enumerate(pairs):
+        cfg = BootstrapConfig(resamples=resamples, seed=derive_seed(78, k))
+        _, _, diffs = changes = record_changes(rec_i, rec_f, cfg)
+        got = np.array([e.std_error for e in bootstrap_change(*changes, table,
                                                               cfg.confidence)])
-        want = np.std(diffs @ table, axis=0, ddof=1)
-        assert np.all(np.abs(got[:-1] - want[:-1]) <= 1e-12 * want[:-1])
-        # diffs @ ones is ~1e-17, but v^T C v sums entries of C's scale
-        # (~1e-4) to rounding noise of ~1e-20, whose square root is ~1e-10
-        assert math.isfinite(got[-1]) and 0.0 <= got[-1] < 1e-8
-        single = bootstrap_change(diff, diffs[:1], table, cfg.confidence)
-        assert [e.std_error for e in single] == [0.0] * table.shape[1]
+        want = np.array([_plug_in_std(rec_i, rec_f, v) for v in table.T[:-1]])
+        assert np.all(np.abs(got[:-1] - want) <= 1e-12 * want)
+        assert got[-1] == 0.0
+        resampled = np.std(diffs @ table[:, :-1], axis=0, ddof=1)
+        assert np.all(np.abs(resampled - want) <= bound * want)
+        unit = table[:, 0] / np.abs(table[:, 0]).max()
+        (huge,) = bootstrap_change(*changes, 1e300 * unit[:, None], cfg.confidence)
+        std = 1e300 * _plug_in_std(rec_i, rec_f, unit)
+        assert abs(huge.std_error - std) <= 1e-12 * std
 
 
 # ------------------------------------------- count-matrix path vs reference
@@ -417,20 +446,23 @@ def test_matrix_path_matches_per_resample_reference(variant):
     for k, rec_f in enumerate(records[1:]):
         cfg = BootstrapConfig(resamples=400, seed=derive_seed(78, k))
         setup = (cfg.resamples, cfg.confidence, cfg.seed)
-        diff, diffs = record_changes(records[0], rec_f, cfg)
-        matrix = bootstrap_change(diff, diffs, table, cfg.confidence)
+        _, _, diffs = changes = record_changes(records[0], rec_f, cfg)
+        matrix = bootstrap_change(*changes, table, cfg.confidence)
         reference = oracle_bootstrap_statistic(
             [records[0], rec_f],
             lambda recs: (recs[1].probabilities() - recs[0].probabilities()) @ table,
             *setup,
         )
         assert len(matrix) == len(reference) == table.shape[1]
-        for m, r in zip(matrix, reference):
+        for m, r, v in zip(matrix, reference, table.T):
             # relative to the column's magnitude: entries near zero carry
             # cancellation error of that scale in either summation order
             scale = max(abs(r[0]), abs(r[1]), abs(r[2]), r[3])
-            for name, want in zip(("value", "ci_low", "ci_high", "std_error"), r):
+            for name, want in zip(("value", "ci_low", "ci_high"), r):
                 assert abs(getattr(m, name) - want) <= 1e-12 * scale, name
+            # the std error is the closed form, not the resamples' std
+            std = _plug_in_std(records[0], rec_f, v)
+            assert abs(m.std_error - std) <= 1e-12 * std
         for observable, grid in sweeps:
             def builder(ri, rf):
                 return sweep_crossings(
