@@ -35,12 +35,10 @@ from .shots import (
     EstimateWithCI,
     ShotRecord,
     SpamModel,
-    ThresholdResult,
     apply_spam,
     bootstrap_change,
     resample,
     sample_shots,
-    threshold_bootstrap,
 )
 from .config import ExperimentConfig, load_config, reference_protocol
 from .pipeline import Verdict, run_analyze, run_bounds, run_exact, run_simulate

@@ -12,6 +12,9 @@ Deforming B by ``xi * A`` for a commuting observable A preserves passivity
 as long as the eigenvalue ordering of B is inherited, which holds exactly on
 an interval [xi_min, xi_max] computed here from pairwise ordering
 constraints.
+
+A sweep's sign crossings are bisected bracket by bracket; alpha_slope and
+xi_slope, the families' derivatives, serve shots.threshold_estimate.
 """
 
 from __future__ import annotations
@@ -165,11 +168,6 @@ def deformation_bounds(b_values, a_values) -> DeformationBounds:
     )
 
 
-# Sign detection takes the rows of a sweep in blocks of about this many grid
-# values, so no intermediate ever spans every row of a large resample matrix.
-_BLOCK_VALUES = 1 << 13
-
-
 def alpha_observable(B: GlobalPassivityOperator):
     """sgn(alpha) * B^alpha as a function of alpha, per-outcome values on a
     new last axis (alpha = 0 gives the zero observable)."""
@@ -200,103 +198,73 @@ def xi_observable(B: GlobalPassivityOperator):
     return observable
 
 
+
+
+def alpha_slope(B: GlobalPassivityOperator):
+    """d/dalpha of alpha_observable(B), sgn(alpha) * B^alpha * ln B, like it."""
+    observable, log_b = alpha_observable(B), np.log(B.basis_values)
+    return lambda alpha: observable(alpha) * log_b
+
+
+def xi_slope(B: GlobalPassivityOperator):
+    """d/dxi of xi_observable(B), H_h / beta_c at every xi, like it."""
+    xi_observable(B)  # the same checks of B
+    step = energy_basis_values(2, 1) / B.betas["c"]
+    return lambda xi: np.broadcast_to(step, np.shape(xi) + step.shape)
+
+
 def sweep_crossings(observable, diffs, grid) -> tuple[np.ndarray, np.ndarray]:
     """Every sign crossing of diffs[r] @ observable(x) along the grid, per row.
 
     diffs holds one final-minus-initial outcome distribution per row.
     Returns (rows, locations), ordered by row and by grid position within a
-    row.  Exact zeros at grid points are skipped when pairing signs, so an
-    all-zero row (identity evolution) has no crossings while a -,0,+ pattern
-    still yields the single crossing at the touching point.  Each bracket is
-    then refined by Illinois regula falsi (_refine).
+    row.  A bracket pairs a nonzero grid value with the last nonzero one
+    before it, of opposite sign, so exact zeros are skipped (an all-zero row
+    has no crossing, a -,0,+ pattern one) and a NaN pairs with nothing;
+    _bisect locates the crossing in each bracket.
     """
     diffs = np.atleast_2d(np.asarray(diffs, dtype=float))
     grid = np.asarray(grid, dtype=float)
-    columns = observable(grid).T
-    step = max(1, _BLOCK_VALUES // max(1, len(grid)))
-    rows, lo, hi = [], [], []
-    for start in range(0, len(diffs), step):
-        r, k_lo, k_hi = _sign_brackets(diffs[start:start + step] @ columns)
-        rows.append(r + start)
-        lo.append(grid[k_lo])
-        hi.append(grid[k_hi])
-    rows = np.concatenate(rows)
-    if not rows.size:
-        return rows, np.empty(0)
-    return rows, _refine(observable, diffs[rows], np.concatenate(lo),
-                         np.concatenate(hi))
+    rows, locations = [], []
+    for r, signs in enumerate(np.sign(diffs @ observable(grid).T).tolist()):
+        last = None
+        for k, sign in enumerate(signs):
+            if sign == 0.0:
+                continue
+            if last is not None and signs[last] == -sign:  # NaN equals nothing
+                rows.append(r)
+                locations.append(_bisect(observable, diffs[r], grid[last], grid[k]))
+            last = k
+    return np.array(rows, dtype=np.intp), np.array(locations, dtype=float)
 
 
-def _sign_brackets(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, lo, hi) grid positions of every sign change along the rows of
-    values, each nonzero value paired with the last nonzero one before it (a
-    NaN pairs with nothing).  Neighbours of opposite sign are compared as
-    boolean arrays; only rows holding an exact zero get the forward fill of
-    the last nonzero value before each point (0 before any)."""
-    neg, pos = values < 0, values > 0
-    changes = (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
-    gaps = np.flatnonzero((values == 0.0).any(axis=1))
-    if gaps.size:
-        v = values[gaps]
-        last = np.where(v != 0.0, np.arange(v.shape[1]), 0)
-        np.maximum.accumulate(last, axis=1, out=last)
-        filled = np.take_along_axis(v, last[:, :-1], axis=1)
-        changes[gaps] = ((filled < 0) & pos[gaps, 1:]) | ((filled > 0) & neg[gaps, 1:])
-    rows, k = np.nonzero(changes)
-    lo = k.copy()
-    if gaps.size:
-        at = np.flatnonzero(np.isin(rows, gaps))
-        lo[at] = last[np.searchsorted(gaps, rows[at]), k[at]]
-    return rows, lo, k + 1
+def _bisect(observable, diff, lo: float, hi: float) -> float:
+    """Sign-change location of diff @ observable(x) in [lo, hi]: bisection to
+    width < 1e-12 or 200 steps (then the midpoint), stopped by an exact zero
+    at an end or midpoint.  A bracket around the excluded alpha = 0 is split
+    at +-1e-12 (the margin -> 0 at alpha -> 0) and bisected on the half that
+    changes sign, or reported at 0 when neither half does."""
+    def margin(x):
+        return float(diff @ observable(x))
 
-
-def _refine(observable, diffs, lo, hi, tol: float = 1e-12) -> np.ndarray:
-    """Sign-change location in each bracket [lo, hi] by Illinois regula
-    falsi (Dowell & Jarratt, BIT 11 (1971) 168) on all open brackets at once.
-
-    A bracket spanning the excluded alpha = 0 point is refined on the half that
-    actually changes sign (the margin -> 0 at alpha -> 0), or reported at 0
-    when neither half does; one with an exact zero at an end is finished there.
-    A step takes the secant point, or the midpoint if that is non-finite or
-    outside the closed bracket, and halves the margin at an end kept two steps
-    running.  A bracket stops at an exact zero, at width < tol or when an
-    iterate repeats the last one (a secant landing on the end it holds), at
-    its last iterate; after 200 steps, or if narrower than tol from the start,
-    at its midpoint.  A same-side step shorter than tol is no stop: beside the
-    alpha = 0 split the margin is ~1e-12 far from the root.
-    """
-    def margin(d, x):
-        return np.einsum("ij,ij->i", d, observable(x))
-
-    span = np.flatnonzero((lo < 0.0) & (0.0 < hi))
-    if span.size:
-        d = diffs[span]
-        left = margin(d, lo[span]) * margin(d, np.full(span.size, -1e-12)) < 0
-        right = ~left & (margin(d, np.full(span.size, 1e-12)) * margin(d, hi[span]) < 0)
-        lo[span] = np.where(left, lo[span], np.where(right, 1e-12, 0.0))
-        hi[span] = np.where(left, -1e-12, np.where(right, hi[span], 0.0))
-    f_lo, f_hi = margin(diffs, lo), margin(diffs, hi)
-    found = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, 0.5 * (lo + hi)))
-    open_ = np.flatnonzero((f_lo != 0.0) & (f_hi != 0.0) & (hi - lo >= tol))
-    lo, hi, f_lo, f_hi, diffs = (a[open_] for a in (lo, hi, f_lo, f_hi, diffs))
-    x, kept = np.full(open_.size, np.nan), np.zeros(open_.size)
+    if lo < 0.0 < hi:
+        if margin(lo) * margin(-1e-12) < 0:
+            hi = -1e-12
+        elif margin(1e-12) * margin(hi) < 0:
+            lo = 1e-12
+        else:
+            return 0.0
+    f_lo = margin(lo)
+    if f_lo == 0.0:
+        return lo
+    if margin(hi) == 0.0:
+        return hi
     for _ in range(200):
-        if not open_.size:
+        if hi - lo < 1e-12:
             break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            secant = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        last, x = x, np.where((lo <= secant) & (secant <= hi), secant, 0.5 * (lo + hi))
-        f_x = margin(diffs, x)
-        up = (f_x < 0) == (f_lo < 0)
-        # the Illinois rule: an end kept for a second step running halves its margin
-        f_lo[kept < 0] *= 0.5
-        f_hi[kept > 0] *= 0.5
-        lo, f_lo = np.where(up, x, lo), np.where(up, f_x, f_lo)
-        hi, f_hi = np.where(up, hi, x), np.where(up, f_hi, f_x)
-        kept = np.where(up, 1, -1)
-        done = (f_x == 0.0) | (hi - lo < tol) | (x == last)
-        found[open_[done]] = x[done]
-        open_, lo, hi, f_lo, f_hi, diffs, x, kept = (
-            a[~done] for a in (open_, lo, hi, f_lo, f_hi, diffs, x, kept))
-    found[open_] = 0.5 * (lo + hi)
-    return found
+        mid = 0.5 * (lo + hi)
+        f_mid = margin(mid)
+        if f_mid == 0.0:
+            return mid
+        lo, hi = (mid, hi) if (f_mid < 0) == (f_lo < 0) else (lo, mid)
+    return 0.5 * (lo + hi)

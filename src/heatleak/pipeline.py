@@ -9,13 +9,13 @@ against stage i through three channels, each a column group of
 * ``deformation``       the xi block, delta<B + xi*H_h>/beta_c >= 0 on the
                         admissible xi interval (variant B, or any xi grid).
 
-One bootstrap of ``(pf - p0) @ V`` serves all three.  Each record is
-resampled once, from a per-stage seed, and every statistic of a stage pair
-(CIs and thresholds) reads the same resampled changes; both pairs share
-stage i's draw.  A column's depth is its violation in multinomial standard
-errors, a closed form of the counts; a channel's strength is the largest
-depth over its group and both stage pairs, and a verdict fires when any
-strength reaches the configured significance.
+A column's depth is its violation in multinomial standard errors, a sweep's
+single sign crossing is its threshold, with the delta method's standard
+error, and both are closed forms of the counts, so verdict.json is too.  A
+channel's strength is the largest depth over its group and both stage
+pairs; a verdict fires when any strength reaches the configured
+significance.  Only the CSVs' CI columns resample: one bootstrap of
+``(pf - p0) @ V`` per stage pair, of records each redrawn once.
 """
 
 from __future__ import annotations
@@ -32,12 +32,14 @@ from .circuits import QUBITS, stage_unitaries
 from .config import ExperimentConfig, config_from_dict
 from .passivity import (
     alpha_observable,
+    alpha_slope,
     build_B,
     deformation_bounds,
     energy_basis_values,
     observable_table,
     sweep_crossings,
     xi_observable,
+    xi_slope,
 )
 from .recordio import read_records, write_json, write_records, write_sweep_csv
 from .register import HeatleakError, thermal_populations
@@ -47,7 +49,7 @@ from .shots import (
     derive_seed,
     resample,
     sample_shots,
-    threshold_bootstrap,
+    threshold_estimate,
 )
 
 STAGE_SEED_ROLE = {"i": 0, "ii": 1, "iii": 2}
@@ -100,7 +102,8 @@ class Sweep:
     sides(diff, values) gives the CSV's lhs and rhs from the distribution
     change and its values on the channel's column group, and the CSV's CI
     columns are the bootstrap CI of those values.  The sweep's thresholds
-    are the sign crossings of diff @ observable(x) over grid.
+    are the sign crossings of diff @ observable(x) over grid, and slope(x)
+    is d observable / dx.
     """
 
     channel: str
@@ -108,6 +111,7 @@ class Sweep:
     sides: Callable[[np.ndarray, np.ndarray], tuple]
     observable: Callable[[np.ndarray], np.ndarray]
     grid: np.ndarray
+    slope: Callable[[np.ndarray], np.ndarray]
 
 
 def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep], dict[str, slice]]:
@@ -122,7 +126,7 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep], dict[str, 
     sweeps = [Sweep(
         "global-passivity", "alpha",
         lambda diff, values: (values, np.zeros_like(values)),
-        alpha_observable(B), alpha_grid,
+        alpha_observable(B), alpha_grid, alpha_slope(B),
     )]
     xi_grid = config.deformation_grid()
     if xi_grid is not None:
@@ -135,7 +139,7 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep], dict[str, 
                 np.full_like(xi_grid, float(np.dot(diff, h_c))),
                 -((beta_h + xi_grid) / beta_c) * float(np.dot(diff, h_h)),
             ),
-            xi_observable(B), xi_grid,
+            xi_observable(B), xi_grid, xi_slope(B),
         ))
     groups = {
         "second-law": slice(n_alpha, n_alpha + 1),
@@ -198,18 +202,15 @@ def run_simulate(config: ExperimentConfig, out_dir: str) -> str:
     return path
 
 
-def _threshold_entry(test: str, stage: str, result) -> dict:
+def _threshold_entry(test: str, stage: str, estimate) -> dict:
     # entries exist for found thresholds only; "found" stays in the schema
     return {
         "test": test,
         "stage_pair": f"i->{stage}",
         "found": True,
-        "resamples": result.resamples,
-        "no_crossing_resamples": result.no_crossing_resamples,
-        # value, ci_low, ci_high, std_error; a NaN std_error (no resample
-        # crossed) is written as null
+        # value, ci_low, ci_high, std_error; NaN (a tangent crossing) as null
         **{name: None if math.isnan(x) else x
-           for name, x in asdict(result.estimate).items()},
+           for name, x in asdict(estimate).items()},
     }
 
 
@@ -269,9 +270,9 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
             )
             _, crossings = sweep_crossings(sweep.observable, diff, sweep.grid)
             if len(crossings) == 1:
-                res = threshold_bootstrap(diffs, sweep.observable, sweep.grid,
-                                          float(crossings[0]), confidence)
-                thresholds.append(_threshold_entry(sweep.channel, stage, res))
+                est = threshold_estimate(rec_i, rec_f, sweep.observable, sweep.slope,
+                                         float(crossings[0]), confidence)
+                thresholds.append(_threshold_entry(sweep.channel, stage, est))
             elif len(crossings) > 1:
                 notes.append(
                     f"{sweep.prefix} sweep i->{stage} has "

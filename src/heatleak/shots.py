@@ -1,15 +1,15 @@
 """Finite-statistics layer: shot sampling, SPAM, bootstrap, thresholds.
 
 All randomness goes through NumPy's PCG64 generator (``np.random.default_rng``)
-with integer seeds derived via ``SeedSequence`` so that records, bootstrap
-channels and threshold uncertainties are bit-reproducible from a single root
-seed, independently of evaluation order.
+with integer seeds derived via ``SeedSequence`` so that records and bootstrap
+CIs are bit-reproducible from a single root seed, independently of
+evaluation order.
 
-Each record is redrawn once, by resample, into a (resamples, outcomes)
-matrix of multinomial rates; both bootstraps read the difference of two such
-matrices whole: bootstrap_change takes CIs of expectation changes by matrix
-products, with each column's closed-form multinomial standard error, and
-threshold_bootstrap locates the sweep crossings of every resample.
+Every standard error is multinomial_std's closed form of the counts: per
+table column in bootstrap_change, and over the sweep's slope at a crossing
+in threshold_estimate (the delta method).  Only bootstrap_change's CIs
+resample: each record is redrawn once, by resample, into a (resamples,
+outcomes) matrix of rates, and the CIs are quantiles of matrix products.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .passivity import sweep_crossings
 from .register import HeatleakError
 
 
@@ -198,6 +197,44 @@ def resample(record: ShotRecord, resamples: int, seed: int) -> np.ndarray:
     return draw / record.shots
 
 
+def multinomial_std(table, *samples) -> np.ndarray:
+    """Plug-in multinomial standard error of the summed expectation of each
+    column v of table over samples, (rates, shots) pairs:
+    sqrt(sum over samples of p @ (v - p @ v)**2 / n).
+
+    The variance is summed pairwise, sum_jk p_j p_k (v_j - v_k)**2 / 2, over
+    v / max|v|: exactly 0 on a constant column, even where the rates sum
+    below 1 by rounding, and no square overflows.
+    """
+    table = np.asarray(table, dtype=float)
+    scale = np.abs(table).max(axis=0)
+    with np.errstate(invalid="ignore"):  # inf / inf: the caller's check raises
+        unit = table / np.where(scale > 0, scale, 1.0)
+    gaps = (unit[:, None] - unit) ** 2  # (outcomes, outcomes, columns)
+    return scale * np.sqrt(sum(p @ (p @ gaps) / (2 * n) for p, n in samples))
+
+
+def threshold_estimate(rec_i: ShotRecord, rec_f: ShotRecord, observable, slope,
+                       crossing: float, confidence: float) -> EstimateWithCI:
+    """Delta-method estimate of a sign crossing x* of the sweep f(x) =
+    (p_f - p_i) @ observable(x) at the rates of rec_i and rec_f, with
+    slope(x) = d observable / dx (Casella & Berger, Statistical Inference,
+    2002, 5.5.4): std_error is multinomial_std of observable(x*) over
+    |f'(x*)|, and the CI x* +- z * std_error at confidence's normal quantile
+    z, not clipped to the grid.  A tangent crossing (f'(x*) == 0), such as
+    one reported at the excluded alpha = 0, has a NaN std_error and CI x*.
+    """
+    p_i, p_f = rec_i.probabilities(), rec_f.probabilities()
+    derivative = abs(float((p_f - p_i) @ slope(crossing)))
+    if derivative == 0.0:
+        return EstimateWithCI(crossing, crossing, crossing, math.nan)
+    from statistics import NormalDist  # ~4 ms to import; only a threshold needs it
+    samples = (p_i, rec_i.shots), (p_f, rec_f.shots)
+    std = float(multinomial_std(observable(crossing)[:, None], *samples)[0]) / derivative
+    half = NormalDist().inv_cdf((1.0 + confidence) / 2.0) * std
+    return EstimateWithCI(crossing, crossing - half, crossing + half, std)
+
+
 def _linear_quantile(ordered: np.ndarray, q: float) -> np.ndarray:
     """np.quantile(x, q, axis=1) of the rows of x sorted ascending (NaN last).
 
@@ -256,21 +293,12 @@ def bootstrap_change(rec_i: ShotRecord, rec_f: ShotRecord, diffs: np.ndarray,
     diffs holds the (resamples, outcomes) resampled changes; a resample's
     statistic is the same product on its row, _BLOCK_COLUMNS table columns
     at a time to bound memory, and a non-finite one raises HeatleakError.
-    Column v's std_error is the plug-in multinomial error sqrt(var_i/n_i +
-    var_f/n_f), var = p @ (v - p @ v)**2 at a record's rates p and shots n,
-    which the std of diffs @ v estimates (noise ~ 1/sqrt(2 resamples)); var
-    is summed pairwise, sum_jk p_j p_k (v_j - v_k)**2 / 2, over v / max|v|:
-    exactly 0 on a constant column, and no square overflows.
+    The std_errors are multinomial_std at the two records' rates and shots.
     """
     table = np.asarray(table, dtype=float)
     p_i, p_f = rec_i.probabilities(), rec_f.probabilities()
     point = (p_f - p_i) @ table
-    scale = np.abs(table).max(axis=0)
-    with np.errstate(invalid="ignore"):  # inf / inf: the resample check raises
-        unit = table / np.where(scale > 0, scale, 1.0)
-    gaps = (unit[:, None] - unit) ** 2  # (outcomes, outcomes, columns)
-    std = scale * np.sqrt(p_i @ (p_i @ gaps) / (2 * rec_i.shots)
-                          + p_f @ (p_f @ gaps) / (2 * rec_f.shots))
+    std = multinomial_std(table, (p_i, rec_i.shots), (p_f, rec_f.shots))
     estimates = []
     for start in range(0, table.shape[1], _BLOCK_COLUMNS):
         columns = slice(start, start + _BLOCK_COLUMNS)
@@ -281,50 +309,3 @@ def bootstrap_change(rec_i: ShotRecord, rec_f: ShotRecord, diffs: np.ndarray,
                                 f"diffs={diffs[r].tolist()}")
         estimates += _summarize(point[columns], stats, std[columns], confidence)
     return estimates
-
-
-@dataclass(frozen=True)
-class ThresholdResult:
-    """Crossing location with bootstrap uncertainty.
-
-    no_crossing_resamples counts resamples whose sweep had no crossing; they
-    do not enter the CI.
-    """
-
-    estimate: EstimateWithCI
-    resamples: int
-    no_crossing_resamples: int
-
-
-def threshold_bootstrap(diffs: np.ndarray, observable, grid, center: float,
-                        confidence: float) -> ThresholdResult:
-    """Bootstrap the uncertainty of center, the point-estimate sign crossing
-    of the sweep of observable(x) over grid.
-
-    diffs holds the resampled rate changes, as in bootstrap_change; the
-    sweep of a resample at x is its row @ observable(x), as in
-    passivity.sweep_crossings.  Every resample contributes its crossing
-    nearest center, ties going to the first in grid order; resamples
-    without a crossing are counted and left out of the CI, whose std_error
-    is NaN if none crosses.
-    """
-    resamples = len(diffs)
-    rows, locations = sweep_crossings(observable, diffs, grid)
-    distance = np.abs(locations - center)
-    best = np.full(resamples, np.inf)
-    np.minimum.at(best, rows, distance)
-    hit = distance == best[rows]
-    _, first = np.unique(rows[hit], return_index=True)
-    nearest = locations[hit][first]  # in resample order
-    if not len(nearest):
-        estimate = EstimateWithCI(center, center, center, math.nan)
-    else:
-        # crossings are not linear in diffs: their std is the sample std
-        stats = nearest[:, None]
-        std = stats.std(axis=0, ddof=1) if len(stats) > 1 else np.zeros(1)
-        (estimate,) = _summarize([center], stats, std, confidence)
-    return ThresholdResult(
-        estimate=estimate,
-        resamples=resamples,
-        no_crossing_resamples=resamples - len(nearest),
-    )

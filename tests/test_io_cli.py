@@ -573,17 +573,16 @@ def test_cli_analyze_accepts_records_without_qubits(tmp_path):
 @pytest.mark.parametrize("stages", [("i", "ii", "iii"), ("i", "iii")],
                          ids=["i-ii-iii", "i-iii"])
 def test_analyze_resamples_each_record_once(tmp_path, monkeypatch, stages):
-    """analyze draws every record once: the CIs and thresholds of a stage
-    pair read one matrix of resampled changes, the difference of the pair's
-    draws, and both pairs take stage i's from the same draw."""
+    """analyze draws every record once: the CIs of a stage pair read one
+    matrix of resampled changes, the difference of the pair's draws, and
+    both pairs take stage i's from the same draw."""
     from heatleak import pipeline
 
     sim = str(tmp_path / "sim")
     assert main(["simulate", "--variant", "A", "--out", sim]) == 0
     header, records = read_records(os.path.join(sim, "records.jsonl"))
-    draw, change, threshold = (pipeline.resample, pipeline.bootstrap_change,
-                               pipeline.threshold_bootstrap)
-    calls, drawn, changes, thresholds = [], {}, [], []
+    draw, change = pipeline.resample, pipeline.bootstrap_change
+    calls, drawn, changes = [], {}, []
 
     def resample(record, resamples, seed):
         calls.append(record.stage)
@@ -594,13 +593,8 @@ def test_analyze_resamples_each_record_once(tmp_path, monkeypatch, stages):
         changes.append(diffs)
         return change(rec_i, rec_f, diffs, *args)
 
-    def threshold_bootstrap(diffs, *args):
-        thresholds.append(diffs)
-        return threshold(diffs, *args)
-
     monkeypatch.setattr(pipeline, "resample", resample)
     monkeypatch.setattr(pipeline, "bootstrap_change", bootstrap_change)
-    monkeypatch.setattr(pipeline, "threshold_bootstrap", threshold_bootstrap)
     verdict = pipeline.analyze_records(
         [rec for rec in records if rec.stage in stages], config_from_dict(header),
         str(tmp_path / "run"))
@@ -611,7 +605,6 @@ def test_analyze_resamples_each_record_once(tmp_path, monkeypatch, stages):
     assert len(changes) == len(pairs)
     for stage, diffs in zip(pairs, changes):
         assert np.array_equal(diffs, drawn[stage] - drawn["i"])
-    assert thresholds and all(any(d is c for c in changes) for d in thresholds)
 
 
 def test_config_rejects_malformed_sections():
@@ -981,33 +974,36 @@ def test_cli_constant_observables_carry_no_strength(tmp_path):
     assert set(verdict["channel_strengths"].values()) == {0.0}
 
 
-def test_threshold_without_resample_crossings_writes_null_std_error(tmp_path):
-    """A threshold found on the point sweep that no resample crosses has no
-    std error; the verdict entry carries null there, never NaN."""
-    from heatleak import shots
+def test_tangent_threshold_writes_null_std_error(tmp_path):
+    """A tangent crossing, here of the cubic margin dp11 * (x - 0.5)**3, has
+    no delta-method std error: the verdict entry carries null there, never
+    NaN, and a CI equal to the point."""
     from heatleak.pipeline import _threshold_entry
     from heatleak.recordio import write_json
+    from heatleak.shots import threshold_estimate
 
-    rec_i = ShotRecord(stage="i", counts={"00": 100, "01": 0, "10": 0, "11": 0},
+    rec_i = ShotRecord(stage="i", counts={"00": 40, "01": 30, "10": 20, "11": 10},
                        shots=100)
-    rec_f = ShotRecord(stage="iii", counts={"00": 0, "01": 0, "10": 0, "11": 100},
+    rec_f = ShotRecord(stage="iii", counts={"00": 10, "01": 20, "10": 30, "11": 40},
                        shots=100)
     e11 = np.array([0.0, 0.0, 0.0, 1.0])
-    observable = lambda x: (np.asarray(x)[..., None] - 0.5) * e11
+    observable = lambda x: (np.asarray(x)[..., None] - 0.5) ** 3 * e11
+    slope = lambda x: 3 * (np.asarray(x)[..., None] - 0.5) ** 2 * e11
     grid = np.linspace(0.0, 1.0, 5)
     (center,) = sweep_crossings(
         observable, rec_f.probabilities() - rec_i.probabilities(), grid)[1]
-    # no resample changes, so none crosses
-    result = shots.threshold_bootstrap(np.zeros((100, 4)), observable, grid,
-                                       float(center), 0.6827)
-    assert result.no_crossing_resamples == 100
-    entry = _threshold_entry("global-passivity", "iii", result)
-    assert entry["value"] == 0.5 and entry["std_error"] is None
+    estimate = threshold_estimate(rec_i, rec_f, observable, slope, float(center),
+                                  0.6827)
+    entry = _threshold_entry("global-passivity", "iii", estimate)
+    assert entry["value"] == entry["ci_low"] == entry["ci_high"] == 0.5
+    assert entry["std_error"] is None
     path = tmp_path / "entry.json"
     write_json(str(path), entry)
     parsed = json.loads(path.read_text(),
                         parse_constant=lambda c: pytest.fail(f"non-standard JSON {c}"))
-    assert parsed["std_error"] is None
+    assert parsed == {"test": "global-passivity", "stage_pair": "i->iii",
+                      "found": True, "value": 0.5, "ci_low": 0.5, "ci_high": 0.5,
+                      "std_error": None}
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -1162,16 +1158,17 @@ def test_cli_simulate_refuses_what_analyze_refuses(tmp_path, capsys, case):
 # ------------------------------------------- thresholds, decided by analyze
 
 @pytest.mark.parametrize("variant, shots_per_stage, analyze_calls", [
-    ("A", "6700", 3),
-    ("B", "3200", 5),
+    ("A", "6700", 2),
+    ("B", "3200", 4),
 ])
 def test_crossings_are_searched_only_where_a_threshold_is_reported(
         tmp_path, monkeypatch, variant, shots_per_stage, analyze_calls):
     """exact writes no threshold, so it searches no crossings; analyze
     searches each point sweep once (alpha, plus xi for B, per stage pair)
-    and bootstraps the one i->iii threshold once.  Every module binding of
+    and no more: a threshold's std error is the delta method's at the point
+    crossing, so no resample is searched.  Every module binding of
     passivity.sweep_crossings gets the counting wrapper."""
-    from heatleak import passivity, pipeline, shots
+    from heatleak import passivity, pipeline
 
     calls, original = [], passivity.sweep_crossings
 
@@ -1179,7 +1176,7 @@ def test_crossings_are_searched_only_where_a_threshold_is_reported(
         calls.append(1)
         return original(*args, **kwargs)
 
-    for module in (passivity, pipeline, shots):
+    for module in (passivity, pipeline):
         monkeypatch.setattr(module, "sweep_crossings", counted)
     assert main(["exact", "--variant", variant, "--out", str(tmp_path / "exact")]) == 0
     assert calls == []
@@ -1298,6 +1295,25 @@ def test_strengths_do_not_depend_on_resamples(tmp_path):
         assert verdicts[0].channel_strengths == verdicts[1].channel_strengths
         assert verdicts[0].strength == verdicts[1].strength
         assert csvs[0] != csvs[1]
+
+
+def test_verdict_does_not_depend_on_resamples(tmp_path):
+    """Strengths and thresholds, with their std errors and CIs, are closed
+    forms of the counts: analyze of one simulated A file (alpha threshold)
+    and one simulated B file (xi threshold) writes the same verdict.json
+    bytes at 100 and at 2000 resamples."""
+    for variant, shots in (("A", "6700"), ("B", "3200")):
+        sim = str(tmp_path / variant)
+        assert main(["simulate", "--variant", variant, "--seed", "3",
+                     "--shots-per-stage", shots, "--out", sim]) == 0
+        verdicts = []
+        for resamples in ("100", "2000"):
+            out = tmp_path / f"{variant}-{resamples}"
+            assert main(["analyze", os.path.join(sim, "records.jsonl"),
+                         "--resamples", resamples, "--out", str(out)]) == 2
+            verdicts.append((out / "verdict.json").read_bytes())
+        assert verdicts[0] == verdicts[1]
+        assert json.loads(verdicts[0])["thresholds"]
 
 
 _HUGE = "9" * 401  # a JSON integer that no float holds

@@ -16,18 +16,16 @@ from heatleak import (
     measure_distribution,
     mixture_channel,
     observable_table,
-    passivity,
     pipeline,
     reference_protocol,
     resample,
-    sample_shots,
     sweep_crossings,
     tensor,
     thermal_qubit,
     xi_observable,
 )
 from heatleak.config import config_from_dict
-from heatleak.passivity import _refine, _sign_brackets
+from heatleak.passivity import alpha_slope, xi_slope
 from heatleak.recordio import read_records
 from heatleak.shots import derive_seed
 
@@ -36,7 +34,6 @@ from oracles import (
     PIN_ALPHA_STAR_A,
     PIN_XI_STAR_B,
     check_ordering_inherited,
-    oracle_bisect,
     oracle_delta_b_alpha,
     oracle_protocol_a,
     oracle_protocol_b,
@@ -423,11 +420,55 @@ def test_observable_table_xi_columns_need_qubits_c_and_h():
         observable_table(build_B({"c": 1.0}, 0.5), [1.0], [0.0])
 
 
+def test_slopes_are_the_observables_derivatives():
+    """alpha_slope and xi_slope match central differences of alpha_observable
+    and xi_observable, and keep their shape over an array of points."""
+    B = build_B({"c": 1.627, "h": 1.099}, 1e-3)
+    pairs = [(alpha_observable(B), alpha_slope(B)), (xi_observable(B), xi_slope(B))]
+    for observable, slope in pairs:
+        for x in (-2.5, -0.3, 0.47, 1.0, 2.9):
+            central = (observable(x + 1e-6) - observable(x - 1e-6)) / 2e-6
+            assert np.allclose(slope(x), central, rtol=1e-7, atol=1e-9)
+        assert slope(np.array([0.2, 0.4])).shape == observable(np.array([0.2, 0.4])).shape
+
+
 # ---------------------------------------------------------- crossing search
 
-def _bracket_values(rows, lo, hi, grid):
-    """_sign_brackets' grid positions as grid values, as the oracle gives them."""
-    return rows, grid[lo], grid[hi]
+def _interpolating(row, grid):
+    """A one-outcome observable whose sweep under the diff [1.0] is row at
+    the grid points and its linear interpolation between them."""
+    return lambda x: np.interp(x, grid, row)[..., None]
+
+
+def _point_mass(row, grid):
+    """Like _interpolating but 0 off the grid points, so a bracket's first
+    midpoint, or the alpha = 0 split, ends its search."""
+    return lambda x: np.where(np.asarray(x)[..., None] == grid, row, 0.0).sum(
+        axis=-1, keepdims=True)
+
+
+def _oracle_crossings(values, grid, observable_of_row):
+    """oracle_sign_brackets, then oracle_refine of each row's brackets under
+    observable_of_row(row, grid) and the diff [1.0]."""
+    rows, lo, hi = oracle_sign_brackets(values, grid)
+    locations = np.empty(len(rows))
+    for r in np.unique(rows):
+        at = rows == r
+        locations[at] = oracle_refine(observable_of_row(values[r], grid),
+                                      np.ones((at.sum(), 1)), lo[at], hi[at])
+    return rows, locations
+
+
+def _row_crossings(values, grid, observable_of_row):
+    """sweep_crossings of each row of values, one call per row, with the
+    row's index as the crossing's row."""
+    rows, locations = [], []
+    for r, row in enumerate(values):
+        found, located = sweep_crossings(observable_of_row(row, grid), [1.0], grid)
+        assert not found.any()  # the one row of the diff [1.0]
+        rows += [r] * len(found)
+        locations += located.tolist()
+    return np.array(rows, dtype=int), np.array(locations)
 
 
 @pytest.mark.parametrize("row, expected", [
@@ -443,169 +484,65 @@ def _bracket_values(rows, lo, hi, grid):
     ([2, -1], [(0, 1)]),
 ])
 def test_sign_brackets_hand_cases(row, expected):
+    """sweep_crossings pairs each nonzero value with the last nonzero one
+    before it and locates the crossing of the interpolated sweep inside
+    that bracket, as the former pairing and bisection did (1e-12)."""
     values = np.array([row], dtype=float)
-    rows, lo, hi = _sign_brackets(values)
-    assert list(zip(lo.tolist(), hi.tolist())) == expected
-    assert rows.tolist() == [0] * len(expected)
     grid = np.arange(len(row)) * 0.25 - 1.0
-    for got, want in zip(_bracket_values(rows, lo, hi, grid),
-                         oracle_sign_brackets(values, grid)):
-        assert np.array_equal(got, want)
+    rows, locations = sweep_crossings(_interpolating(values[0], grid), [1.0], grid)
+    assert rows.tolist() == [0] * len(expected)
+    for x, (lo, hi) in zip(locations, expected):
+        assert grid[lo] <= x <= grid[hi]
+    want_rows, want = _oracle_crossings(values, grid, _interpolating)
+    assert np.array_equal(rows, want_rows)
+    assert np.all(np.abs(locations - want) <= 1e-12)
 
 
 @pytest.mark.parametrize("points", [1, 2, 3, 5, 40])
 def test_sign_brackets_match_forward_fill_oracle(points):
-    """Matrices over {-1, 0, 2} with some NaN: zero-free rows take the
-    boolean comparison, the others the zero-only forward fill, and both
-    give the former pairing's brackets in its order."""
+    """Rows over {-1, 0, 2} with some NaN, each a sweep of its own: their
+    crossings are the former pairing's brackets in its order, located as
+    its bisection locates them (1e-12)."""
     rng = np.random.default_rng(1200 + points)
     values = rng.choice([-1.0, 0.0, 2.0], size=(600, points), p=[0.35, 0.3, 0.35])
     values[rng.random(values.shape) < 0.03] = np.nan
     values[:40] = rng.choice([-1.0, 2.0], size=(40, points))  # no zero
     values[40:45] = 0.0                                       # all zero
     grid = np.sort(rng.normal(size=points))
-    got = _bracket_values(*_sign_brackets(values), grid)
-    want = oracle_sign_brackets(values, grid)
-    assert len(want[0]) > 0 or points == 1
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
-
-
-def test_sweep_crossings_brackets_across_row_blocks(monkeypatch):
-    """More rows than one _BLOCK_VALUES block: with _refine returning the
-    midpoint, sweep_crossings gives the former pairing's brackets."""
-    points = 7
-    grid = np.linspace(-1.0, 2.0, points)
-    step = passivity._BLOCK_VALUES // points
-    rng = np.random.default_rng(1207)
-    values = rng.choice([-1.0, 0.0, 2.0], size=(2 * step + 321, points))
-    values[step - 3:step + 3] = 0.0  # all-zero rows at a block boundary
-    seen = []
-
-    def midpoints(observable, diffs, lo, hi):
-        seen.append((lo.copy(), hi.copy()))
-        return 0.5 * (lo + hi)
-
-    monkeypatch.setattr(passivity, "_refine", midpoints)
-
-    def one_hot(x):  # values @ one_hot(grid).T == values, exactly
-        return (np.asarray(x, dtype=float)[..., None] == grid).astype(float)
-
-    rows, locations = sweep_crossings(one_hot, values, grid)
-    want_rows, want_lo, want_hi = oracle_sign_brackets(values, grid)
+    rows, locations = _row_crossings(values, grid, _point_mass)
+    want_rows, want = _oracle_crossings(values, grid, _point_mass)
+    assert len(want_rows) > 0 or points == 1
     assert np.array_equal(rows, want_rows)
-    (lo, hi), = seen
-    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
-    assert np.array_equal(locations, 0.5 * (want_lo + want_hi))
-
-
-def _counted(observable, points):
-    def counted(x):
-        points.append(np.size(x))
-        return observable(x)
-    return counted
-
-
-def test_refine_linear_xi_sweep_converges_in_few_calls():
-    """The xi margin is linear, so the first secant point is the root; the
-    second lands on it (or straddles it) and stops the bracket: 2000
-    resamples of the reference B run take at most 6 observable calls."""
-    p_i, _, p_iii = oracle_protocol_b(True)
-    rec_i = sample_shots(p_i, 3200, seed=300, stage="i")
-    rec_f = sample_shots(p_iii, 3200, seed=301, stage="iii")
-    diffs = resample(rec_f, 2000, 31) - resample(rec_i, 2000, 30)
-    B = build_B({"c": 1.627, "h": 1.099}, 1e-3)
-    grid = np.linspace(-1.099, 0.528, 41)
-    calls = []
-    rows, locations = sweep_crossings(_counted(xi_observable(B), calls), diffs, grid)
-    assert len(calls) <= 6
-    assert len(rows) >= 1900
-    r, lo, hi = oracle_sign_brackets(diffs @ xi_observable(B)(grid).T, grid)
-    assert np.array_equal(rows, r)
-    reference = oracle_refine(xi_observable(B), diffs[r], lo, hi)
-    assert np.max(np.abs(locations - reference)) <= 1e-12
-
-
-def test_refine_illinois_rule_unsticks_a_stalling_bracket():
-    """exp(25 x) dominates this sum of exponentials, so plain regula falsi
-    keeps the right end for good and creeps ~6e-12 per step from the left;
-    the Illinois rule lands within 1e-12 of bisection well inside 200
-    steps."""
-    b = np.array([-20.0, 0.0, 1.0, 25.0])
-    d = np.array([0.1, -2.0, 0.5, 1.0])
-
-    def observable(x):
-        return np.exp(np.asarray(x, dtype=float)[..., None] * b)
-
-    def f(x):
-        return float(d @ np.exp(x * b))
-
-    root = oracle_bisect(f, 0.0, 1.0)
-    lo, hi = 0.0, 1.0
-    for _ in range(200):  # plain regula falsi
-        x = lo - f(lo) * (hi - lo) / (f(hi) - f(lo))
-        lo, hi = (x, hi) if f(x) < 0 else (lo, x)
-    assert hi == 1.0 and root - lo > 0.01
-    calls = []
-    (got,) = _refine(_counted(observable, calls), d[None, :], np.array([0.0]),
-                     np.array([1.0]))
-    assert abs(got - root) <= 1e-12
-    assert len(calls) <= 60
-
-
-@pytest.mark.parametrize("end", ["lo", "hi"])
-def test_refine_secant_landing_on_an_end_stops_there(end):
-    """A margin of -1e-13 at one end and ~5e21 at the other puts the secant
-    point on that end exactly, twice: the bracket stops there (the root is
-    ~2e-15 away) after 2 steps, where a strict-interior test bisects."""
-    sign = 1.0 if end == "lo" else -1.0
-
-    def observable(x):
-        x = np.asarray(x, dtype=float)[..., None]
-        return np.concatenate([np.exp(50.0 * sign * (x - sign)), np.ones_like(x)], -1)
-
-    d = np.array([1.0, -(1.0 + 1e-13)])
-    lo, hi = (1.0, 2.0) if end == "lo" else (-2.0, -1.0)
-    calls = []
-    (got,) = _refine(_counted(observable, calls), d[None, :], np.array([lo]),
-                     np.array([hi]))
-    assert got == (lo if end == "lo" else hi)
-    assert len(calls) == 4  # both ends, then two steps
-    root = oracle_bisect(lambda x: float(d @ observable(x)), lo, hi)
-    assert abs(got - root) <= 1e-12
+    assert np.all(np.abs(locations - want) <= 1e-12)
 
 
 def test_refine_alpha_zero_split_matches_bisection():
-    """Brackets [-0.5, 0.5] around the excluded alpha = 0: refined on the
-    left half, on the right half, or reported at 0 (a margin that jumps
-    sign at 0, since its diff does not sum to 0), as the former bisection
-    did; exact zeros at an end finish a bracket there."""
+    """Brackets [-0.5, 0.5] around the excluded alpha = 0: located on the
+    left half, on the right half, or at 0 (a margin that jumps sign at 0,
+    since its diff does not sum to 0), as the former bisection did."""
     B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
     observable = alpha_observable(B)
     rng = np.random.default_rng(1212)
     diffs = rng.normal(size=(600, 4))
     diffs[:450] -= diffs[:450].mean(axis=1, keepdims=True)
     grid = np.array([-0.5, 0.5])
-    rows, lo, hi = oracle_sign_brackets(diffs @ observable(grid).T, grid)
-    # plus finished brackets: an all-zero diff, across 0 and off it
-    d = np.vstack([diffs[rows], np.zeros((2, 4))])
-    lo, hi = np.append(lo, [-0.5, 0.2]), np.append(hi, [0.5, 0.4])
-    got = _refine(observable, d, lo.copy(), hi.copy())
-    want = oracle_refine(observable, d, lo, hi)
+    rows, got = sweep_crossings(observable, diffs, grid)
+    r, lo, hi = oracle_sign_brackets(diffs @ observable(grid).T, grid)
+    want = oracle_refine(observable, diffs[r], lo, hi)
+    assert np.array_equal(rows, r)
     assert np.max(np.abs(got - want)) <= 1e-12
     assert np.array_equal(got == 0.0, want == 0.0)
-    assert got[-2:].tolist() == [0.0, 0.2]
-    split = got[:-2]
-    assert (split < 0).sum() >= 10 and (split > 0).sum() >= 10
-    assert (split == 0).sum() >= 10
+    assert (got < 0).sum() >= 10 and (got > 0).sum() >= 10
+    assert (got == 0).sum() >= 10
 
 
 @pytest.mark.parametrize("variant", ["A", "B"])
 def test_crossings_match_bisection_on_benchmark_records(tmp_path, variant):
-    """16 record files of perfbench's analyze workload of each protocol, each
-    resampled as analyze does: every sweep of both stage pairs gives the
-    former pairing's brackets, and every resample location lies within
-    1e-12 of the former bisection."""
+    """16 record files of perfbench's analyze workload of each protocol:
+    every sweep of both stage pairs, on the point change that analyze
+    searches and on the first 50 changes resampled as analyze resamples
+    them, gives the former pairing's brackets, and every location lies
+    within 1e-12 of the former bisection."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -620,23 +557,22 @@ def test_crossings_match_bisection_on_benchmark_records(tmp_path, variant):
                                     workload.resamples, rng)
         header, records = read_records(path)
         config = config_from_dict(header)
+        by_stage = {rec.stage: rec for rec in records}
         rates = {
-            rec.stage: resample(rec, config.bootstrap.resamples, derive_seed(
+            rec.stage: resample(rec, 50, derive_seed(
                 config.seed, pipeline.CI_SEED_ROLE, pipeline.STAGE_SEED_ROLE[rec.stage]))
             for rec in records
         }
         _, sweeps, _ = pipeline._plan(config)
         for stage in ("ii", "iii"):
-            diffs = rates[stage] - rates["i"]
+            point = by_stage[stage].probabilities() - by_stage["i"].probabilities()
+            diffs = np.vstack([point, rates[stage] - rates["i"]])
             for sweep in sweeps:
                 rows, locations = sweep_crossings(sweep.observable, diffs, sweep.grid)
-                columns = sweep.observable(sweep.grid).T
-                step = passivity._BLOCK_VALUES // len(sweep.grid)
-                values = np.vstack([diffs[s:s + step] @ columns
-                                    for s in range(0, len(diffs), step)])
+                values = diffs @ sweep.observable(sweep.grid).T
                 r, lo, hi = oracle_sign_brackets(values, sweep.grid)
                 assert np.array_equal(rows, r)
                 reference = oracle_refine(sweep.observable, diffs[r], lo, hi)
                 assert np.all(np.abs(locations - reference) <= 1e-12)
                 located += len(rows)
-    assert located >= 16 * 1900
+    assert located >= 16 * 40

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -15,14 +16,22 @@ from heatleak import (
     observable_table,
     sample_shots,
 )
-from heatleak.config import default_alpha_grid
-from heatleak.passivity import alpha_observable, sweep_crossings, xi_observable
+from heatleak.config import ExperimentConfig, default_alpha_grid, reference_protocol
+from heatleak.passivity import (
+    alpha_observable,
+    alpha_slope,
+    sweep_crossings,
+    xi_observable,
+    xi_slope,
+)
+from heatleak.pipeline import _plan, stage_distributions
 from heatleak.shots import (
     _summarize,
     bootstrap_change,
     derive_seed,
+    multinomial_std,
     outcome_labels,
-    threshold_bootstrap,
+    threshold_estimate,
 )
 
 from conftest import record_changes
@@ -257,54 +266,19 @@ def test_threshold_noise_free_crossing():
     rec_i, rec_f = _degenerate("i", "00"), _degenerate("iii", "11")
     observable = _outcome_11_observable(lambda x: x - 0.5)
     grid = np.linspace(0.0, 1.0, 11)
-    cfg = BootstrapConfig(resamples=200, seed=2)
-    *_, diffs = record_changes(rec_i, rec_f, cfg)
-    res = threshold_bootstrap(
-        diffs, observable, grid, _point_crossing(rec_i, rec_f, observable, grid),
-        cfg.confidence,
-    )
-    assert res.estimate.value == 0.5
-    assert res.estimate.ci_low == res.estimate.ci_high == 0.5
-    assert res.estimate.std_error == 0.0
-    assert res.no_crossing_resamples == 0
+    est = threshold_estimate(rec_i, rec_f, observable, lambda x: np.eye(4)[3],
+                             _point_crossing(rec_i, rec_f, observable, grid), 0.6827)
+    assert est.value == 0.5
+    assert est.ci_low == est.ci_high == 0.5
+    assert est.std_error == 0.0
 
 
-def test_threshold_takes_crossing_nearest_the_point_one():
-    """Resamples that also cross twice near a touch point at 0.2 contribute
-    their crossing nearest the point one at 0.6, as the per-resample
-    reference does."""
-    rec_i = ShotRecord(stage="i", counts={"00": 400, "01": 200, "10": 200, "11": 200},
-                       shots=1000)
-    rec_f = ShotRecord(stage="iii", counts={"00": 100, "01": 200, "10": 300, "11": 400},
-                       shots=1000)
-    e10, e11 = np.eye(4)[2], np.eye(4)[3]
-
-    def observable(x):
-        # change (x - 0.6) * 0.2 + 0.075 * bump(x): -0.005 at the bump's top
-        x = np.asarray(x, dtype=float)[..., None]
-        return (x - 0.6) * e11 + 0.75 * np.exp(-(((x - 0.2) / 0.05) ** 2)) * e10
-
-    grid = np.linspace(0.0, 1.0, 101)
-    several = []
-
-    def builder(ri, rf):
-        _, crossings = sweep_crossings(observable, rf.probabilities() - ri.probabilities(),
-                                       grid)
-        several.append(len(crossings) > 1)
-        return crossings
-
-    cfg = BootstrapConfig(resamples=100, seed=7)
-    *_, diffs = record_changes(rec_i, rec_f, cfg)
-    res = threshold_bootstrap(diffs, observable, grid,
-                              _point_crossing(rec_i, rec_f, observable, grid),
-                              cfg.confidence)
-    found, want, missing = oracle_threshold(rec_i, rec_f, builder, cfg.resamples,
-                                            cfg.confidence, cfg.seed)
-    assert not several[0] and any(several)
-    assert found and res.no_crossing_resamples == missing == 0
-    for name, value in zip(("value", "ci_low", "ci_high", "std_error"), want):
-        assert abs(getattr(res.estimate, name) - value) <= 1e-11, name
-    assert 0.5 < res.estimate.ci_low <= res.estimate.ci_high < 0.7
+def _delta_std(rec_i, rec_f, v, dv):
+    """The delta-method std error of a crossing by hand: the multinomial
+    error of the change of <v> over |change of <dv>|, with v the observable
+    and dv its derivative at the crossing."""
+    diff = rec_f.probabilities() - rec_i.probabilities()
+    return _plug_in_std(rec_i, rec_f, v) / abs(float(diff @ dv))
 
 
 def test_threshold_protocol_a_realistic():
@@ -314,14 +288,82 @@ def test_threshold_protocol_a_realistic():
     rec_i = sample_shots(p_i, 6700, seed=100, stage="i")
     rec_f = sample_shots(p_iii, 6700, seed=101, stage="iii")
     observable = alpha_observable(B)
-    cfg = BootstrapConfig(resamples=400, seed=5)
-    *_, diffs = record_changes(rec_i, rec_f, cfg)
-    res = threshold_bootstrap(diffs, observable, grid,
-                              _point_crossing(rec_i, rec_f, observable, grid),
-                              cfg.confidence)
-    assert 0.3 < res.estimate.value < 0.7
-    assert 0.0 < res.estimate.std_error < 0.2
-    assert res.estimate.ci_low <= res.estimate.value <= res.estimate.ci_high
+    x = _point_crossing(rec_i, rec_f, observable, grid)
+    est = threshold_estimate(rec_i, rec_f, observable, alpha_slope(B), x, 0.6827)
+    assert 0.3 < est.value < 0.7
+    # d/dalpha of sgn(alpha) b^alpha, by hand
+    b = B.basis_values
+    std = _delta_std(rec_i, rec_f, b**x, b**x * np.log(b))
+    assert abs(est.std_error - std) <= 1e-12 * std
+    assert 0.0 < est.std_error < 0.2
+    half = NormalDist().inv_cdf((1 + 0.6827) / 2) * est.std_error
+    assert (est.ci_low, est.ci_high) == (x - half, x + half)
+
+
+def test_threshold_at_alpha_zero_is_a_tangent_crossing():
+    """A crossing reported at the excluded alpha = 0, where the alpha
+    observable and its slope vanish, has no std error and a point CI."""
+    B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
+    rec_i = sample_shots([0.4, 0.3, 0.2, 0.1], 1000, seed=2, stage="i")
+    rec_f = sample_shots([0.1, 0.2, 0.3, 0.4], 1000, seed=4, stage="iii")
+    est = threshold_estimate(rec_i, rec_f, alpha_observable(B), alpha_slope(B),
+                             0.0, 0.6827)
+    assert (est.value, est.ci_low, est.ci_high) == (0.0, 0.0, 0.0)
+    assert math.isnan(est.std_error)
+
+
+def test_threshold_ci_extends_past_the_grid():
+    """The CI is x* +- z * std_error, unclipped: the crossing x* = 2.85
+    dp10/dp11 = 0.95 on a [0, 1] grid, from 200-shot records, has a 90% CI
+    beyond 1."""
+    rec_i = ShotRecord(stage="i", counts={"00": 80, "01": 60, "10": 40, "11": 20},
+                       shots=200)
+    rec_f = ShotRecord(stage="iii", counts={"00": 20, "01": 40, "10": 60, "11": 80},
+                       shots=200)
+    e10, e11 = np.eye(4)[2], np.eye(4)[3]
+
+    def observable(x):
+        return np.asarray(x, dtype=float)[..., None] * e11 - 2.85 * e10
+
+    grid = np.linspace(0.0, 1.0, 11)
+    x = _point_crossing(rec_i, rec_f, observable, grid)
+    est = threshold_estimate(rec_i, rec_f, observable, lambda x: e11, x, 0.9)
+    std = _delta_std(rec_i, rec_f, observable(x), e11)
+    assert abs(est.std_error - std) <= 1e-12 * std
+    half = NormalDist().inv_cdf(0.95) * est.std_error
+    assert est.ci_low == x - half
+    assert est.ci_high == x + half > grid[-1]
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_threshold_ci_coverage(variant):
+    """Beside criterion 7: the one-sigma CI of the threshold covers the
+    exact crossing at the nominal 0.6827 on records drawn from the exact
+    distributions at the reference shots (alpha* of A at 6700, xi* of B at
+    3200).  1000 reps at seeds derive_seed(2611, rep, role) give a binomial
+    SE of sqrt(0.6827 * 0.3173 / 1000) = 0.0147, and the band is 5 of them;
+    a rep without exactly one crossing counts as not covered."""
+    shots = {"A": 6700, "B": 3200}[variant]
+    config = ExperimentConfig(protocol=reference_protocol(variant),
+                              shots_per_stage=shots)
+    dists = stage_distributions(config)
+    _, sweeps, _ = _plan(config)
+    sweep = sweeps[0] if variant == "A" else sweeps[1]
+    (exact,) = sweep_crossings(sweep.observable, dists["iii"] - dists["i"],
+                               sweep.grid)[1]
+    reps, covered = 1000, 0
+    for rep in range(reps):
+        rec_i = sample_shots(dists["i"], shots, derive_seed(2611, rep, 0), stage="i")
+        rec_f = sample_shots(dists["iii"], shots, derive_seed(2611, rep, 1),
+                             stage="iii")
+        _, crossings = sweep_crossings(
+            sweep.observable, rec_f.probabilities() - rec_i.probabilities(), sweep.grid)
+        if len(crossings) == 1:
+            est = threshold_estimate(rec_i, rec_f, sweep.observable, sweep.slope,
+                                     float(crossings[0]), 0.6827)
+            covered += est.ci_low <= exact <= est.ci_high
+    coverage = covered / reps
+    assert 0.609 <= coverage <= 0.756, f"coverage {coverage}"
 
 
 def test_outcome_labels():
@@ -395,6 +437,52 @@ def _plug_in_std(rec_i, rec_f, v):
         for r in (rec_i, rec_f)))
 
 
+def test_multinomial_std_of_one_record():
+    """On one (rates, shots) sample a column's error is sqrt(p @ (v - p @
+    v)**2 / n): sqrt(p_k (1 - p_k) / n) for the outcome indicators and
+    exactly 0 for a constant column; the same sample twice adds its
+    variance twice."""
+    rec = sample_shots([0.4, 0.3, 0.2, 0.1], 900, seed=12)
+    p, n = rec.probabilities(), rec.shots
+    table = np.column_stack([np.eye(4), [0.0, 1.0, 2.0, 3.0], np.full(4, 7.0)])
+    got = multinomial_std(table, (p, n))
+    assert np.all(np.abs(got[:4] - np.sqrt(p * (1 - p) / n)) <= 1e-12 * got[:4])
+    v = table[:, 4]
+    want = math.sqrt(float(p @ (v - p @ v) ** 2) / n)
+    assert abs(got[4] - want) <= 1e-12 * want
+    assert got[5] == 0.0
+    twice = multinomial_std(table, (p, n), (p, n))
+    assert np.all(np.abs(twice - math.sqrt(2) * got) <= 1e-12 * got)
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_multinomial_std_at_exact_distributions(variant):
+    """At the exact stage distributions, with no record, multinomial_std is
+    the shot noise of a change at the reference shots: the ddof=1 std of
+    2000 simulated i->iii changes of every table column lies within 5 of
+    its relative standard errors, 1/sqrt(2 * 2000), of it.  Divided by the
+    sweep's slope at the exact crossing it predicts the threshold sigma
+    that README states: 0.0376 for alpha* (A, 6700 shots) and 0.0266 for
+    xi* (B, 3200 shots)."""
+    shots = {"A": 6700, "B": 3200}[variant]
+    config = ExperimentConfig(protocol=reference_protocol(variant))
+    dists = stage_distributions(config)
+    table, sweeps, _ = _plan(config)
+    samples = (dists["i"], shots), (dists["iii"], shots)
+    std = multinomial_std(table, *samples)
+    rng = np.random.default_rng(derive_seed(2612, shots))
+    changes = (rng.multinomial(shots, dists["iii"], size=2000)
+               - rng.multinomial(shots, dists["i"], size=2000)) / shots
+    simulated = np.std(changes @ table, axis=0, ddof=1)
+    assert np.all(np.abs(simulated / std - 1) <= 5 / math.sqrt(2 * 2000))
+    sweep = sweeps[0] if variant == "A" else sweeps[1]
+    diff = dists["iii"] - dists["i"]
+    (x,) = sweep_crossings(sweep.observable, diff, sweep.grid)[1]
+    (sigma,) = multinomial_std(sweep.observable(x)[:, None], *samples)
+    sigma /= abs(diff @ sweep.slope(x))
+    assert round(sigma, 4) == {"A": 0.0376, "B": 0.0266}[variant]
+
+
 @pytest.mark.parametrize("variant", ["A", "B"])
 def test_bootstrap_std_error_is_plug_in_multinomial(variant):
     """std_error is the closed form of every column, for stage pairs of
@@ -438,10 +526,13 @@ def test_bootstrap_std_error_is_plug_in_multinomial(variant):
 
 @pytest.mark.parametrize("variant", ["A", "B"])
 def test_matrix_path_matches_per_resample_reference(variant):
-    """bootstrap_change / threshold_bootstrap reproduce the per-resample
-    references of tests/oracles.py, which rebuild records and sweeps."""
+    """bootstrap_change reproduces the per-resample reference of
+    tests/oracles.py, which rebuilds records, and threshold_estimate's delta
+    std error the spread of its per-resample threshold reference, which
+    reruns the sweeps."""
     B, alpha_grid, xi_grid, table, records = _reference_tables_and_records(variant)
-    sweeps = [(alpha_observable(B), alpha_grid), (xi_observable(B), xi_grid)]
+    sweeps = [(alpha_observable(B), alpha_slope(B), alpha_grid),
+              (xi_observable(B), xi_slope(B), xi_grid)]
     found = 0
     for k, rec_f in enumerate(records[1:]):
         cfg = BootstrapConfig(resamples=400, seed=derive_seed(78, k))
@@ -463,23 +554,24 @@ def test_matrix_path_matches_per_resample_reference(variant):
             # the std error is the closed form, not the resamples' std
             std = _plug_in_std(records[0], rec_f, v)
             assert abs(m.std_error - std) <= 1e-12 * std
-        for observable, grid in sweeps:
+        # the threshold half: the delta std error against the std of 500
+        # resampled crossings, whose relative noise is about 1/sqrt(2 * 500);
+        # the band is 5 of them
+        setup = (500, cfg.confidence, cfg.seed)
+        for observable, slope, grid in sweeps:
             def builder(ri, rf):
                 return sweep_crossings(
                     observable, rf.probabilities() - ri.probabilities(), grid)[1]
 
-            slow_found, slow, slow_missing = oracle_threshold(
-                records[0], rec_f, builder, *setup)
+            slow_found, slow, _ = oracle_threshold(records[0], rec_f, builder, *setup)
             _, point = sweep_crossings(
                 observable, rec_f.probabilities() - records[0].probabilities(), grid)
             assert len(point) == int(slow_found)
             if not slow_found:
                 continue
             found += 1
-            fast = threshold_bootstrap(diffs, observable, grid, float(point[0]),
-                                       cfg.confidence)
-            assert fast.resamples == cfg.resamples
-            assert fast.no_crossing_resamples == slow_missing
-            for name, want in zip(("value", "ci_low", "ci_high", "std_error"), slow):
-                assert abs(getattr(fast.estimate, name) - want) <= 1e-11, name
+            est = threshold_estimate(records[0], rec_f, observable, slope,
+                                     float(point[0]), cfg.confidence)
+            assert est.value == slow[0]
+            assert abs(est.std_error / slow[3] - 1) <= 5 / math.sqrt(2 * 500)
     assert found >= 1  # the i->iii threshold of either protocol
