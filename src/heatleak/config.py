@@ -214,6 +214,7 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # bad JSON or UTF-8, or an int over the digit limit
+        except (ValueError, RecursionError) as exc:
+            # bad or too deeply nested JSON, bad UTF-8, or an int over the digit limit
             raise HeatleakError(f"config {path}: invalid JSON ({exc})") from exc
     return config_from_dict(data)

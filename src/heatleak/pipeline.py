@@ -210,7 +210,7 @@ def _threshold_entry(test: str, stage: str, estimate) -> dict:
         "found": True,
         # value, ci_low, ci_high, std_error; NaN (a tangent crossing) as null
         **{name: None if math.isnan(x) else x
-           for name, x in asdict(estimate).items()},
+           for name, x in estimate._asdict().items()},
     }
 
 

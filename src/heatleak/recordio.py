@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
+
 from .register import HeatleakError
 from .shots import ShotRecord
 
@@ -98,7 +100,8 @@ def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
             obj = json.loads(text)
         except UnicodeDecodeError as exc:
             raise HeatleakError(f"{path}:{line_no}: invalid UTF-8 ({exc.reason})") from exc
-        except ValueError as exc:  # bad JSON, or an int over the digit limit
+        except (ValueError, RecursionError) as exc:
+            # bad or too deeply nested JSON, or an int over the digit limit
             raise HeatleakError(f"{path}:{line_no}: invalid JSON "
                                 f"({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(obj, dict):
@@ -142,13 +145,12 @@ def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
 def write_sweep_csv(path: str, grid, lhs, rhs, ci_low=None, ci_high=None) -> None:
     """One row per grid point, violated iff lhs < rhs; the CI columns stay
     empty unless both ci_low and ci_high are given."""
+    grid, lhs, rhs = (np.asarray(c, dtype=float).tolist() for c in (grid, lhs, rhs))
+    if ci_low is not None and ci_high is not None:
+        lo, hi = (map(repr, np.asarray(c, dtype=float).tolist()) for c in (ci_low, ci_high))
+    else:
+        lo = hi = [""] * len(grid)
     rows = ["parameter,lhs,rhs,ci_low,ci_high,violated"]
-    has_ci = ci_low is not None and ci_high is not None
-    for k in range(len(grid)):
-        lo = repr(float(ci_low[k])) if has_ci else ""
-        hi = repr(float(ci_high[k])) if has_ci else ""
-        rows.append(
-            f"{float(grid[k])!r},{float(lhs[k])!r},{float(rhs[k])!r},"
-            f"{lo},{hi},{str(bool(lhs[k] < rhs[k])).lower()}"
-        )
+    rows += [f"{x!r},{a!r},{b!r},{low},{high},{'true' if a < b else 'false'}"
+             for x, a, b, low, high in zip(grid, lhs, rhs, lo, hi, strict=True)]
     atomic_write_text(path, "\n".join(rows) + "\n")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,8 +149,7 @@ class BootstrapConfig:
             raise HeatleakError(f"confidence {self.confidence} outside (0, 1)")
 
 
-@dataclass(frozen=True)
-class EstimateWithCI:
+class EstimateWithCI(NamedTuple):
     value: float
     ci_low: float
     ci_high: float
@@ -261,8 +261,8 @@ def _linear_quantile(ordered: np.ndarray, q: float) -> np.ndarray:
 
 def _summarize(point, stats: np.ndarray, std: np.ndarray,
                confidence: float) -> list[EstimateWithCI]:
-    """Estimates from point values, (resamples, k) resample statistics and
-    their k standard errors.
+    """Estimates from point values, (k, resamples) rows of resample
+    statistics, consumed (sorted in place), and their k standard errors.
 
     CIs are empirical quantiles at (1 +- confidence)/2 by numpy's default
     "linear" rule, widened to enclose the point estimate if needed, as
@@ -272,17 +272,13 @@ def _summarize(point, stats: np.ndarray, std: np.ndarray,
     point = np.asarray(point, dtype=float)
     # one in-place sort of contiguous rows (numpy's SIMD sort) serves both
     # quantiles; it is faster than np.quantile's partition at six positions
-    ordered = stats.T.copy()
-    ordered.sort(axis=1)
-    ci_low = _linear_quantile(ordered, lo_q)
-    ci_high = _linear_quantile(ordered, 1.0 - lo_q)
+    stats.sort(axis=1)
+    ci_low = _linear_quantile(stats, lo_q)
+    ci_high = _linear_quantile(stats, 1.0 - lo_q)
     ci_low = np.where(point < ci_low, point, ci_low)
     ci_high = np.where(point > ci_high, point, ci_high)
-    return [
-        EstimateWithCI(value=v, ci_low=lo, ci_high=hi, std_error=s)
-        for v, lo, hi, s in zip(point.tolist(), ci_low.tolist(), ci_high.tolist(),
-                                std.tolist())
-    ]
+    return list(map(EstimateWithCI, point.tolist(), ci_low.tolist(), ci_high.tolist(),
+                    std.tolist()))
 
 
 def bootstrap_change(rec_i: ShotRecord, rec_f: ShotRecord, diffs: np.ndarray,
@@ -302,10 +298,11 @@ def bootstrap_change(rec_i: ShotRecord, rec_f: ShotRecord, diffs: np.ndarray,
     estimates = []
     for start in range(0, table.shape[1], _BLOCK_COLUMNS):
         columns = slice(start, start + _BLOCK_COLUMNS)
-        stats = diffs @ table[:, columns]
-        if not np.isfinite(stats).all():
-            r = np.flatnonzero(~np.isfinite(stats).all(axis=1))[0]
-            raise HeatleakError(f"statistic is not finite on resample {r}; "
-                                f"diffs={diffs[r].tolist()}")
+        # (columns, resamples), C-ordered: _summarize sorts its rows in place
+        stats = table[:, columns].T @ diffs.T
+        bad = np.flatnonzero(~np.isfinite(stats).all(axis=0))
+        if bad.size:
+            raise HeatleakError(f"statistic is not finite on resample {bad[0]}; "
+                                f"diffs={diffs[bad[0]].tolist()}")
         estimates += _summarize(point[columns], stats, std[columns], confidence)
     return estimates

@@ -135,6 +135,48 @@ def test_sweep_csv_without_ci(tmp_path):
     assert open(path).read().splitlines()[1] == "0.1,1.0,2.0,,,true"
 
 
+# every float class the CSV must print as Python does: NaN, infinities,
+# signed zeros, the smallest subnormal and a near-overflow magnitude
+_CSV_CELLS = {
+    "grid": [0.5, -0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan, 0.1],
+    "lhs": [math.nan, -0.0, 0.0, -math.inf, 1e300, 5e-324, 1.0, -1e300],
+    "rhs": [0.0, 0.0, -0.0, math.inf, math.inf, 0.0, math.nan, -math.inf],
+    "ci_low": [-math.inf, math.nan, -0.0, 5e-324, -1e300, 0.0, 1.0, 0.1],
+    "ci_high": [math.inf, math.nan, 0.0, 1e300, -5e-324, -0.0, math.nan, 0.2],
+}
+
+
+def _reference_sweep_csv(grid, lhs, rhs, ci_low, ci_high) -> str:
+    """The sweep CSV written cell by cell."""
+    def cell(x):
+        return repr(float(x))
+
+    rows = ["parameter,lhs,rhs,ci_low,ci_high,violated"]
+    for k in range(len(grid)):
+        lo, hi = (("", "") if ci_low is None or ci_high is None
+                  else (cell(ci_low[k]), cell(ci_high[k])))
+        violated = "true" if float(lhs[k]) < float(rhs[k]) else "false"
+        rows.append(",".join([cell(grid[k]), cell(lhs[k]), cell(rhs[k]), lo, hi, violated]))
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("container", [np.array, list, tuple])
+@pytest.mark.parametrize("rows", [8, 0])
+@pytest.mark.parametrize("ci", ["both", "none", "low only"])
+def test_sweep_csv_matches_per_cell_reference(tmp_path, container, rows, ci):
+    """write_sweep_csv prints every cell as repr(float(x)) and violated iff
+    float(lhs) < float(rhs), from arrays, lists or tuples, with or without
+    the CI columns, and a zero-row grid as the header alone."""
+    columns = {name: container(values[:rows]) for name, values in _CSV_CELLS.items()}
+    if ci != "both":
+        columns["ci_high"] = None
+    if ci == "none":
+        columns["ci_low"] = None
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(str(path), **columns)
+    assert path.read_bytes() == _reference_sweep_csv(**columns).encode()
+
+
 # ------------------------------------------------------------------- config
 
 def test_config_round_trip(tmp_path):
@@ -350,6 +392,33 @@ def test_cli_analyze_malformed_file_exit_one(tmp_path, capsys):
     rc = main(["analyze", str(bad), "--out", str(tmp_path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+_NESTED = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("case", ["header", "meta", "config"])
+def test_cli_deeply_nested_json_exit_one(tmp_path, capsys, case):
+    """JSON nested past the parser's recursion limit is invalid JSON: exit
+    1 with an error line, not a RecursionError, in a record file's header
+    line or a record's meta, and in a config file."""
+    header, record = '{"config": {}}', '{"stage": "i", "counts": {"00": 1}, "shots": 1'
+    if case == "header":
+        header = '{"config": ' + _NESTED + "}"
+    records = tmp_path / "records.jsonl"
+    records.write_text(header + "\n" + record
+                       + (', "meta": ' + _NESTED if case == "meta" else "") + "}\n")
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": ' + _NESTED + "}\n")
+    if case == "config":
+        argv = ["exact", "--config", str(config)]
+        expected = f"error: config {config}: invalid JSON ("
+    else:
+        argv = ["analyze", str(records)]
+        expected = f"error: {records}:{1 if case == 'header' else 2}: invalid JSON ("
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(expected)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_analyze_missing_file_exit_one(tmp_path, capsys):

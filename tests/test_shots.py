@@ -377,7 +377,9 @@ def test_outcome_labels():
 @pytest.mark.parametrize("resamples", [1, 2, 3, 100, 2000])
 def test_summary_matches_np_quantile_reference(resamples, kind):
     """_summarize gives the estimates of the np.quantile reference exactly:
-    every float as printed, so NaN matches NaN and zeros keep their sign."""
+    every float as printed, so NaN matches NaN and zeros keep their sign.
+    _summarize takes (k, resamples) rows and sorts them in place, so it gets
+    a transposed copy of the (resamples, k) statistics the reference reads."""
     rng = np.random.default_rng(derive_seed(91, resamples))
     if kind == "integer ties":
         stats = rng.integers(-3, 4, size=(resamples, 16)).astype(float)
@@ -401,7 +403,8 @@ def test_summary_matches_np_quantile_reference(resamples, kind):
             for columns in (1, 16):
                 std = (stats[:, :columns].std(axis=0, ddof=1) if resamples > 1
                        else np.zeros(columns))
-                got = _summarize(point[:columns], stats[:, :columns], std, confidence)
+                got = _summarize(point[:columns], stats[:, :columns].T.copy(), std,
+                                 confidence)
                 want = oracle_summary(point[:columns], stats[:, :columns], confidence)
                 assert [tuple(map(repr, (e.value, e.ci_low, e.ci_high, e.std_error)))
                         for e in got] == [tuple(map(repr, w)) for w in want]
