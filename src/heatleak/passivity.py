@@ -13,8 +13,9 @@ as long as the eigenvalue ordering of B is inherited, which holds exactly on
 an interval [xi_min, xi_max] computed here from pairwise ordering
 constraints.
 
-A sweep's sign crossings are bisected bracket by bracket; alpha_slope and
-xi_slope, the families' derivatives, serve shots.threshold_estimate.
+sweep_crossings searches the sweep of one distribution change and bisects
+its sign crossings bracket by bracket; alpha_slope and xi_slope, the
+families' derivatives, serve shots.threshold_estimate.
 """
 
 from __future__ import annotations
@@ -213,29 +214,26 @@ def xi_slope(B: GlobalPassivityOperator):
     return lambda xi: np.broadcast_to(step, np.shape(xi) + step.shape)
 
 
-def sweep_crossings(observable, diffs, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Every sign crossing of diffs[r] @ observable(x) along the grid, per row.
+def sweep_crossings(observable, diff, grid) -> np.ndarray:
+    """Every sign crossing of diff @ observable(x) along the grid, in grid
+    order, for diff one final-minus-initial outcome distribution.
 
-    diffs holds one final-minus-initial outcome distribution per row.
-    Returns (rows, locations), ordered by row and by grid position within a
-    row.  A bracket pairs a nonzero grid value with the last nonzero one
-    before it, of opposite sign, so exact zeros are skipped (an all-zero row
-    has no crossing, a -,0,+ pattern one) and a NaN pairs with nothing;
+    A bracket pairs a nonzero grid value with the last nonzero one before
+    it, of opposite sign, so exact zeros are skipped (an all-zero sweep has
+    no crossing, a -,0,+ pattern one) and a NaN pairs with nothing;
     _bisect locates the crossing in each bracket.
     """
-    diffs = np.atleast_2d(np.asarray(diffs, dtype=float))
+    diff = np.asarray(diff, dtype=float)
     grid = np.asarray(grid, dtype=float)
-    rows, locations = [], []
-    for r, signs in enumerate(np.sign(diffs @ observable(grid).T).tolist()):
-        last = None
-        for k, sign in enumerate(signs):
-            if sign == 0.0:
-                continue
-            if last is not None and signs[last] == -sign:  # NaN equals nothing
-                rows.append(r)
-                locations.append(_bisect(observable, diffs[r], grid[last], grid[k]))
-            last = k
-    return np.array(rows, dtype=np.intp), np.array(locations, dtype=float)
+    signs = np.sign(diff @ observable(grid).T).tolist()
+    locations, last = [], None
+    for k, sign in enumerate(signs):
+        if sign == 0.0:
+            continue
+        if last is not None and signs[last] == -sign:  # NaN equals nothing
+            locations.append(_bisect(observable, diff, grid[last], grid[k]))
+        last = k
+    return np.array(locations, dtype=float)
 
 
 def _bisect(observable, diff, lo: float, hi: float) -> float:

@@ -268,7 +268,7 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
                 sweep.grid, *sweep.sides(diff, np.array([e.value for e in est])),
                 [e.ci_low for e in est], [e.ci_high for e in est],
             )
-            _, crossings = sweep_crossings(sweep.observable, diff, sweep.grid)
+            crossings = sweep_crossings(sweep.observable, diff, sweep.grid)
             if len(crossings) == 1:
                 est = threshold_estimate(rec_i, rec_f, sweep.observable, sweep.slope,
                                          float(crossings[0]), confidence)

@@ -9,7 +9,8 @@ Every standard error is multinomial_std's closed form of the counts: per
 table column in bootstrap_change, and over the sweep's slope at a crossing
 in threshold_estimate (the delta method).  Only bootstrap_change's CIs
 resample: each record is redrawn once, by resample, into a (resamples,
-outcomes) matrix of rates, and the CIs are quantiles of matrix products.
+outcomes) matrix of rates, and the CIs are quantiles of matrix products,
+interpolated from the four order statistics per column that they read.
 """
 
 from __future__ import annotations
@@ -220,9 +221,11 @@ def threshold_estimate(rec_i: ShotRecord, rec_f: ShotRecord, observable, slope,
     (p_f - p_i) @ observable(x) at the rates of rec_i and rec_f, with
     slope(x) = d observable / dx (Casella & Berger, Statistical Inference,
     2002, 5.5.4): std_error is multinomial_std of observable(x*) over
-    |f'(x*)|, and the CI x* +- z * std_error at confidence's normal quantile
-    z, not clipped to the grid.  A tangent crossing (f'(x*) == 0), such as
-    one reported at the excluded alpha = 0, has a NaN std_error and CI x*.
+    |f'(x*)|, and the CI x* +- z * std_error, not clipped to the grid.  z is
+    the normal quantile at (1 + confidence)/2, computed as minus the one at
+    (1 - confidence)/2: near confidence 1, (1 + confidence)/2 rounds to 1,
+    which has no quantile.  A tangent crossing (f'(x*) == 0), such as one
+    reported at the excluded alpha = 0, has a NaN std_error and CI x*.
     """
     p_i, p_f = rec_i.probabilities(), rec_f.probabilities()
     derivative = abs(float((p_f - p_i) @ slope(crossing)))
@@ -231,78 +234,59 @@ def threshold_estimate(rec_i: ShotRecord, rec_f: ShotRecord, observable, slope,
     from statistics import NormalDist  # ~4 ms to import; only a threshold needs it
     samples = (p_i, rec_i.shots), (p_f, rec_f.shots)
     std = float(multinomial_std(observable(crossing)[:, None], *samples)[0]) / derivative
-    half = NormalDist().inv_cdf((1.0 + confidence) / 2.0) * std
+    half = -NormalDist().inv_cdf((1.0 - confidence) / 2.0) * std
     return EstimateWithCI(crossing, crossing - half, crossing + half, std)
-
-
-def _linear_quantile(ordered: np.ndarray, q: float) -> np.ndarray:
-    """np.quantile(x, q, axis=1) of the rows of x sorted ascending (NaN last).
-
-    Repeats numpy's "linear" rule operation for operation, so the result is
-    equal bit for bit: virtual index v = (n - 1) q between the order
-    statistics below and above it, numpy's two-sided lerp, and NaN for a row
-    that holds NaN.
-    """
-    n = ordered.shape[1]
-    virtual = (n - 1) * q
-    if virtual >= n - 1:  # numpy takes the last value, with weight v + 1
-        below = above = n - 1
-        weight = virtual + 1
-    else:
-        below = math.floor(virtual)
-        above = below + 1
-        weight = virtual - below
-    low, high = ordered[:, below], ordered[:, above]
-    step = high - low
-    value = high - step * (1 - weight) if weight >= 0.5 else low + step * weight
-    np.copyto(value, ordered[:, -1], where=np.isnan(ordered[:, -1]))
-    return value
-
-
-def _summarize(point, stats: np.ndarray, std: np.ndarray,
-               confidence: float) -> list[EstimateWithCI]:
-    """Estimates from point values, (k, resamples) rows of resample
-    statistics, consumed (sorted in place), and their k standard errors.
-
-    CIs are empirical quantiles at (1 +- confidence)/2 by numpy's default
-    "linear" rule, widened to enclose the point estimate if needed, as
-    min(ci_low, point) and max(ci_high, point) would (a NaN bound stays NaN).
-    """
-    lo_q = (1.0 - confidence) / 2.0
-    point = np.asarray(point, dtype=float)
-    # one in-place sort of contiguous rows (numpy's SIMD sort) serves both
-    # quantiles; it is faster than np.quantile's partition at six positions
-    stats.sort(axis=1)
-    ci_low = _linear_quantile(stats, lo_q)
-    ci_high = _linear_quantile(stats, 1.0 - lo_q)
-    ci_low = np.where(point < ci_low, point, ci_low)
-    ci_high = np.where(point > ci_high, point, ci_high)
-    return list(map(EstimateWithCI, point.tolist(), ci_low.tolist(), ci_high.tolist(),
-                    std.tolist()))
 
 
 def bootstrap_change(rec_i: ShotRecord, rec_f: ShotRecord, diffs: np.ndarray,
                      table, confidence: float) -> list[EstimateWithCI]:
     """Bootstrap of the rate change from rec_i to rec_f times table, one
-    estimate per column; see _summarize for the CIs.
+    estimate per column.
 
     diffs holds the (resamples, outcomes) resampled changes; a resample's
     statistic is the same product on its row, _BLOCK_COLUMNS table columns
     at a time to bound memory, and a non-finite one raises HeatleakError.
     The std_errors are multinomial_std at the two records' rates and shots.
+    The CIs are the empirical quantiles at (1 +- confidence)/2 by numpy's
+    default "linear" rule, equal to np.quantile bit for bit, widened to
+    enclose the point estimate as min(ci_low, point) and max(ci_high,
+    point) would.
     """
     table = np.asarray(table, dtype=float)
     p_i, p_f = rec_i.probabilities(), rec_f.probabilities()
     point = (p_f - p_i) @ table
     std = multinomial_std(table, (p_i, rec_i.shots), (p_f, rec_f.shots))
-    estimates = []
+    # numpy's rule at q: virtual index v = (n - 1) q, between the order
+    # statistics below and above it, or at the last one with weight v + 1
+    last, lo_q = len(diffs) - 1, (1.0 - confidence) / 2.0
+    ranks, weights = [], []
+    for virtual in (last * lo_q, last * (1.0 - lo_q)):
+        if virtual >= last:
+            ranks += [last, last]
+            weights.append(virtual + 1)
+        else:
+            below = math.floor(virtual)
+            ranks += [below, below + 1]
+            weights.append(virtual - below)
+    order = np.empty((table.shape[1], len(ranks)))
     for start in range(0, table.shape[1], _BLOCK_COLUMNS):
         columns = slice(start, start + _BLOCK_COLUMNS)
-        # (columns, resamples), C-ordered: _summarize sorts its rows in place
+        # (columns, resamples), C-ordered, so that its rows sort in place
         stats = table[:, columns].T @ diffs.T
         bad = np.flatnonzero(~np.isfinite(stats).all(axis=0))
         if bad.size:
             raise HeatleakError(f"statistic is not finite on resample {bad[0]}; "
                                 f"diffs={diffs[bad[0]].tolist()}")
-        estimates += _summarize(point[columns], stats, std[columns], confidence)
-    return estimates
+        # one sort of contiguous rows (numpy's SIMD sort) serves both
+        # quantiles; it is faster than np.quantile's partition at six positions
+        stats.sort(axis=1)
+        order[columns] = stats[:, ranks]
+    bounds = []
+    for low, high, weight in zip(order[:, 0::2].T, order[:, 1::2].T, weights):
+        step = high - low  # numpy's two-sided lerp
+        bounds.append(high - step * (1 - weight) if weight >= 0.5 else low + step * weight)
+    ci_low, ci_high = bounds
+    ci_low = np.where(point < ci_low, point, ci_low)
+    ci_high = np.where(point > ci_high, point, ci_high)
+    return list(map(EstimateWithCI, point.tolist(), ci_low.tolist(), ci_high.tolist(),
+                    std.tolist()))

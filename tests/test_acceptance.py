@@ -71,7 +71,7 @@ def test_criterion_1_exact_protocol_a():
         dists = stage_distributions(cfg)
         B = build_B(B_REF_A, 1e-3)
         diff = dists["iii"] - dists["i"]
-        _, crossings = sweep_crossings(alpha_observable(B), diff, ALPHA_GRID)
+        crossings = sweep_crossings(alpha_observable(B), diff, ALPHA_GRID)
 
         assert len(crossings) == 1
         alpha_star = crossings[0]
@@ -138,8 +138,8 @@ def test_criterion_3_exact_protocol_b(tmp_path):
         cfg = ExperimentConfig(protocol=reference_protocol("B"))
         dists = stage_distributions(cfg)
         xi_grid = np.linspace(bounds.xi_min, bounds.xi_max, 41)
-        _, crossings = sweep_crossings(xi_observable(B), dists["iii"] - dists["i"],
-                                       xi_grid)
+        crossings = sweep_crossings(xi_observable(B), dists["iii"] - dists["i"],
+                                    xi_grid)
         assert len(crossings) == 1
         xi_star = crossings[0]
         # frozen regression constant, oracle recomputation, and the

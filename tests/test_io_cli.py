@@ -1060,7 +1060,7 @@ def test_tangent_threshold_writes_null_std_error(tmp_path):
     slope = lambda x: 3 * (np.asarray(x)[..., None] - 0.5) ** 2 * e11
     grid = np.linspace(0.0, 1.0, 5)
     (center,) = sweep_crossings(
-        observable, rec_f.probabilities() - rec_i.probabilities(), grid)[1]
+        observable, rec_f.probabilities() - rec_i.probabilities(), grid)
     estimate = threshold_estimate(rec_i, rec_f, observable, slope, float(center),
                                   0.6827)
     entry = _threshold_entry("global-passivity", "iii", estimate)
@@ -1254,6 +1254,25 @@ def test_crossings_are_searched_only_where_a_threshold_is_reported(
                  shots_per_stage, "--resamples", "100", "--out", out]) == 0
     assert main(["analyze", os.path.join(out, "records.jsonl"), "--out", out]) == 2
     assert len(calls) == analyze_calls
+
+
+def test_cli_analyze_confidence_just_below_one_exit_two(tmp_path):
+    """BootstrapConfig accepts a confidence c just below 1, where (1 + c)/2
+    rounds to 1.0 and has no normal quantile: analyze of an A run at that
+    confidence still exits 2 and reports a finite threshold CI about its
+    crossing, about 8.3 std errors wide on either side."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"bootstrap": {"confidence": 0.9999999999999999}}))
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--variant", "A", "--config", str(config),
+                 "--out", out]) == 0
+    assert main(["analyze", os.path.join(out, "records.jsonl"), "--out", out]) == 2
+    verdict = json.loads((tmp_path / "run" / "verdict.json").read_text())
+    (entry,) = verdict["thresholds"]
+    assert entry["test"] == "global-passivity"
+    assert math.isfinite(entry["ci_low"]) and math.isfinite(entry["ci_high"])
+    assert entry["ci_low"] < entry["value"] < entry["ci_high"]
+    assert entry["ci_high"] - entry["value"] > 8 * entry["std_error"]
 
 
 def test_cli_analyze_b_reports_no_alpha_threshold(tmp_path):

@@ -152,14 +152,14 @@ def test_alpha_sweep_identity_no_thresholds():
     p = np.array([0.4, 0.3, 0.2, 0.1])
     values = (p - p) @ observable_table(B, GRID)[:, : len(GRID)]
     assert np.all(values == 0.0)
-    assert sweep_crossings(alpha_observable(B), p - p, GRID)[1].size == 0
+    assert sweep_crossings(alpha_observable(B), p - p, GRID).size == 0
     assert not (values < 0).any()
 
 
 def test_alpha_sweep_protocol_a_single_crossing_near_pin():
     p_i, _, p_iii = oracle_protocol_a(True)
     B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
-    _, crossings = sweep_crossings(alpha_observable(B), p_iii - p_i, GRID)
+    crossings = sweep_crossings(alpha_observable(B), p_iii - p_i, GRID)
     assert len(crossings) == 1
     assert abs(crossings[0] - PIN_ALPHA_STAR_A) < 1e-6
 
@@ -168,13 +168,13 @@ def test_alpha_sweep_protocol_a_no_swap_never_negative():
     p_i, p_ii, _ = oracle_protocol_a(False)
     B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
     assert np.all((p_ii - p_i) @ observable_table(B, GRID)[:, : len(GRID)] >= 0)
-    assert sweep_crossings(alpha_observable(B), p_ii - p_i, GRID)[1].size == 0
+    assert sweep_crossings(alpha_observable(B), p_ii - p_i, GRID).size == 0
 
 
 def test_alpha_sweep_crossing_residual_is_tiny():
     p_i, _, p_iii = oracle_protocol_a(True)
     B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
-    _, (loc,) = sweep_crossings(alpha_observable(B), p_iii - p_i, GRID)
+    (loc,) = sweep_crossings(alpha_observable(B), p_iii - p_i, GRID)
     column = observable_table(B, [loc])[:, 0]
     scale = np.max(np.abs(column))
     assert abs((p_iii - p_i) @ column) <= 1e-9 * scale
@@ -302,7 +302,7 @@ def test_deformation_sweep_identity_no_violation():
     p = np.array([0.4, 0.3, 0.2, 0.1])
     grid = np.linspace(-1.099, 0.528, 21)
     assert not (_normal_form(B, p, p, grid) < 0).any()
-    assert sweep_crossings(xi_observable(B), p - p, grid)[1].size == 0
+    assert sweep_crossings(xi_observable(B), p - p, grid).size == 0
     assert np.allclose(_raw_form(B, p, p, grid), 0.0)
 
 
@@ -310,7 +310,7 @@ def test_deformation_sweep_protocol_b_crossing_near_pin():
     p_i, _, p_iii = oracle_protocol_b(True)
     B = build_B({"c": 1.627, "h": 1.099}, 1e-3)
     grid = np.linspace(-1.099, 0.528, 41)
-    _, crossings = sweep_crossings(xi_observable(B), p_iii - p_i, grid)
+    crossings = sweep_crossings(xi_observable(B), p_iii - p_i, grid)
     assert len(crossings) == 1
     loc = crossings[0]
     assert abs(loc - PIN_XI_STAR_B) < 1e-6
@@ -459,16 +459,23 @@ def _oracle_crossings(values, grid, observable_of_row):
     return rows, locations
 
 
-def _row_crossings(values, grid, observable_of_row):
-    """sweep_crossings of each row of values, one call per row, with the
-    row's index as the crossing's row."""
+def _by_row(searches):
+    """(rows, locations) of sweep_crossings over (observable, diff, grid)
+    searches, one call each, with the search's index as its crossings' row,
+    in the form of the oracles' brackets."""
     rows, locations = [], []
-    for r, row in enumerate(values):
-        found, located = sweep_crossings(observable_of_row(row, grid), [1.0], grid)
-        assert not found.any()  # the one row of the diff [1.0]
-        rows += [r] * len(found)
+    for r, search in enumerate(searches):
+        located = sweep_crossings(*search)
+        assert located.ndim == 1
+        rows += [r] * len(located)
         locations += located.tolist()
     return np.array(rows, dtype=int), np.array(locations)
+
+
+def _row_crossings(values, grid, observable_of_row):
+    """_by_row of the sweep of each row of values under
+    observable_of_row(row, grid) and the diff [1.0]."""
+    return _by_row((observable_of_row(row, grid), [1.0], grid) for row in values)
 
 
 @pytest.mark.parametrize("row, expected", [
@@ -489,12 +496,12 @@ def test_sign_brackets_hand_cases(row, expected):
     that bracket, as the former pairing and bisection did (1e-12)."""
     values = np.array([row], dtype=float)
     grid = np.arange(len(row)) * 0.25 - 1.0
-    rows, locations = sweep_crossings(_interpolating(values[0], grid), [1.0], grid)
-    assert rows.tolist() == [0] * len(expected)
+    locations = sweep_crossings(_interpolating(values[0], grid), [1.0], grid)
+    assert len(locations) == len(expected)
     for x, (lo, hi) in zip(locations, expected):
         assert grid[lo] <= x <= grid[hi]
     want_rows, want = _oracle_crossings(values, grid, _interpolating)
-    assert np.array_equal(rows, want_rows)
+    assert want_rows.tolist() == [0] * len(expected)
     assert np.all(np.abs(locations - want) <= 1e-12)
 
 
@@ -526,7 +533,7 @@ def test_refine_alpha_zero_split_matches_bisection():
     diffs = rng.normal(size=(600, 4))
     diffs[:450] -= diffs[:450].mean(axis=1, keepdims=True)
     grid = np.array([-0.5, 0.5])
-    rows, got = sweep_crossings(observable, diffs, grid)
+    rows, got = _by_row((observable, diff, grid) for diff in diffs)
     r, lo, hi = oracle_sign_brackets(diffs @ observable(grid).T, grid)
     want = oracle_refine(observable, diffs[r], lo, hi)
     assert np.array_equal(rows, r)
@@ -568,7 +575,8 @@ def test_crossings_match_bisection_on_benchmark_records(tmp_path, variant):
             point = by_stage[stage].probabilities() - by_stage["i"].probabilities()
             diffs = np.vstack([point, rates[stage] - rates["i"]])
             for sweep in sweeps:
-                rows, locations = sweep_crossings(sweep.observable, diffs, sweep.grid)
+                rows, locations = _by_row(
+                    (sweep.observable, diff, sweep.grid) for diff in diffs)
                 values = diffs @ sweep.observable(sweep.grid).T
                 r, lo, hi = oracle_sign_brackets(values, sweep.grid)
                 assert np.array_equal(rows, r)

@@ -26,7 +26,6 @@ from heatleak.passivity import (
 )
 from heatleak.pipeline import _plan, stage_distributions
 from heatleak.shots import (
-    _summarize,
     bootstrap_change,
     derive_seed,
     multinomial_std,
@@ -256,9 +255,8 @@ def _outcome_11_observable(shift):
 def _point_crossing(rec_i, rec_f, observable, grid):
     """The single sign crossing of the point-estimate sweep, as analyze
     finds it before bootstrapping it."""
-    _, crossings = sweep_crossings(
+    (center,) = sweep_crossings(
         observable, rec_f.probabilities() - rec_i.probabilities(), grid)
-    (center,) = crossings
     return float(center)
 
 
@@ -330,7 +328,7 @@ def test_threshold_ci_extends_past_the_grid():
     est = threshold_estimate(rec_i, rec_f, observable, lambda x: e11, x, 0.9)
     std = _delta_std(rec_i, rec_f, observable(x), e11)
     assert abs(est.std_error - std) <= 1e-12 * std
-    half = NormalDist().inv_cdf(0.95) * est.std_error
+    half = -NormalDist().inv_cdf((1 - 0.9) / 2) * est.std_error
     assert est.ci_low == x - half
     assert est.ci_high == x + half > grid[-1]
 
@@ -350,13 +348,13 @@ def test_threshold_ci_coverage(variant):
     _, sweeps, _ = _plan(config)
     sweep = sweeps[0] if variant == "A" else sweeps[1]
     (exact,) = sweep_crossings(sweep.observable, dists["iii"] - dists["i"],
-                               sweep.grid)[1]
+                               sweep.grid)
     reps, covered = 1000, 0
     for rep in range(reps):
         rec_i = sample_shots(dists["i"], shots, derive_seed(2611, rep, 0), stage="i")
         rec_f = sample_shots(dists["iii"], shots, derive_seed(2611, rep, 1),
                              stage="iii")
-        _, crossings = sweep_crossings(
+        crossings = sweep_crossings(
             sweep.observable, rec_f.probabilities() - rec_i.probabilities(), sweep.grid)
         if len(crossings) == 1:
             est = threshold_estimate(rec_i, rec_f, sweep.observable, sweep.slope,
@@ -373,13 +371,34 @@ def test_outcome_labels():
 
 # ------------------------------------------------ CI summary vs np.quantile
 
-@pytest.mark.parametrize("kind", ["continuous", "integer ties", "non-finite"])
+class _GivenStatistics:
+    """Stand-in for bootstrap_change's resampled changes: its product with
+    a table of at most _BLOCK_COLUMNS columns, one block, is a copy of the
+    given (k, resamples) rows of resample statistics (numpy defers an
+    ndarray's @ to an operand whose __array_ufunc__ is None)."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.T = self
+
+    def __len__(self):
+        return self.rows.shape[1]
+
+    def __rmatmul__(self, block):
+        return self.rows.copy()
+
+
+@pytest.mark.parametrize("kind", ["continuous", "integer ties"])
 @pytest.mark.parametrize("resamples", [1, 2, 3, 100, 2000])
 def test_summary_matches_np_quantile_reference(resamples, kind):
-    """_summarize gives the estimates of the np.quantile reference exactly:
-    every float as printed, so NaN matches NaN and zeros keep their sign.
-    _summarize takes (k, resamples) rows and sorts them in place, so it gets
-    a transposed copy of the (resamples, k) statistics the reference reads."""
+    """bootstrap_change gives the estimates of the np.quantile reference
+    exactly: every float as printed, so zeros keep their sign.  All shots of
+    stage i are on 01 and of stage f on 00, so the point change is row 00 of
+    the table, the given point, and every std_error is 0.  The resample
+    statistics are given as they are by _GivenStatistics, since a matrix
+    product would turn their -0.0 into 0.0."""
     rng = np.random.default_rng(derive_seed(91, resamples))
     if kind == "integer ties":
         stats = rng.integers(-3, 4, size=(resamples, 16)).astype(float)
@@ -392,22 +411,17 @@ def test_summary_matches_np_quantile_reference(resamples, kind):
     else:
         stats = rng.normal(size=(resamples, 16))
         point = rng.normal(scale=1.5, size=16)
-    if kind == "non-finite":
-        # one NaN in column 0; columns 1-3 about a third +inf, -inf or either
-        stats[rng.integers(resamples), 0] = np.nan
-        for column, values in ((1, [np.inf]), (2, [-np.inf]), (3, [np.inf, -np.inf])):
-            rows = rng.random(resamples) < 0.35
-            stats[rows, column] = rng.choice(values, size=rows.sum())
-    with np.errstate(invalid="ignore"):  # std and lerp of infinities give NaN
-        for confidence in (0.05, 0.6827, 0.99):
-            for columns in (1, 16):
-                std = (stats[:, :columns].std(axis=0, ddof=1) if resamples > 1
-                       else np.zeros(columns))
-                got = _summarize(point[:columns], stats[:, :columns].T.copy(), std,
-                                 confidence)
-                want = oracle_summary(point[:columns], stats[:, :columns], confidence)
-                assert [tuple(map(repr, (e.value, e.ci_low, e.ci_high, e.std_error)))
-                        for e in got] == [tuple(map(repr, w)) for w in want]
+    rec_i, rec_f = _degenerate("i", "01"), _degenerate("iii", "00")
+    for confidence in (0.05, 0.6827, 0.99):
+        for columns in (1, 16):
+            table = np.zeros((4, columns))
+            table[0] = point[:columns]
+            got = bootstrap_change(rec_i, rec_f, _GivenStatistics(stats[:, :columns].T),
+                                   table, confidence)
+            want = oracle_summary(point[:columns], stats[:, :columns], confidence)
+            assert [tuple(map(repr, e[:3])) for e in got] == [
+                tuple(map(repr, w[:3])) for w in want]
+            assert [e.std_error for e in got] == [0.0] * columns
 
 
 # ------------------------------------------ std error in closed form
@@ -480,7 +494,7 @@ def test_multinomial_std_at_exact_distributions(variant):
     assert np.all(np.abs(simulated / std - 1) <= 5 / math.sqrt(2 * 2000))
     sweep = sweeps[0] if variant == "A" else sweeps[1]
     diff = dists["iii"] - dists["i"]
-    (x,) = sweep_crossings(sweep.observable, diff, sweep.grid)[1]
+    (x,) = sweep_crossings(sweep.observable, diff, sweep.grid)
     (sigma,) = multinomial_std(sweep.observable(x)[:, None], *samples)
     sigma /= abs(diff @ sweep.slope(x))
     assert round(sigma, 4) == {"A": 0.0376, "B": 0.0266}[variant]
@@ -564,10 +578,10 @@ def test_matrix_path_matches_per_resample_reference(variant):
         for observable, slope, grid in sweeps:
             def builder(ri, rf):
                 return sweep_crossings(
-                    observable, rf.probabilities() - ri.probabilities(), grid)[1]
+                    observable, rf.probabilities() - ri.probabilities(), grid)
 
             slow_found, slow, _ = oracle_threshold(records[0], rec_f, builder, *setup)
-            _, point = sweep_crossings(
+            point = sweep_crossings(
                 observable, rec_f.probabilities() - records[0].probabilities(), grid)
             assert len(point) == int(slow_found)
             if not slow_found:
