@@ -231,32 +231,28 @@ def sweep_crossings(observable, diff, grid) -> np.ndarray:
         if sign == 0.0:
             continue
         if last is not None and signs[last] == -sign:  # NaN equals nothing
-            locations.append(_bisect(observable, diff, grid[last], grid[k]))
+            locations.append(_bisect(observable, diff, grid[last], grid[k], signs[last]))
         last = k
     return np.array(locations, dtype=float)
 
 
-def _bisect(observable, diff, lo: float, hi: float) -> float:
-    """Sign-change location of diff @ observable(x) in [lo, hi]: bisection to
-    width < 1e-12 or 200 steps (then the midpoint), stopped by an exact zero
-    at an end or midpoint.  A bracket around the excluded alpha = 0 is split
-    at +-1e-12 (the margin -> 0 at alpha -> 0) and bisected on the half that
+def _bisect(observable, diff, lo: float, hi: float, sign: float) -> float:
+    """Sign-change location of diff @ observable(x) in [lo, hi], whose
+    grid values have the sign sign (+-1) at lo and the other at hi:
+    bisection to width < 1e-12 or 200 steps (then the midpoint), stopped by
+    an exact zero at a midpoint.  A bracket around the excluded alpha = 0 is split at
+    +-1e-12 (the margin -> 0 at alpha -> 0) and bisected on the half that
     changes sign, or reported at 0 when neither half does."""
     def margin(x):
         return float(diff @ observable(x))
 
     if lo < 0.0 < hi:
-        if margin(lo) * margin(-1e-12) < 0:
+        if margin(-1e-12) * sign < 0:
             hi = -1e-12
-        elif margin(1e-12) * margin(hi) < 0:
+        elif margin(1e-12) * sign > 0:
             lo = 1e-12
         else:
             return 0.0
-    f_lo = margin(lo)
-    if f_lo == 0.0:
-        return lo
-    if margin(hi) == 0.0:
-        return hi
     for _ in range(200):
         if hi - lo < 1e-12:
             break
@@ -264,5 +260,5 @@ def _bisect(observable, diff, lo: float, hi: float) -> float:
         f_mid = margin(mid)
         if f_mid == 0.0:
             return mid
-        lo, hi = (mid, hi) if (f_mid < 0) == (f_lo < 0) else (lo, mid)
+        lo, hi = (mid, hi) if (f_mid < 0) == (sign < 0) else (lo, mid)
     return 0.5 * (lo + hi)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,9 +66,9 @@ class Verdict:
     channel: str | None
     strength: float
     channel_strengths: dict[str, float]
-    thresholds: list[dict] = field(default_factory=list)
-    significance: float = 3.0
-    notes: list[str] = field(default_factory=list)
+    thresholds: list[dict]
+    significance: float
+    notes: list[str]
 
 
 def stage_distributions(config: ExperimentConfig) -> dict[str, np.ndarray]:

@@ -42,7 +42,7 @@ def write_records(path: str, config_echo: dict, records) -> None:
         line = {
             "stage": rec.stage,
             "qubits": list(rec.qubits) if rec.qubits else [],
-            "counts": {k: rec.counts[k] for k in sorted(rec.counts)},
+            "counts": rec.counts,
             "shots": rec.shots,
             "seed": rec.seed,
             "meta": rec.meta,
@@ -51,34 +51,26 @@ def write_records(path: str, config_echo: dict, records) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _json_int(value, name: str) -> int:
-    """value if it is a JSON integer that numpy's int64 holds; floats (even
-    400.0) and booleans are not integers."""
-    if isinstance(value, bool) or not isinstance(value, int) or abs(value) >= 2**63:
-        raise TypeError(f"{name} must be a JSON integer below 2**63, got {value!r}")
+# the JSON type of each record field: its wording and its test; a record's
+# numbers are JSON integers that numpy's int64 holds, so floats (even 400.0)
+# and booleans are not, and a seed is one that derive_seed can give (uint64)
+_JSON_TYPES = {
+    "int64": ("a JSON integer below 2**63", lambda v: type(v) is int and abs(v) < 2**63),
+    "seed": ("a JSON integer in [0, 2**64)", lambda v: type(v) is int and 0 <= v < 2**64),
+    "object": ("a JSON object", lambda v: isinstance(v, dict)),
+    "string": ("a JSON string", lambda v: isinstance(v, str)),
+    "labels": ("a JSON list of strings",
+               lambda v: isinstance(v, list) and all(isinstance(q, str) for q in v)),
+}
+
+
+def _json(value, name: str, kind: str, nullable: bool = False):
+    """value if it has the JSON type kind, or is null where nullable;
+    otherwise TypeError naming the field."""
+    wording, test = _JSON_TYPES[kind]
+    if not (nullable and value is None or test(value)):
+        raise TypeError(f"{name} must be {wording}, got {value!r}")
     return value
-
-
-def _json_object(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"{name} must be a JSON object, got {value!r}")
-    return value
-
-
-def _json_string(value, name: str) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"{name} must be a JSON string, got {value!r}")
-    return value
-
-
-def _json_labels(value) -> tuple[str, ...] | None:
-    """value as a tuple of qubit labels if it is a JSON list of strings; an
-    absent (null) or empty list gives None."""
-    if value is None:
-        return None
-    if not isinstance(value, list) or not all(isinstance(q, str) for q in value):
-        raise TypeError(f"qubits must be a JSON list of strings, got {value!r}")
-    return tuple(value) or None
 
 
 def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
@@ -122,19 +114,19 @@ def read_records(path: str) -> tuple[dict, list[ShotRecord]]:
             raise HeatleakError(
                 f"{path}:{line_no}: record missing fields {sorted(missing)}"
             )
-        seed, meta = obj.get("seed"), obj.get("meta")
         try:
-            if seed is not None and (type(seed) is not int or not 0 <= seed < 2**64):
-                raise TypeError(f"seed must be a JSON integer in [0, 2**64), got {seed!r}")
+            seed = _json(obj.get("seed"), "seed", "seed", nullable=True)
             records.append(
                 ShotRecord(
-                    stage=_json_string(obj["stage"], "stage"),
-                    counts={str(k): _json_int(v, f"count of {k!r}")
-                            for k, v in _json_object(obj["counts"], "counts").items()},
-                    shots=_json_int(obj["shots"], "shots"),
-                    qubits=_json_labels(obj.get("qubits")),
+                    stage=_json(obj["stage"], "stage", "string"),
+                    counts={k: _json(v, f"count of {k!r}", "int64")
+                            for k, v in _json(obj["counts"], "counts", "object").items()},
+                    shots=_json(obj["shots"], "shots", "int64"),
+                    # an absent (null) or empty list of qubit labels gives None
+                    qubits=tuple(_json(obj.get("qubits"), "qubits", "labels",
+                                       nullable=True) or ()) or None,
                     seed=seed,
-                    meta={} if meta is None else _json_object(meta, "meta"),
+                    meta=_json(obj.get("meta"), "meta", "object", nullable=True) or {},
                 )
             )
         except (TypeError, ValueError) as exc:

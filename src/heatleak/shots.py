@@ -146,6 +146,8 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.resamples < 100:
             raise HeatleakError("at least 100 resamples required for reported CIs")
+        if self.resamples > 10**6:  # analyze peaks near 400 B per resample
+            raise HeatleakError(f"at most 10**6 resamples allowed, got {self.resamples}")
         if not 0.0 < self.confidence < 1.0:
             raise HeatleakError(f"confidence {self.confidence} outside (0, 1)")
 

@@ -318,6 +318,11 @@ def test_cli_bounds(capsys):
     assert rc == 0
     assert "xi_min = -1.099" in out
     assert "0.528" in out
+    # two pairs bind xi_max at once, as equal ratios up to rounding
+    assert main(["bounds", "--beta-c", "1", "--beta-h", "-0.5"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "xi_max = 0.5", "binding pairs (xi_min): [(0, 3)]",
+        "binding pairs (xi_max): [(1, 0), (3, 2)]"]
 
 
 def test_cli_exact_variant_a(tmp_path, capsys):
@@ -870,6 +875,65 @@ def test_cli_analyze_bad_counts_exit_one(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def _three_bit_stage_i(lines):
+    lines[1].update(qubits=["c", "h", "e"],
+                    counts={"0" + k: n for k, n in lines[1]["counts"].items()})
+    return lines
+
+
+# case -> edit of the parsed lines and the error line, {path} the file
+REFUSED_RECORD_FILES = {
+    "duplicate-stage": (lambda lines: lines + [lines[1]],
+                        "error: duplicate records for stage i\n"),
+    "three-bit-outcomes": (_three_bit_stage_i,
+                           "error: analysis expects two measured qubits per record\n"),
+    "no-stage-i": (lambda lines: lines[:1] + lines[2:],
+                   "error: records must contain stage i and at least one of ii/iii\n"),
+    "empty-file": (lambda lines: [], "error: {path}: empty file\n"),
+    "list-line": (lambda lines: lines[:2] + [[1]] + lines[3:],
+                  "error: {path}:3: expected a JSON object\n"),
+    "zero-shots": (lambda lines: lines[:3] + [dict(lines[3], shots=0)],
+                   "error: {path}:4: a record needs at least one shot\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_RECORD_FILES))
+def test_cli_analyze_refused_record_file_exit_one(tmp_path, capsys, case):
+    """A record file that cannot be read, or whose records are not one
+    stage i and at least one of ii/iii, each of two qubits, ends in its one
+    error line before --out is created."""
+    edit, expected = REFUSED_RECORD_FILES[case]
+    path = _edited_records(tmp_path, edit)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["analyze", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == expected.format(path=path)
+    assert not out.exists()
+
+
+def test_cli_resamples_beyond_bound_exit_one(tmp_path, capsys, monkeypatch):
+    """Each stage draws a (resamples, 4) matrix, so a record header that
+    echoes 10**12 resamples is refused while its config is read, before any
+    draw, and so is simulate --resamples 10**12; 10**6 is allowed."""
+    from heatleak import pipeline
+
+    monkeypatch.setattr(pipeline, "resample", lambda *args: pytest.fail("drew resamples"))
+    expected = "error: at most 10**6 resamples allowed, got 1000000000000\n"
+
+    def edit(lines):
+        lines[0]["config"]["bootstrap"]["resamples"] = 10**12
+        return lines
+
+    path = _edited_records(tmp_path, edit)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    for argv in (["analyze", path], ["simulate", "--resamples", str(10**12)]):
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+    assert config_from_dict({"bootstrap": {"resamples": 10**6}}).bootstrap.resamples == 10**6
+
+
 _SEED_ERROR = "seed must be a JSON integer in [0, 2**64), got "
 
 # case -> (field, value) on the first record line and its error
@@ -1206,6 +1270,14 @@ REFUSED_CONFIGS = {
                                           "beta_h": 0.43, "beta_e": 2.02},
                              "xi_grid": [-0.2, 0.0]},
                         "error: the normal form divides by beta_c; need beta_c > 0\n"),
+    "shots-per-stage-zero": (["--shots-per-stage", "0"], None,
+                             "error: shots_per_stage must be positive\n"),
+    "seed-negative": (["--seed", "-1"], None, "error: seed must be non-negative\n"),
+    "significance-zero": (["--significance", "0"], None,
+                          "error: significance must be positive\n"),
+    "epsilon-negative": (["--epsilon", "-1"], None,
+                         "error: epsilon must be positive and finite\n"),
+    "config-list": ([], [1], "error: config must be a JSON object\n"),
 }
 
 

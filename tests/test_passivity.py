@@ -543,6 +543,19 @@ def test_refine_alpha_zero_split_matches_bisection():
     assert (got == 0).sum() >= 10
 
 
+def test_crossing_on_a_grid_point_is_located_there():
+    """One shot moved from each of 00 and 11 to 01 and 10 leaves <B>
+    unchanged, so the alpha sweep crosses 0 at the grid point alpha = 1.
+    There the grid's matrix product and a scalar product of the same
+    values can round to opposite signs; the bracket keeps the grid's
+    signs, so the crossing is found at 1, not a grid step beyond it."""
+    B = build_B({"c": 0.7836368969066686, "h": 1.0779644540216649}, 1e-3)
+    diff = np.array([8, 4, 2, 0]) / 14 - np.array([9, 3, 1, 1]) / 14
+    grid = np.array(config_from_dict({}).alpha_grid)
+    locations = sweep_crossings(alpha_observable(B), diff, grid)
+    assert locations.shape == (1,) and abs(locations[0] - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("variant", ["A", "B"])
 def test_crossings_match_bisection_on_benchmark_records(tmp_path, variant):
     """16 record files of perfbench's analyze workload of each protocol:
