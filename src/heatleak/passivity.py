@@ -199,8 +199,6 @@ def xi_observable(B: GlobalPassivityOperator):
     return observable
 
 
-
-
 def alpha_slope(B: GlobalPassivityOperator):
     """d/dalpha of alpha_observable(B), sgn(alpha) * B^alpha * ln B, like it."""
     observable, log_b = alpha_observable(B), np.log(B.basis_values)

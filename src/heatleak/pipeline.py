@@ -47,6 +47,7 @@ from .shots import (
     apply_spam,
     bootstrap_change,
     derive_seed,
+    multinomial_std,
     resample,
     sample_shots,
     threshold_estimate,
@@ -149,21 +150,42 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep], dict[str, 
     return observable_table(B, alpha_grid, xi_grid), sweeps, groups
 
 
+def _evaluate(sample_i, sample_f, table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each column's value (p_f - p_i) @ table, multinomial_std and violation
+    depth, for stage i and a later stage as (rates, shots) pairs.  The depth
+    is in sigmas floored at the column's one-shot resolution: a zero sigma
+    (all shots in one outcome per stage) is no sharper than moving one shot,
+    and a constant column (resolution 0) moves by float noise only: no depth."""
+    values = (sample_f[0] - sample_i[0]) @ table
+    sigmas = multinomial_std(table, sample_i, sample_f)
+    resolution = np.ptp(table, axis=0) / min(sample_i[1], sample_f[1])
+    depths = np.divide(-values, np.maximum(sigmas, resolution), out=np.zeros_like(values),
+                       where=(values < 0) & (resolution > 0))
+    return values, sigmas, depths
+
+
+def _write_sweep(out_dir: str, sweep: Sweep, groups, stage: str, diff, values, *ci) -> str:
+    """Write the sweep's CSV of stage i to stage from the table's values (and CIs)."""
+    group = groups[sweep.channel]
+    path = os.path.join(out_dir, f"{sweep.prefix}_sweep_i_to_{stage}.csv")
+    write_sweep_csv(path, sweep.grid, *sweep.sides(diff, values[group]),
+                    *(bounds[group] for bounds in ci))
+    return path
+
+
 def run_exact(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
     """Exact theory curves and stage distributions, written as CSV/JSON;
     returns the written paths by key."""
     dists = stage_distributions(config)
     table, sweeps, groups = _plan(config)
-    diffs = {stage: dists[stage] - dists["i"] for stage in ("ii", "iii")}
-    values = {stage: diff @ table for stage, diff in diffs.items()}
+    shots = config.shots_per_stage
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    for sweep in sweeps:
-        for stage, diff in diffs.items():
-            key = f"{sweep.prefix}_i_{stage}"
-            paths[key] = os.path.join(out_dir, f"{sweep.prefix}_sweep_i_to_{stage}.csv")
-            write_sweep_csv(paths[key], sweep.grid,
-                            *sweep.sides(diff, values[stage][groups[sweep.channel]]))
+    for stage in ("ii", "iii"):
+        values, _, _ = _evaluate((dists["i"], shots), (dists[stage], shots), table)
+        for sweep in sweeps:
+            paths[f"{sweep.prefix}_i_{stage}"] = _write_sweep(
+                out_dir, sweep, groups, stage, dists[stage] - dists["i"], values)
     dist_path = os.path.join(out_dir, "stage_distributions.json")
     write_json(
         dist_path,
@@ -238,8 +260,8 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
     strengths = {name: 0.0 for name in groups}
     thresholds = []
     notes = []
-    rec_i = by_stage["i"]
     confidence = config.bootstrap.confidence
+    samples = {stage: (rec.probabilities(), rec.shots) for stage, rec in by_stage.items()}
     rates = {
         stage: resample(rec, config.bootstrap.resamples,
                         derive_seed(config.seed, CI_SEED_ROLE, STAGE_SEED_ROLE[stage]))
@@ -248,30 +270,20 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
     for stage in ("ii", "iii"):
         if stage not in by_stage:
             continue
-        rec_f = by_stage[stage]
-        diff = rec_f.probabilities() - rec_i.probabilities()
-        diffs = rates[stage] - rates["i"]
-        estimates = bootstrap_change(rec_i, rec_f, diffs, table, confidence)
-        resolution = (np.ptp(table, axis=0) / min(rec_i.shots, rec_f.shots)).tolist()
-        # each column's violation depth in sigmas, with sigma floored at the
-        # column's one-shot resolution: a zero closed-form sigma (all shots in
-        # one outcome per record) is no sharper than moving one shot, and a
-        # constant column (resolution 0) moves by float noise only: no depth
-        depths = [-e.value / max(e.std_error, r) if e.value < 0 and r > 0 else 0.0
-                  for e, r in zip(estimates, resolution)]
+        sample_i, sample_f = samples["i"], samples[stage]
+        estimates = bootstrap_change(sample_i, sample_f, rates[stage] - rates["i"],
+                                     table, confidence)
+        values, _, depths = _evaluate(sample_i, sample_f, table)
         for name, group in groups.items():
-            strengths[name] = max([strengths[name], *depths[group]])
+            strengths[name] = max([strengths[name], *depths[group].tolist()])
+        diff = sample_f[0] - sample_i[0]
+        _, *ci, _ = zip(*estimates)  # the ci_low and ci_high columns
         for sweep in sweeps:
-            est = estimates[groups[sweep.channel]]
-            write_sweep_csv(
-                os.path.join(out_dir, f"{sweep.prefix}_sweep_i_to_{stage}.csv"),
-                sweep.grid, *sweep.sides(diff, np.array([e.value for e in est])),
-                [e.ci_low for e in est], [e.ci_high for e in est],
-            )
+            _write_sweep(out_dir, sweep, groups, stage, diff, values, *ci)
             crossings = sweep_crossings(sweep.observable, diff, sweep.grid)
             if len(crossings) == 1:
-                est = threshold_estimate(rec_i, rec_f, sweep.observable, sweep.slope,
-                                         float(crossings[0]), confidence)
+                est = threshold_estimate(sample_i, sample_f, sweep.observable,
+                                         sweep.slope, float(crossings[0]), confidence)
                 thresholds.append(_threshold_entry(sweep.channel, stage, est))
             elif len(crossings) > 1:
                 notes.append(
@@ -305,13 +317,10 @@ def run_bounds(beta_c: float, beta_h: float, observable: str = "Hh") -> tuple:
     """Deformation bounds for B on (c, h) against a named observable."""
     # the bounds take differences of B's eigenvalues, so its shift cancels
     B = build_B({"c": beta_c, "h": beta_h}, 1e-3)
-    if observable == "Hh":
-        a_values = energy_basis_values(2, 1)
-    elif observable == "Hc":
-        a_values = energy_basis_values(2, 0)
-    else:
+    qubit = {"Hc": 0, "Hh": 1}.get(observable)
+    if qubit is None:
         raise HeatleakError(f"unknown deformation observable {observable!r}")
-    bounds = deformation_bounds(B.basis_values, a_values)
+    bounds = deformation_bounds(B.basis_values, energy_basis_values(2, qubit))
     lines = [
         f"xi_min = {bounds.xi_min}",
         f"xi_max = {bounds.xi_max}",

@@ -5,12 +5,13 @@ with integer seeds derived via ``SeedSequence`` so that records and bootstrap
 CIs are bit-reproducible from a single root seed, independently of
 evaluation order.
 
-Every standard error is multinomial_std's closed form of the counts: per
-table column in bootstrap_change, and over the sweep's slope at a crossing
-in threshold_estimate (the delta method).  Only bootstrap_change's CIs
-resample: each record is redrawn once, by resample, into a (resamples,
-outcomes) matrix of rates, and the CIs are quantiles of matrix products,
-interpolated from the four order statistics per column that they read.
+Every standard error is multinomial_std's closed form of the counts of
+(rates, shots) pairs: per table column in bootstrap_change, and over the
+sweep's slope at a crossing in threshold_estimate (the delta method), which
+take the pairs too.  Only bootstrap_change's CIs resample: each record is
+redrawn once, by resample, into a (resamples, outcomes) matrix of rates, and
+the CIs are quantiles of matrix products, interpolated from the four order
+statistics per column that they read.
 """
 
 from __future__ import annotations
@@ -81,12 +82,9 @@ class ShotRecord:
     def num_measured(self) -> int:
         return len(next(iter(self.counts)))
 
-    def counts_array(self) -> np.ndarray:
-        labels = outcome_labels(self.num_measured)
-        return np.array([self.counts.get(lbl, 0) for lbl in labels], dtype=np.int64)
-
     def probabilities(self) -> np.ndarray:
-        return self.counts_array() / self.shots
+        counts = [self.counts.get(lbl, 0) for lbl in outcome_labels(self.num_measured)]
+        return np.array(counts, dtype=np.int64) / self.shots
 
     def with_counts(self, counts_array) -> "ShotRecord":
         labels = outcome_labels(self.num_measured)
@@ -128,9 +126,7 @@ def apply_spam(distribution, model: SpamModel) -> np.ndarray:
             [model.flip_0_to_1, 1.0 - model.flip_1_to_0],
         ]
     )
-    confusion = np.array([[1.0]])
-    for _ in range(n):
-        confusion = np.kron(confusion, m1)
+    confusion = functools.reduce(np.kron, [m1] * n, np.array([[1.0]]))
     out = confusion @ p
     return out / out.sum()
 
@@ -169,8 +165,7 @@ def sample_shots(distribution, n: int, seed: int, stage: str = "i",
         raise HeatleakError(f"distribution sums to {p.sum()}, not 1")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, p / p.sum())
-    m = len(p).bit_length() - 1
-    labels = outcome_labels(m)
+    labels = outcome_labels(len(p).bit_length() - 1)
     return ShotRecord(
         stage=stage,
         counts={lbl: int(c) for lbl, c in zip(labels, counts)},
@@ -217,47 +212,45 @@ def multinomial_std(table, *samples) -> np.ndarray:
     return scale * np.sqrt(sum(p @ (p @ gaps) / (2 * n) for p, n in samples))
 
 
-def threshold_estimate(rec_i: ShotRecord, rec_f: ShotRecord, observable, slope,
-                       crossing: float, confidence: float) -> EstimateWithCI:
+def threshold_estimate(sample_i, sample_f, observable, slope, crossing: float,
+                       confidence: float) -> EstimateWithCI:
     """Delta-method estimate of a sign crossing x* of the sweep f(x) =
-    (p_f - p_i) @ observable(x) at the rates of rec_i and rec_f, with
-    slope(x) = d observable / dx (Casella & Berger, Statistical Inference,
-    2002, 5.5.4): std_error is multinomial_std of observable(x*) over
-    |f'(x*)|, and the CI x* +- z * std_error, not clipped to the grid.  z is
-    the normal quantile at (1 + confidence)/2, computed as minus the one at
-    (1 - confidence)/2: near confidence 1, (1 + confidence)/2 rounds to 1,
+    (p_f - p_i) @ observable(x) between two samples, (rates, shots) pairs,
+    with slope(x) = d observable / dx (Casella & Berger, Statistical
+    Inference, 2002, 5.5.4): std_error is multinomial_std of observable(x*)
+    over |f'(x*)|, and the CI x* +- z * std_error, not clipped to the grid.
+    z is the normal quantile at (1 + confidence)/2, computed as minus the one
+    at (1 - confidence)/2: near confidence 1, (1 + confidence)/2 rounds to 1,
     which has no quantile.  A tangent crossing (f'(x*) == 0), such as one
     reported at the excluded alpha = 0, has a NaN std_error and CI x*.
     """
-    p_i, p_f = rec_i.probabilities(), rec_f.probabilities()
-    derivative = abs(float((p_f - p_i) @ slope(crossing)))
+    derivative = abs(float((sample_f[0] - sample_i[0]) @ slope(crossing)))
     if derivative == 0.0:
         return EstimateWithCI(crossing, crossing, crossing, math.nan)
     from statistics import NormalDist  # ~4 ms to import; only a threshold needs it
-    samples = (p_i, rec_i.shots), (p_f, rec_f.shots)
-    std = float(multinomial_std(observable(crossing)[:, None], *samples)[0]) / derivative
+    column = observable(crossing)[:, None]
+    std = float(multinomial_std(column, sample_i, sample_f)[0]) / derivative
     half = -NormalDist().inv_cdf((1.0 - confidence) / 2.0) * std
     return EstimateWithCI(crossing, crossing - half, crossing + half, std)
 
 
-def bootstrap_change(rec_i: ShotRecord, rec_f: ShotRecord, diffs: np.ndarray,
-                     table, confidence: float) -> list[EstimateWithCI]:
-    """Bootstrap of the rate change from rec_i to rec_f times table, one
-    estimate per column.
+def bootstrap_change(sample_i, sample_f, diffs: np.ndarray, table,
+                     confidence: float) -> list[EstimateWithCI]:
+    """Bootstrap of the rate change from sample_i to sample_f, (rates, shots)
+    pairs, times table, one estimate per column.
 
     diffs holds the (resamples, outcomes) resampled changes; a resample's
     statistic is the same product on its row, _BLOCK_COLUMNS table columns
     at a time to bound memory, and a non-finite one raises HeatleakError.
-    The std_errors are multinomial_std at the two records' rates and shots.
+    The std_errors are multinomial_std of the two samples.
     The CIs are the empirical quantiles at (1 +- confidence)/2 by numpy's
     default "linear" rule, equal to np.quantile bit for bit, widened to
     enclose the point estimate as min(ci_low, point) and max(ci_high,
     point) would.
     """
     table = np.asarray(table, dtype=float)
-    p_i, p_f = rec_i.probabilities(), rec_f.probabilities()
-    point = (p_f - p_i) @ table
-    std = multinomial_std(table, (p_i, rec_i.shots), (p_f, rec_f.shots))
+    point = (sample_f[0] - sample_i[0]) @ table
+    std = multinomial_std(table, sample_i, sample_f)
     # numpy's rule at q: virtual index v = (n - 1) q, between the order
     # statistics below and above it, or at the last one with weight v + 1
     last, lo_q = len(diffs) - 1, (1.0 - confidence) / 2.0

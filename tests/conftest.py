@@ -30,14 +30,21 @@ def random_density(num_qubits, rng, rank=None):
     return DensityOperator(m)
 
 
+def samples(*records):
+    """Each record as the (rates, shots) pair that bootstrap_change,
+    threshold_estimate and multinomial_std take."""
+    return [(rec.probabilities(), rec.shots) for rec in records]
+
+
 def record_changes(rec_i, rec_f, cfg):
-    """(rec_i, rec_f, diffs), the leading arguments of bootstrap_change: the
-    two records and their (cfg.resamples, outcomes) resampled rate changes,
-    record j of (rec_i, rec_f) redrawn from seed derive_seed(cfg.seed, j), as
-    the oracle bootstraps of tests/oracles.py draw them."""
+    """((p_i, n_i), (p_f, n_f), diffs), the leading arguments of
+    bootstrap_change: the two records as (rates, shots) pairs and their
+    (cfg.resamples, outcomes) resampled rate changes, record j of (rec_i,
+    rec_f) redrawn from seed derive_seed(cfg.seed, j), as the oracle
+    bootstraps of tests/oracles.py draw them."""
     diffs = (resample(rec_f, cfg.resamples, derive_seed(cfg.seed, 1))
              - resample(rec_i, cfg.resamples, derive_seed(cfg.seed, 0)))
-    return rec_i, rec_f, diffs
+    return *samples(rec_i, rec_f), diffs
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from heatleak.recordio import (
     write_sweep_csv,
 )
 
+from conftest import samples
 from oracles import (
     PIN_XI_STAR_B,
     oracle_delta_b_alpha,
@@ -663,9 +666,9 @@ def test_analyze_resamples_each_record_once(tmp_path, monkeypatch, stages):
         drawn[record.stage] = draw(record, resamples, seed)
         return drawn[record.stage]
 
-    def bootstrap_change(rec_i, rec_f, diffs, *args):
+    def bootstrap_change(sample_i, sample_f, diffs, *args):
         changes.append(diffs)
-        return change(rec_i, rec_f, diffs, *args)
+        return change(sample_i, sample_f, diffs, *args)
 
     monkeypatch.setattr(pipeline, "resample", resample)
     monkeypatch.setattr(pipeline, "bootstrap_change", bootstrap_change)
@@ -1125,8 +1128,8 @@ def test_tangent_threshold_writes_null_std_error(tmp_path):
     grid = np.linspace(0.0, 1.0, 5)
     (center,) = sweep_crossings(
         observable, rec_f.probabilities() - rec_i.probabilities(), grid)
-    estimate = threshold_estimate(rec_i, rec_f, observable, slope, float(center),
-                                  0.6827)
+    estimate = threshold_estimate(*samples(rec_i, rec_f), observable, slope,
+                                  float(center), 0.6827)
     entry = _threshold_entry("global-passivity", "iii", estimate)
     assert entry["value"] == entry["ci_low"] == entry["ci_high"] == 0.5
     assert entry["std_error"] is None
@@ -1599,3 +1602,194 @@ def test_every_rejected_input_is_a_heatleak_error(tmp_path, case):
     assert issubclass(HeatleakError, ValueError)
     with pytest.raises(HeatleakError):
         REJECTED_INPUTS[case](tmp_path)
+
+
+# ----------------------------------------------- standing record-file fuzz
+
+# the fuzz below: its seed, file count and shots per stage, and the values
+# its mutations draw from; each mutation edits a file's parsed lines (header
+# first), and _fuzz_raw_token also returns the raw JSON token that replaces
+# its "RAW" placeholder in the written text
+FUZZ_SEED, FUZZ_FILES, FUZZ_SHOTS = 2031, 200, 800
+FUZZ_VALUES = [None, True, False, 0, -1, 1, 3, 2**63, 2**64, -2**63, 0.5, -0.0, 1e300,
+               "", "i", "ii", "00", [], ["c", "h"], ["h", "c"], [1], {}, {"00": 1}]
+FUZZ_FIELDS = ["stage", "qubits", "counts", "shots", "seed", "meta"]
+FUZZ_LABELS = ["0", "000", "2", "ab", "", " 00", "0b1", "11", "01", "٠٠"]
+FUZZ_RAW = ["1e400", "-1e400", "NaN", "Infinity", "-Infinity", "1" * 4301, "-0",
+            "1.0", "0.5", "1e2", "00", "0x1", "+1", "true", "null", '"7"']
+FUZZ_LINES = ["[]", "1", '"s"', "null", "[{}]", "{", "}{", " ", "\t", "{}"]
+FUZZ_CONFIG = {
+    "seed": [-1, 0, 2**64, 1.5], "epsilon": [0.0, 1e-300, 1e300, 1e17, -1.0],
+    "significance": [0.0, -3.0, 1e-300, 1e300], "shots_per_stage": [0, 2**63, 3],
+    "alpha_grid": [[], [1.0], [-1.0, 1.0], [0.0, 1.0], [2.0, 1.0], [1e300]],
+    "xi_grid": ["auto", None, [], [0.0], [-1e9, 0.0], "x"],
+    "bootstrap.resamples": [10**12, 99], "bootstrap.confidence": [0.0, 1.0, 1 - 1e-16],
+    "bootstrap.seed": [-1, 2**64], "protocol.variant": ["A", "C"],
+    "protocol.beta_c": [0.0, -2.0, 1e300, 1e-300], "protocol.beta_h": [0.0, 2.5, 1e300],
+    "protocol.beta_e": [-1e300], "protocol.phi": [1e300], "protocol.theta": [0.0],
+    "protocol.include_env_swap": [False, 1], "spam.flip_0_to_1": [0.5, 1.0, 1.5],
+    "spam.flip_1_to_0": [-0.1, 1.0],
+}
+
+
+def _fuzz_record(rng, lines):
+    return lines[int(rng.integers(1, len(lines)))]
+
+
+def _fuzz_value(rng, values=FUZZ_VALUES):
+    return values[int(rng.integers(len(values)))]
+
+
+def _fuzz_field_value(rng, lines):
+    _fuzz_record(rng, lines)[str(rng.choice(FUZZ_FIELDS))] = _fuzz_value(rng)
+    return lines
+
+
+def _fuzz_field_delete(rng, lines):
+    _fuzz_record(rng, lines).pop(str(rng.choice(FUZZ_FIELDS)), None)
+    return lines
+
+
+def _fuzz_count_value(rng, lines):
+    counts = _fuzz_record(rng, lines)["counts"]
+    counts[str(rng.choice(sorted(counts)))] = _fuzz_value(rng)
+    return lines
+
+
+def _fuzz_count_label(rng, lines):
+    rec = _fuzz_record(rng, lines)
+    label = str(rng.choice(sorted(rec["counts"])))
+    count = rec["counts"].pop(label)
+    if rng.integers(2):  # renamed, else dropped (with its shots)
+        rec["counts"][str(rng.choice(FUZZ_LABELS))] = count
+    else:
+        rec["shots"] -= count
+    return lines
+
+
+def _fuzz_raw_token(rng, lines):
+    rec = _fuzz_record(rng, lines)
+    slot = int(rng.integers(3))
+    if slot == 0:
+        rec["shots"] = "RAW"
+    elif slot == 1:
+        rec["seed"] = "RAW"
+    else:
+        rec["counts"][str(rng.choice(sorted(rec["counts"])))] = "RAW"
+    return lines, str(rng.choice(FUZZ_RAW))
+
+
+def _fuzz_line_drop(rng, lines):
+    del lines[int(rng.integers(len(lines)))]
+    return lines
+
+
+def _fuzz_line_duplicate(rng, lines):
+    k = int(rng.integers(len(lines)))
+    lines.insert(int(rng.integers(len(lines) + 1)), lines[k])
+    return lines
+
+
+def _fuzz_line_text(rng, lines):
+    # a blank, whitespace or non-object line, inserted or in place of one
+    k = int(rng.integers(len(lines) + 1))
+    text = str(rng.choice(FUZZ_LINES))
+    if k < len(lines) and rng.integers(2):
+        lines[k] = text
+    else:
+        lines.insert(k, text)
+    return lines
+
+
+def _fuzz_header_config(rng, lines):
+    path = str(rng.choice(sorted(FUZZ_CONFIG)))
+    *parents, name = path.split(".")
+    section = lines[0]["config"]
+    for parent in parents:
+        section = section[parent]
+    section[name] = _fuzz_value(rng, FUZZ_CONFIG[path] + FUZZ_VALUES)
+    return lines
+
+
+def _fuzz_count_move(rng, lines):
+    """Later stages k shots from 00 and 11 onto 01 and 10 away from stage i
+    (k < 0 the other way), so d<H_c> = d<H_h> = 0 exactly; at the file's
+    shots or at 3 or 7, where the sweeps hold only float noise."""
+    shots = int(rng.choice([FUZZ_SHOTS, 3, 7]))
+    counts_i = rng.multinomial(shots, [0.25] * 4)
+    for rec in lines[1:]:
+        move = int(rng.integers(-3, 4)) if rec["stage"] != "i" else 0
+        counts = counts_i + move * np.array([-1, 1, 1, -1])
+        if counts.min() < 0:
+            counts = counts_i
+        rec.update(shots=shots, counts=dict(zip(("00", "01", "10", "11"),
+                                                counts.tolist())))
+    return lines
+
+
+FUZZ_MUTATIONS = [_fuzz_field_value, _fuzz_field_delete, _fuzz_count_value,
+                  _fuzz_count_label, _fuzz_raw_token, _fuzz_line_drop,
+                  _fuzz_line_duplicate, _fuzz_line_text, _fuzz_header_config,
+                  _fuzz_count_move]
+
+
+def _fuzz_text(lines, raw=None):
+    text = "".join((line if isinstance(line, str) else json.dumps(line)) + "\n"
+                   for line in lines)
+    return text if raw is None else text.replace('"RAW"', raw)
+
+
+def _fuzz_analyze(capsys, path, out):
+    """analyze of path into out at 100 resamples, every warning an error:
+    the exit code, and stderr, which an exit 1 must hold as one error line
+    with no out directory made."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["analyze", str(path), "--out", str(out), "--resamples", "100"])
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+    else:
+        assert err == "" and (out / "verdict.json").exists()
+    return rc
+
+
+def test_record_file_mutation_fuzz(tmp_path, capsys):
+    """FUZZ_FILES mutations of one small simulated B record file, each kind
+    of FUZZ_MUTATIONS in turn, draw from FUZZ_SEED: every analyze exits 0,
+    1 or 2 with no exception and no warning, and an exit 1 is one error line
+    and no --out.  Permuting the record lines of the file, or of a count
+    move, leaves every output byte the same."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--variant", "B", "--seed", "5", "--shots-per-stage",
+                 str(FUZZ_SHOTS), "--out", str(sim)]) == 0
+    base = [json.loads(t) for t in (sim / "records.jsonl").read_text().splitlines()]
+    rng = np.random.default_rng(FUZZ_SEED)
+    codes = []
+    for k in range(FUZZ_FILES):
+        mutation = FUZZ_MUTATIONS[k % len(FUZZ_MUTATIONS)]
+        mutated = mutation(rng, json.loads(json.dumps(base)))
+        lines, raw = mutated if isinstance(mutated, tuple) else (mutated, None)
+        path = tmp_path / f"fuzz{k}.jsonl"
+        path.write_text(_fuzz_text(lines, raw), encoding="utf-8")
+        try:
+            codes.append(_fuzz_analyze(capsys, path, tmp_path / f"out{k}"))
+        except Exception as exc:
+            raise AssertionError(f"file {k} ({mutation.__name__}): {exc!r}") from exc
+    assert {0, 1, 2} <= set(codes)
+
+    moved = _fuzz_count_move(np.random.default_rng(FUZZ_SEED),
+                             json.loads(json.dumps(base)))
+    for name, lines in (("base", base), ("moved", moved)):
+        runs = set()
+        for order in itertools.permutations(lines[1:]):
+            path = tmp_path / f"{name}-{len(runs)}.jsonl"
+            path.write_text(_fuzz_text([lines[0], *order]), encoding="utf-8")
+            out = tmp_path / f"{name}-out{len(runs)}"
+            rc = _fuzz_analyze(capsys, path, out)
+            runs.add((rc, *((f, (out / f).read_bytes())
+                            for f in sorted(os.listdir(out)))))
+        assert len(runs) == 1, name

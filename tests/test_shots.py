@@ -24,7 +24,7 @@ from heatleak.passivity import (
     xi_observable,
     xi_slope,
 )
-from heatleak.pipeline import _plan, stage_distributions
+from heatleak.pipeline import _evaluate, _plan, stage_distributions
 from heatleak.shots import (
     bootstrap_change,
     derive_seed,
@@ -33,7 +33,7 @@ from heatleak.shots import (
     threshold_estimate,
 )
 
-from conftest import record_changes
+from conftest import record_changes, samples
 from oracles import (
     oracle_bootstrap_statistic,
     oracle_protocol_a,
@@ -233,7 +233,7 @@ def test_bootstrap_change_non_finite_diffs_names_first_bad_resample():
     diffs = np.zeros((20, 4))
     diffs[7, 2] = np.nan
     with pytest.raises(HeatleakError, match="not finite on resample 7;"):
-        bootstrap_change(rec_i, rec_f, diffs, np.eye(4), 0.6827)
+        bootstrap_change(*samples(rec_i, rec_f), diffs, np.eye(4), 0.6827)
 
 
 def test_bootstrap_config_validation():
@@ -264,7 +264,7 @@ def test_threshold_noise_free_crossing():
     rec_i, rec_f = _degenerate("i", "00"), _degenerate("iii", "11")
     observable = _outcome_11_observable(lambda x: x - 0.5)
     grid = np.linspace(0.0, 1.0, 11)
-    est = threshold_estimate(rec_i, rec_f, observable, lambda x: np.eye(4)[3],
+    est = threshold_estimate(*samples(rec_i, rec_f), observable, lambda x: np.eye(4)[3],
                              _point_crossing(rec_i, rec_f, observable, grid), 0.6827)
     assert est.value == 0.5
     assert est.ci_low == est.ci_high == 0.5
@@ -287,7 +287,8 @@ def test_threshold_protocol_a_realistic():
     rec_f = sample_shots(p_iii, 6700, seed=101, stage="iii")
     observable = alpha_observable(B)
     x = _point_crossing(rec_i, rec_f, observable, grid)
-    est = threshold_estimate(rec_i, rec_f, observable, alpha_slope(B), x, 0.6827)
+    est = threshold_estimate(*samples(rec_i, rec_f), observable, alpha_slope(B), x,
+                             0.6827)
     assert 0.3 < est.value < 0.7
     # d/dalpha of sgn(alpha) b^alpha, by hand
     b = B.basis_values
@@ -304,7 +305,7 @@ def test_threshold_at_alpha_zero_is_a_tangent_crossing():
     B = build_B({"c": 2.23, "h": 0.43}, 1e-3)
     rec_i = sample_shots([0.4, 0.3, 0.2, 0.1], 1000, seed=2, stage="i")
     rec_f = sample_shots([0.1, 0.2, 0.3, 0.4], 1000, seed=4, stage="iii")
-    est = threshold_estimate(rec_i, rec_f, alpha_observable(B), alpha_slope(B),
+    est = threshold_estimate(*samples(rec_i, rec_f), alpha_observable(B), alpha_slope(B),
                              0.0, 0.6827)
     assert (est.value, est.ci_low, est.ci_high) == (0.0, 0.0, 0.0)
     assert math.isnan(est.std_error)
@@ -325,7 +326,7 @@ def test_threshold_ci_extends_past_the_grid():
 
     grid = np.linspace(0.0, 1.0, 11)
     x = _point_crossing(rec_i, rec_f, observable, grid)
-    est = threshold_estimate(rec_i, rec_f, observable, lambda x: e11, x, 0.9)
+    est = threshold_estimate(*samples(rec_i, rec_f), observable, lambda x: e11, x, 0.9)
     std = _delta_std(rec_i, rec_f, observable(x), e11)
     assert abs(est.std_error - std) <= 1e-12 * std
     half = -NormalDist().inv_cdf((1 - 0.9) / 2) * est.std_error
@@ -357,8 +358,8 @@ def test_threshold_ci_coverage(variant):
         crossings = sweep_crossings(
             sweep.observable, rec_f.probabilities() - rec_i.probabilities(), sweep.grid)
         if len(crossings) == 1:
-            est = threshold_estimate(rec_i, rec_f, sweep.observable, sweep.slope,
-                                     float(crossings[0]), 0.6827)
+            est = threshold_estimate(*samples(rec_i, rec_f), sweep.observable,
+                                     sweep.slope, float(crossings[0]), 0.6827)
             covered += est.ci_low <= exact <= est.ci_high
     coverage = covered / reps
     assert 0.609 <= coverage <= 0.756, f"coverage {coverage}"
@@ -416,8 +417,8 @@ def test_summary_matches_np_quantile_reference(resamples, kind):
         for columns in (1, 16):
             table = np.zeros((4, columns))
             table[0] = point[:columns]
-            got = bootstrap_change(rec_i, rec_f, _GivenStatistics(stats[:, :columns].T),
-                                   table, confidence)
+            given = _GivenStatistics(stats[:, :columns].T)
+            got = bootstrap_change(*samples(rec_i, rec_f), given, table, confidence)
             want = oracle_summary(point[:columns], stats[:, :columns], confidence)
             assert [tuple(map(repr, e[:3])) for e in got] == [
                 tuple(map(repr, w[:3])) for w in want]
@@ -498,6 +499,30 @@ def test_multinomial_std_at_exact_distributions(variant):
     (sigma,) = multinomial_std(sweep.observable(x)[:, None], *samples)
     sigma /= abs(diff @ sweep.slope(x))
     assert round(sigma, 4) == {"A": 0.0376, "B": 0.0266}[variant]
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_evaluate_at_exact_distributions(variant):
+    """pipeline._evaluate, the one evaluation of a stage pair that exact and
+    analyze call: at the exact i->iii distributions and the reference shots
+    its depths give the predicted channel strengths, global passivity
+    17.60 sigma for A at 6700 shots and deformation 8.03 for B at 3200, every
+    other channel 0; its values and sigmas are bootstrap_change's points and
+    std_errors bit for bit."""
+    shots = {"A": 6700, "B": 3200}[variant]
+    config = ExperimentConfig(protocol=reference_protocol(variant))
+    dists = stage_distributions(config)
+    table, _, groups = _plan(config)
+    pair = (dists["i"], shots), (dists["iii"], shots)
+    values, sigmas, depths = _evaluate(*pair, table)
+    strengths = {name: round(float(depths[group].max(initial=0.0)), 2)
+                 for name, group in groups.items()}
+    predicted = {"A": {"second-law": 0.0, "global-passivity": 17.60, "deformation": 0.0},
+                 "B": {"second-law": 0.0, "global-passivity": 0.0, "deformation": 8.03}}
+    assert strengths == predicted[variant]
+    estimates = bootstrap_change(*pair, np.zeros((100, 4)), table, 0.6827)
+    assert values.tolist() == [e.value for e in estimates]
+    assert sigmas.tolist() == [e.std_error for e in estimates]
 
 
 @pytest.mark.parametrize("variant", ["A", "B"])
@@ -587,7 +612,7 @@ def test_matrix_path_matches_per_resample_reference(variant):
             if not slow_found:
                 continue
             found += 1
-            est = threshold_estimate(records[0], rec_f, observable, slope,
+            est = threshold_estimate(*samples(records[0], rec_f), observable, slope,
                                      float(point[0]), cfg.confidence)
             assert est.value == slow[0]
             assert abs(est.std_error / slow[3] - 1) <= 5 / math.sqrt(2 * 500)
