@@ -115,10 +115,10 @@ class Sweep:
     slope: Callable[[np.ndarray], np.ndarray]
 
 
-def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep], dict[str, slice]]:
-    """The observable table, the sweeps this config runs and each channel's
-    column group of the table, in verdict order; the only code that states
-    the table's layout."""
+def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep], dict, Callable]:
+    """The observable table, the sweeps this config runs, each channel's
+    column group of the table, in verdict order, and the exact-zero rule of
+    its columns; the only code that states the table's layout."""
     B = build_B(
         {"c": config.protocol.beta_c, "h": config.protocol.beta_h}, config.epsilon
     )
@@ -147,7 +147,23 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep], dict[str, 
         "global-passivity": slice(0, n_alpha),
         "deformation": slice(n_alpha + 1, None),  # empty without xi columns
     }
-    return observable_table(B, alpha_grid, xi_grid), sweeps, groups
+    table = observable_table(B, alpha_grid, xi_grid)
+
+    def exact_zeros(rec_i, rec_f) -> np.ndarray:
+        """Mask of the columns whose change from rec_i to rec_f is 0 exactly.
+        D = n_i*c_f - n_f*c_i, in Python ints (n_i*c_f can pass int64), is
+        n_i*n_f*(p_f - p_i): the alpha block is 0 iff D sums to 0 on each tie
+        class of B, the B column iff d<B> is, the xi block iff d<H_c> = d<H_h> = 0."""
+        d = [rec_i.shots * rec_f.counts.get(f"{k:02b}", 0)  # outcome k's label
+             - rec_f.shots * rec_i.counts.get(f"{k:02b}", 0) for k in range(4)]
+        b = B.basis_values.tolist()
+        zeros = np.full(table.shape[1], all(
+            sum(d_j for d_j, b_j in zip(d, b) if b_j == b_k) == 0 for b_k in b))
+        d_c, d_h = d[2] + d[3], d[1] + d[3]  # n_i*n_f times d<H_c> and d<H_h>
+        zeros[groups["second-law"]] |= B.betas["c"] * d_c + B.betas["h"] * d_h == 0
+        zeros[groups["deformation"]] = d_c == d_h == 0
+        return zeros
+    return table, sweeps, groups, exact_zeros
 
 
 def _evaluate(sample_i, sample_f, table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,7 +193,7 @@ def run_exact(config: ExperimentConfig, out_dir: str) -> dict[str, str]:
     """Exact theory curves and stage distributions, written as CSV/JSON;
     returns the written paths by key."""
     dists = stage_distributions(config)
-    table, sweeps, groups = _plan(config)
+    table, sweeps, groups, _ = _plan(config)
     shots = config.shots_per_stage
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
@@ -255,7 +271,7 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
     if "i" not in by_stage or not ({"ii", "iii"} & set(by_stage)):
         raise HeatleakError("records must contain stage i and at least one of ii/iii")
 
-    table, sweeps, groups = _plan(config)
+    table, sweeps, groups, exact_zeros = _plan(config)
     os.makedirs(out_dir, exist_ok=True)  # once the records and config validate
     strengths = {name: 0.0 for name in groups}
     thresholds = []
@@ -274,12 +290,16 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
         estimates = bootstrap_change(sample_i, sample_f, rates[stage] - rates["i"],
                                      table, confidence)
         values, _, depths = _evaluate(sample_i, sample_f, table)
+        zeros = exact_zeros(by_stage["i"], by_stage[stage])
+        depths[zeros] = 0.0  # a change that is zero in exact arithmetic
         for name, group in groups.items():
             strengths[name] = max([strengths[name], *depths[group].tolist()])
         diff = sample_f[0] - sample_i[0]
         _, *ci, _ = zip(*estimates)  # the ci_low and ci_high columns
         for sweep in sweeps:
             _write_sweep(out_dir, sweep, groups, stage, diff, values, *ci)
+            if zeros[groups[sweep.channel]].all():
+                continue  # its float signs are noise
             crossings = sweep_crossings(sweep.observable, diff, sweep.grid)
             if len(crossings) == 1:
                 est = threshold_estimate(sample_i, sample_f, sweep.observable,

@@ -1382,6 +1382,80 @@ def test_cli_analyze_two_point_crossings_write_a_note(tmp_path):
     assert verdict["thresholds"] == []
 
 
+# the count-change reproducers: a protocol, its shots per stage, and the
+# stage-i and the stage-ii/iii counts of 00/01/10/11; each change is zero in
+# exact arithmetic on the channels that the expected strengths name
+EXACT_ZERO_CASES = {
+    # one shot from each of 00 and 11 onto 01 and 10: d<H_c> = d<H_h> = 0,
+    # so d<B> and the xi sweep are 0; the alpha sweep crosses at alpha = 1
+    "B-6700": (reference_protocol("B"), 6700,
+               (1675, 1675, 1675, 1675), (1674, 1676, 1676, 1674)),
+    "B-3": (reference_protocol("B"), 3, (1, 1, 0, 1), (0, 2, 1, 0)),
+    "B-7": (reference_protocol("B"), 7, (2, 2, 1, 2), (1, 3, 2, 1)),
+    # 01 and 10 tie in B: D sums to 0 on each tie class
+    "tied-betas": (ProtocolConfig("A", beta_c=1.3, beta_h=1.3, beta_e=2.0), 1200,
+                   (300, 400, 200, 300), (300, 399, 201, 300)),
+    # beta_h = 0: 00 ties 01 and 10 ties 11, and d<B> = beta_c * d<H_c> = 0
+    "cold-h": (ProtocolConfig("A", beta_c=2.0, beta_h=0.0, beta_e=2.0), 10,
+               (3, 2, 3, 2), (2, 3, 2, 3)),
+}
+EXACT_ZERO_EXPECTED = {
+    "B-6700": ({"deformation", "second-law"}, [("global-passivity", 1.0)] * 2),
+    "B-3": ({"deformation", "second-law"}, [("global-passivity", 1.0)] * 2),
+    "B-7": ({"deformation", "second-law"}, [("global-passivity", 1.0)] * 2),
+    "tied-betas": ({"deformation", "second-law", "global-passivity"}, []),
+    "cold-h": ({"deformation", "second-law", "global-passivity"}, []),
+}
+
+
+@pytest.mark.parametrize("case", EXACT_ZERO_CASES)
+def test_exact_zero_changes_carry_no_strength_or_crossing(tmp_path, case):
+    """A change that is zero in exact arithmetic reads +-1e-17 in floats; analyze
+    decides it from the integer count change, so its channels read exactly 0.0,
+    its sweeps have no threshold and no note, and a genuine crossing stays.
+    The parent read a deformation threshold at xi = 0.375 with std_error
+    2.9e18 (B-6700), 13 and 7 xi crossings (B-3, B-7), two alpha thresholds
+    at 0 with a null std_error (tied-betas) and strengths of 1e-20 to 1e-14."""
+    protocol, shots, counts_i, counts_f = EXACT_ZERO_CASES[case]
+    zero_channels, expected_thresholds = EXACT_ZERO_EXPECTED[case]
+    config = ExperimentConfig(protocol=protocol, shots_per_stage=shots)
+    records = [ShotRecord(stage=stage, shots=shots, qubits=("c", "h"),
+                          counts=dict(zip(("00", "01", "10", "11"), counts)))
+               for stage, counts in (("i", counts_i), ("ii", counts_f), ("iii", counts_f))]
+    path = str(tmp_path / "records.jsonl")
+    write_records(path, config.to_dict(), records)
+    out = tmp_path / "run"
+    assert main(["analyze", path, "--resamples", "100", "--out", str(out)]) == 0
+    verdict = json.loads((out / "verdict.json").read_text())
+    for channel in zero_channels:
+        assert verdict["channel_strengths"][channel] == 0.0, channel
+    assert verdict["notes"] == []
+    thresholds = [(t["test"], t["value"]) for t in verdict["thresholds"]]
+    assert [test for test, _ in thresholds] == [test for test, _ in expected_thresholds]
+    for (_, value), (_, expected) in zip(thresholds, expected_thresholds):
+        assert abs(value - expected) < 1e-12
+
+
+def test_count_change_beyond_int64_keeps_every_strength(tmp_path):
+    """At 2**62 shots per stage, 2**60 per outcome at stage i, the integer
+    count change n_i*c_f - n_f*c_i reaches 2**71: in int64 it wraps to 0 and
+    would rule every column exactly zero.  In Python ints it does not, and
+    every channel keeps its small strength, about 3e-7."""
+    big = 2**60
+    config = ExperimentConfig(protocol=reference_protocol("B"), shots_per_stage=4 * big)
+    records = [ShotRecord(stage=stage, shots=4 * big, qubits=("c", "h"),
+                          counts=dict(zip(("00", "01", "10", "11"), counts)))
+               for stage, counts in (("i", (big,) * 4),
+                                     ("ii", (big + 512, big, big - 512, big)),
+                                     ("iii", (big + 512, big, big - 512, big)))]
+    path = str(tmp_path / "records.jsonl")
+    write_records(path, config.to_dict(), records)
+    out = tmp_path / "run"
+    assert main(["analyze", path, "--resamples", "100", "--out", str(out)]) == 0
+    strengths = json.loads((out / "verdict.json").read_text())["channel_strengths"]
+    assert all(0.0 < strength < 1e-6 for strength in strengths.values()), strengths
+
+
 def test_channel_strengths_read_their_column_groups(tmp_path):
     """Each channel's strength is the largest depth over its own column group
     and both stage pairs: second-law reads the B column alone,
@@ -1761,7 +1835,9 @@ def test_record_file_mutation_fuzz(tmp_path, capsys):
     """FUZZ_FILES mutations of one small simulated B record file, each kind
     of FUZZ_MUTATIONS in turn, draw from FUZZ_SEED: every analyze exits 0,
     1 or 2 with no exception and no warning, and an exit 1 is one error line
-    and no --out.  Permuting the record lines of the file, or of a count
+    and no --out.  A count move, whose d<H_c> and d<H_h> are exactly 0, reads
+    deformation and second-law strengths of exactly 0.0, with no deformation
+    threshold and no note.  Permuting the record lines of the file, or of a count
     move, leaves every output byte the same."""
     sim = tmp_path / "sim"
     assert main(["simulate", "--variant", "B", "--seed", "5", "--shots-per-stage",
@@ -1775,8 +1851,15 @@ def test_record_file_mutation_fuzz(tmp_path, capsys):
         lines, raw = mutated if isinstance(mutated, tuple) else (mutated, None)
         path = tmp_path / f"fuzz{k}.jsonl"
         path.write_text(_fuzz_text(lines, raw), encoding="utf-8")
+        out = tmp_path / f"out{k}"
         try:
-            codes.append(_fuzz_analyze(capsys, path, tmp_path / f"out{k}"))
+            codes.append(_fuzz_analyze(capsys, path, out))
+            if mutation is _fuzz_count_move and codes[-1] != 1:
+                verdict = json.loads((out / "verdict.json").read_text())
+                strengths = verdict["channel_strengths"]
+                assert strengths["deformation"] == strengths["second-law"] == 0.0
+                assert "deformation" not in [t["test"] for t in verdict["thresholds"]]
+                assert verdict["notes"] == []
         except Exception as exc:
             raise AssertionError(f"file {k} ({mutation.__name__}): {exc!r}") from exc
     assert {0, 1, 2} <= set(codes)

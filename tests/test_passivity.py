@@ -9,6 +9,8 @@ import oracles
 from heatleak import (
     ExperimentConfig,
     HeatleakError,
+    ProtocolConfig,
+    ShotRecord,
     alpha_observable,
     build_B,
     deformation_bounds,
@@ -583,7 +585,7 @@ def test_crossings_match_bisection_on_benchmark_records(tmp_path, variant):
                 config.seed, pipeline.CI_SEED_ROLE, pipeline.STAGE_SEED_ROLE[rec.stage]))
             for rec in records
         }
-        _, sweeps, _ = pipeline._plan(config)
+        _, sweeps, _, _ = pipeline._plan(config)
         for stage in ("ii", "iii"):
             point = by_stage[stage].probabilities() - by_stage["i"].probabilities()
             diffs = np.vstack([point, rates[stage] - rates["i"]])
@@ -597,3 +599,67 @@ def test_crossings_match_bisection_on_benchmark_records(tmp_path, variant):
                 assert np.all(np.abs(locations - reference) <= 1e-12)
                 located += len(rows)
     assert located >= 16 * 40
+
+
+# the seed and the number of record pairs of the sign-rule property test,
+# fixed before its first run
+SIGN_RULE_SEED, SIGN_RULE_PAIRS = 3232, 2000
+
+
+def _sign_changes(d, b_values):
+    """V: the sign changes of d in the ascending order of b_values, with each
+    class of tied values summed first (zero sums skipped)."""
+    sums = [sum(d_k for d_k, b_k in zip(d, b_values) if b_k == b)
+            for b in sorted(set(b_values))]
+    signs = [s > 0 for s in sums if s != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def test_sweeps_left_nonzero_keep_the_rule_of_signs():
+    """Laguerre's rule of signs (Polya & Szego, Problems and Theorems in
+    Analysis II, Part V): sum_k D_k b_k**alpha has at most V real zeros, V the
+    sign changes of the count change D in B's ascending order with tied
+    outcomes summed, and alpha = 0 is one of them.  So every alpha sweep that
+    analyze's exact-zero rule leaves non-zero crosses at most V - 1 times,
+    and every xi sweep, linear in xi, at most once: float noise adds no
+    crossing once the rule has taken out the zero sweeps.  SIGN_RULE_PAIRS
+    record pairs of 1-29 shots, every other pair of a config a move of
+    shots from 00 and 11 onto 01 and 10 (d<H_c> = d<H_h> = 0), over protocol
+    A with an auto xi grid, protocol B, beta_c = beta_h and beta_h = 0."""
+    configs = [
+        ExperimentConfig(protocol=reference_protocol("A"), xi_grid="auto"),
+        ExperimentConfig(protocol=reference_protocol("B")),
+        ExperimentConfig(protocol=ProtocolConfig("A", beta_c=1.3, beta_h=1.3, beta_e=2.0)),
+        ExperimentConfig(protocol=ProtocolConfig("A", beta_c=2.0, beta_h=0.0, beta_e=2.0)),
+    ]
+    plans = [pipeline._plan(config) for config in configs]
+    b_values = [build_B({"c": c.protocol.beta_c, "h": c.protocol.beta_h},
+                        c.epsilon).basis_values.tolist() for c in configs]
+    rng = np.random.default_rng(SIGN_RULE_SEED)
+    searched = {"alpha": 0, "xi": 0}
+    for k in range(SIGN_RULE_PAIRS):
+        _, sweeps, groups, exact_zeros = plans[k % 4]
+        n_i = int(rng.integers(1, 30))
+        c_i = rng.multinomial(n_i, rng.dirichlet(np.ones(4)))
+        if (k // 4) % 2:
+            n_f = n_i
+            move = int(rng.integers(-min(c_i[1], c_i[2]), min(c_i[0], c_i[3]) + 1))
+            c_f = c_i + move * np.array([-1, 1, 1, -1])
+        else:
+            n_f = int(rng.integers(1, 30))
+            c_f = rng.multinomial(n_f, rng.dirichlet(np.ones(4)))
+        rec_i, rec_f = (ShotRecord(stage=stage, shots=n, counts=dict(zip(
+            ("00", "01", "10", "11"), counts.tolist())))
+            for stage, n, counts in (("i", n_i, c_i), ("iii", n_f, c_f)))
+        d = (n_i * c_f - n_f * c_i).tolist()
+        bounds = {"alpha": _sign_changes(d, b_values[k % 4]) - 1, "xi": 1}
+        zeros = exact_zeros(rec_i, rec_f)
+        diff = rec_f.probabilities() - rec_i.probabilities()
+        for sweep in sweeps:
+            if zeros[groups[sweep.channel]].all():
+                continue
+            crossings = sweep_crossings(sweep.observable, diff, sweep.grid)
+            assert len(crossings) <= bounds[sweep.prefix], (k, sweep.prefix, d)
+            searched[sweep.prefix] += 1
+    assert searched["alpha"] > SIGN_RULE_PAIRS // 2
+    assert searched["xi"] > SIGN_RULE_PAIRS // 8

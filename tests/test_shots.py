@@ -346,7 +346,7 @@ def test_threshold_ci_coverage(variant):
     config = ExperimentConfig(protocol=reference_protocol(variant),
                               shots_per_stage=shots)
     dists = stage_distributions(config)
-    _, sweeps, _ = _plan(config)
+    _, sweeps, _, _ = _plan(config)
     sweep = sweeps[0] if variant == "A" else sweeps[1]
     (exact,) = sweep_crossings(sweep.observable, dists["iii"] - dists["i"],
                                sweep.grid)
@@ -485,7 +485,7 @@ def test_multinomial_std_at_exact_distributions(variant):
     shots = {"A": 6700, "B": 3200}[variant]
     config = ExperimentConfig(protocol=reference_protocol(variant))
     dists = stage_distributions(config)
-    table, sweeps, _ = _plan(config)
+    table, sweeps, _, _ = _plan(config)
     samples = (dists["i"], shots), (dists["iii"], shots)
     std = multinomial_std(table, *samples)
     rng = np.random.default_rng(derive_seed(2612, shots))
@@ -512,7 +512,7 @@ def test_evaluate_at_exact_distributions(variant):
     shots = {"A": 6700, "B": 3200}[variant]
     config = ExperimentConfig(protocol=reference_protocol(variant))
     dists = stage_distributions(config)
-    table, _, groups = _plan(config)
+    table, _, groups, _ = _plan(config)
     pair = (dists["i"], shots), (dists["iii"], shots)
     values, sigmas, depths = _evaluate(*pair, table)
     strengths = {name: round(float(depths[group].max(initial=0.0)), 2)
