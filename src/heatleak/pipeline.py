@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -148,20 +148,23 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep], dict, Call
         "deformation": slice(n_alpha + 1, None),  # empty without xi columns
     }
     table = observable_table(B, alpha_grid, xi_grid)
+    # the columns that are B up to scale and constant: alpha = 1, B, xi = 0
+    b_copies = np.append(alpha_grid == 1.0, [True, *(() if xi_grid is None else xi_grid == 0)])
 
     def exact_zeros(rec_i, rec_f) -> np.ndarray:
         """Mask of the columns whose change from rec_i to rec_f is 0 exactly.
         D = n_i*c_f - n_f*c_i, in Python ints (n_i*c_f can pass int64), is
         n_i*n_f*(p_f - p_i): the alpha block is 0 iff D sums to 0 on each tie
-        class of B, the B column iff d<B> is, the xi block iff d<H_c> = d<H_h> = 0."""
+        class of B, the xi block iff d<H_c> = d<H_h> = 0, and each copy of B
+        also iff d<B> is."""
         d = [rec_i.shots * rec_f.counts.get(f"{k:02b}", 0)  # outcome k's label
              - rec_f.shots * rec_i.counts.get(f"{k:02b}", 0) for k in range(4)]
         b = B.basis_values.tolist()
         zeros = np.full(table.shape[1], all(
             sum(d_j for d_j, b_j in zip(d, b) if b_j == b_k) == 0 for b_k in b))
         d_c, d_h = d[2] + d[3], d[1] + d[3]  # n_i*n_f times d<H_c> and d<H_h>
-        zeros[groups["second-law"]] |= B.betas["c"] * d_c + B.betas["h"] * d_h == 0
         zeros[groups["deformation"]] = d_c == d_h == 0
+        zeros[b_copies] |= B.betas["c"] * d_c + B.betas["h"] * d_h == 0
         return zeros
     return table, sweeps, groups, exact_zeros
 
@@ -318,7 +321,7 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
     verdict = Verdict(detected=detected, channel=channel, strength=strength,
                       channel_strengths=strengths, thresholds=thresholds,
                       significance=config.significance, notes=notes)
-    write_json(os.path.join(out_dir, "verdict.json"), asdict(verdict))
+    write_json(os.path.join(out_dir, "verdict.json"), vars(verdict))
     return verdict
 
 

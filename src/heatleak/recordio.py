@@ -36,18 +36,11 @@ def write_json(path: str, obj) -> None:
 
 
 def write_records(path: str, config_echo: dict, records) -> None:
-    """Strict JSON lines, like write_json."""
+    """Strict JSON lines, like write_json; a record line is the record's
+    fields, with no qubit labels (None) written as []."""
     lines = [json.dumps({"config": config_echo}, sort_keys=True, allow_nan=False)]
-    for rec in records:
-        line = {
-            "stage": rec.stage,
-            "qubits": list(rec.qubits) if rec.qubits else [],
-            "counts": rec.counts,
-            "shots": rec.shots,
-            "seed": rec.seed,
-            "meta": rec.meta,
-        }
-        lines.append(json.dumps(line, sort_keys=True, allow_nan=False))
+    lines += [json.dumps({**vars(rec), "qubits": rec.qubits or []},
+                         sort_keys=True, allow_nan=False) for rec in records]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -11,16 +11,26 @@ import numpy as np
 import pytest
 
 from heatleak import (
+    DensityOperator,
     ExperimentConfig,
     HeatleakError,
     ProtocolConfig,
     ShotRecord,
     SpamModel,
+    UnitaryOperator,
+    apply_spam,
     build_B,
     deformation_bounds,
+    energy_basis_values,
+    measure_distribution,
     observable_table,
+    partial_trace,
+    phase_gate,
     reference_protocol,
+    run_bounds,
     ry_gate,
+    tensor,
+    thermal_qubit,
 )
 from heatleak.cli import main
 from heatleak.config import (
@@ -1436,6 +1446,47 @@ def test_exact_zero_changes_carry_no_strength_or_crossing(tmp_path, case):
         assert abs(value - expected) < 1e-12
 
 
+# record pairs whose d<B> is 0 in exact arithmetic, with the xi grid of their
+# B config: the 3-shot move of EXACT_ZERO_CASES (d<H_c> = d<H_h> = 0 too), and
+# a 6700-shot move with d<H_c> = 1099 and d<H_h> = -1627 shots, so only the
+# copies of B are level while the rest of the xi block changes
+COPIES_OF_B_CASES = {
+    "B-3": (3, (1, 1, 0, 1), (0, 2, 1, 0), None),
+    "B-3-xi0": (3, (1, 1, 0, 1), (0, 2, 1, 0), [-0.5, 0.0, 0.5]),
+    "B-level-xi0": (6700, (1000, 3000, 1000, 1700), (1528, 1373, 2099, 1700),
+                    [-0.5, 0.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("case", COPIES_OF_B_CASES)
+def test_exact_zeros_reach_every_copy_of_b(case):
+    """The alpha = 1 column equals the B column bit for bit, and the xi = 0
+    column is B over beta_c less a constant, so each reads d<B>'s exact zero.
+    A rule that zeroes the alpha block only as a whole leaves alpha = 1 of
+    the 3-shot move at -9.76e-17 with depth 1.07e-16, while B reads 0."""
+    from heatleak.pipeline import _evaluate, _plan
+    shots, counts_i, counts_f, xi_grid = COPIES_OF_B_CASES[case]
+    config = ExperimentConfig(protocol=reference_protocol("B"), shots_per_stage=shots,
+                              xi_grid=xi_grid)
+    table, _, groups, exact_zeros = _plan(config)
+    rec_i, rec_f = (ShotRecord(stage=stage, shots=shots,
+                               counts=dict(zip(("00", "01", "10", "11"), counts)))
+                    for stage, counts in (("i", counts_i), ("iii", counts_f)))
+    values, _, depths = _evaluate((rec_i.probabilities(), shots),
+                                  (rec_f.probabilities(), shots), table)
+    zeros = exact_zeros(rec_i, rec_f)
+    depths[zeros] = 0.0
+    n_alpha = len(config.alpha_grid)
+    copies = [config.alpha_grid.index(1.0), n_alpha]
+    if xi_grid is not None:
+        copies.append(n_alpha + 1 + xi_grid.index(0.0))
+    assert zeros[copies].all() and (depths[copies] == 0.0).all()
+    assert np.all(np.abs(values[copies]) < 1e-15)  # float noise, not a change
+    assert not zeros[groups["global-passivity"]].all()
+    if case == "B-level-xi0":
+        assert zeros[groups["deformation"]].tolist() == [False, True, False]
+
+
 def test_count_change_beyond_int64_keeps_every_strength(tmp_path):
     """At 2**62 shots per stage, 2**60 per outcome at stage i, the integer
     count change n_i*c_f - n_f*c_i reaches 2**71: in int64 it wraps to 0 and
@@ -1658,24 +1709,76 @@ def _bad_json_records(tmp_path):
     return read_records(str(path))
 
 
-# one rejected input per layer: register/circuits, circuits, passivity,
-# shots, recordio and config
+def _negative_diagonal_state():
+    """A state that passes DensityOperator's checks (eigenvalues down to
+    -1e-10) with a diagonal entry below measure_distribution's -1e-12."""
+    return DensityOperator(np.diag([1.0 + 1e-11, -1e-11]))
+
+
+# rejected inputs of every layer (register, circuits, passivity, shots,
+# recordio, config and pipeline), each with its message; {tmp_path} is the
+# test's directory
 REJECTED_INPUTS = {
-    "ry_gate-nan": lambda tmp_path: ry_gate(float("nan")),
-    "protocol-variant-C": lambda tmp_path: ProtocolConfig("C", 1.0, 1.0, 1.0),
-    "build_B-inf": lambda tmp_path: build_B({"c": math.inf}, 1e-3),
-    "record-counts-sum": lambda tmp_path: ShotRecord("i", {"00": 1}, 2),
-    "record-bad-json": _bad_json_records,
-    "config-unknown-field": lambda tmp_path: config_from_dict({"turbo": 1}),
+    "ry_gate-nan": (lambda tmp_path: ry_gate(float("nan")),
+                    "rotation parameter must be finite"),
+    "phase_gate-inf": (lambda tmp_path: phase_gate(math.inf), "phase must be finite"),
+    "protocol-variant-C": (lambda tmp_path: ProtocolConfig("C", 1.0, 1.0, 1.0),
+                           "unknown protocol variant 'C'"),
+    "reference-variant-C": (lambda tmp_path: reference_protocol("C"),
+                            "unknown protocol variant 'C'"),
+    "build_B-inf": (lambda tmp_path: build_B({"c": math.inf}, 1e-3),
+                    "beta['c'] must be finite, got inf"),
+    "build_B-no-qubit": (lambda tmp_path: build_B({}, 1e-3), "at least one qubit required"),
+    "energy-qubit-2": (lambda tmp_path: energy_basis_values(2, 2),
+                       "qubit 2 outside 2-qubit outcome space"),
+    "bounds-lengths": (lambda tmp_path: deformation_bounds([0.0, 1.0], [0.0, 1.0, 0.0]),
+                       "b and a must have equal lengths"),
+    "bounds-observable": (lambda tmp_path: run_bounds(1.627, 1.099, "Hx"),
+                          "unknown deformation observable 'Hx'"),
+    "operator-not-square": (lambda tmp_path: UnitaryOperator(np.ones(2)),
+                            "expected a square matrix, got shape (2,)"),
+    "operator-dimension-3": (lambda tmp_path: UnitaryOperator(np.eye(3)),
+                             "matrix dimension 3 is not a power of two"),
+    # a 2048 x 2048 complex copy (64 MB) that takes about 0.05 s
+    "operator-11-qubits": (lambda tmp_path: DensityOperator(np.zeros((2048, 2048))),
+                           "register of 11 qubits exceeds cap of 10"),
+    "tensor-11-qubits": (lambda tmp_path: tensor(DensityOperator(np.eye(64) / 64),
+                                                 DensityOperator(np.eye(32) / 32)),
+                         "tensor product exceeds register cap"),
+    "partial-trace-keep": (lambda tmp_path: partial_trace(thermal_qubit(1.0), [1]),
+                           "keep set [1] outside register"),
+    "measure-duplicate": (lambda tmp_path: measure_distribution(thermal_qubit(1.0), [0, 0]),
+                          "duplicate qubits [0, 0]"),
+    "measure-outside": (lambda tmp_path: measure_distribution(thermal_qubit(1.0), [1]),
+                        "qubits [1] outside register"),
+    "measure-negative": (lambda tmp_path: measure_distribution(_negative_diagonal_state(), [0]),
+                         "negative outcome probability -1e-11"),
+    "record-counts-sum": (lambda tmp_path: ShotRecord("i", {"00": 1}, 2),
+                          "counts sum to 1, expected 2"),
+    "record-qubit-width": (lambda tmp_path: ShotRecord("i", {"00": 1}, 1, qubits=("c",)),
+                           "qubit labels do not match outcome width"),
+    "spam-length-3": (lambda tmp_path: apply_spam([0.5, 0.3, 0.2], SpamModel()),
+                      "distribution length 3 is not a power of two"),
+    "record-bad-json": (_bad_json_records,
+                        "{tmp_path}/bad.jsonl:2: invalid JSON (Expecting value)"),
+    "config-unknown-field": (lambda tmp_path: config_from_dict({"turbo": 1}),
+                             "invalid config: unknown fields ['turbo']"),
+    "config-empty-alpha": (lambda tmp_path: ExperimentConfig(alpha_grid=[]),
+                           "alpha grid must not be empty"),
+    "config-xi-string": (lambda tmp_path: ExperimentConfig(xi_grid="x"),
+                         'xi_grid must be a list, "auto" or null'),
 }
 
 
 @pytest.mark.parametrize("case", list(REJECTED_INPUTS))
 def test_every_rejected_input_is_a_heatleak_error(tmp_path, case):
-    """Every layer rejects input with the one error type the CLI reports."""
+    """Every layer rejects input with the one error type the CLI reports,
+    and its message names what was wrong."""
     assert issubclass(HeatleakError, ValueError)
-    with pytest.raises(HeatleakError):
-        REJECTED_INPUTS[case](tmp_path)
+    call, message = REJECTED_INPUTS[case]
+    with pytest.raises(HeatleakError) as exc:
+        call(tmp_path)
+    assert str(exc.value) == message.format(tmp_path=tmp_path)
 
 
 # ----------------------------------------------- standing record-file fuzz
