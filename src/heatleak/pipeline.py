@@ -48,6 +48,7 @@ from .shots import (
     bootstrap_change,
     derive_seed,
     multinomial_std,
+    outcome_labels,
     resample,
     sample_shots,
     threshold_estimate,
@@ -157,8 +158,8 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep], dict, Call
         n_i*n_f*(p_f - p_i): the alpha block is 0 iff D sums to 0 on each tie
         class of B, the xi block iff d<H_c> = d<H_h> = 0, and each copy of B
         also iff d<B> is."""
-        d = [rec_i.shots * rec_f.counts.get(f"{k:02b}", 0)  # outcome k's label
-             - rec_f.shots * rec_i.counts.get(f"{k:02b}", 0) for k in range(4)]
+        d = [rec_i.shots * rec_f.counts.get(label, 0) - rec_f.shots * rec_i.counts.get(label, 0)
+             for label in outcome_labels(2)]
         b = B.basis_values.tolist()
         zeros = np.full(table.shape[1], all(
             sum(d_j for d_j, b_j in zip(d, b) if b_j == b_k) == 0 for b_k in b))
@@ -282,9 +283,9 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
     confidence = config.bootstrap.confidence
     samples = {stage: (rec.probabilities(), rec.shots) for stage, rec in by_stage.items()}
     rates = {
-        stage: resample(rec, config.bootstrap.resamples,
+        stage: resample(samples[stage], config.bootstrap.resamples,
                         derive_seed(config.seed, CI_SEED_ROLE, STAGE_SEED_ROLE[stage]))
-        for stage, rec in by_stage.items()
+        for stage in by_stage
     }
     for stage in ("ii", "iii"):
         if stage not in by_stage:

@@ -8,10 +8,10 @@ evaluation order.
 Every standard error is multinomial_std's closed form of the counts of
 (rates, shots) pairs: per table column in bootstrap_change, and over the
 sweep's slope at a crossing in threshold_estimate (the delta method), which
-take the pairs too.  Only bootstrap_change's CIs resample: each record is
-redrawn once, by resample, into a (resamples, outcomes) matrix of rates, and
-the CIs are quantiles of matrix products, interpolated from the four order
-statistics per column that they read.
+take the pairs too.  Only bootstrap_change's CIs resample: resample takes a
+record's (rates, shots) pair too and redraws it once into a (resamples,
+outcomes) matrix of rates, and the CIs are quantiles of matrix products,
+interpolated from the four order statistics per column that they read.
 """
 
 from __future__ import annotations
@@ -87,6 +87,8 @@ class ShotRecord:
         return np.array(counts, dtype=np.int64) / self.shots
 
     def with_counts(self, counts_array) -> "ShotRecord":
+        """This record with counts_array's counts and no seed; no command calls
+        it, only tests/oracles.py and perfbench's tracer, which patches it by name."""
         labels = outcome_labels(self.num_measured)
         counts = {lbl: int(c) for lbl, c in zip(labels, counts_array)}
         return ShotRecord(
@@ -176,23 +178,16 @@ def sample_shots(distribution, n: int, seed: int, stage: str = "i",
     )
 
 
-def resample(record: ShotRecord, resamples: int, seed: int) -> np.ndarray:
-    """(resamples, outcomes) multinomial redraws of a record's counts, as rates.
+def resample(sample, resamples: int, seed: int) -> np.ndarray:
+    """(resamples, outcomes) multinomial redraws of a (rates, shots) pair, as rates.
 
-    Every row redraws the record's shot total from its empirical rates and
-    is divided by that total; the generator is seeded by seed alone, so the
-    matrix does not depend on what else is drawn or in which order.
+    Every row redraws the shot total from the rates and is divided by it
+    (numpy gives each row's last outcome the shots left, so the row sums to
+    the total); the generator is seeded by seed alone, so the matrix does
+    not depend on what else is drawn or in which order.
     """
-    rng = np.random.default_rng(seed)
-    draw = rng.multinomial(record.shots, record.probabilities(), size=resamples)
-    totals = draw.sum(axis=1)
-    bad = np.flatnonzero(totals != record.shots)
-    if bad.size:
-        raise HeatleakError(
-            f"resample {bad[0]} of stage {record.stage} has {totals[bad[0]]} "
-            f"shots, expected {record.shots}"
-        )
-    return draw / record.shots
+    rates, shots = sample
+    return np.random.default_rng(seed).multinomial(shots, rates, size=resamples) / shots
 
 
 def multinomial_std(table, *samples) -> np.ndarray:

@@ -42,9 +42,10 @@ def record_changes(rec_i, rec_f, cfg):
     (cfg.resamples, outcomes) resampled rate changes, record j of (rec_i,
     rec_f) redrawn from seed derive_seed(cfg.seed, j), as the oracle
     bootstraps of tests/oracles.py draw them."""
-    diffs = (resample(rec_f, cfg.resamples, derive_seed(cfg.seed, 1))
-             - resample(rec_i, cfg.resamples, derive_seed(cfg.seed, 0)))
-    return *samples(rec_i, rec_f), diffs
+    sample_i, sample_f = samples(rec_i, rec_f)
+    diffs = (resample(sample_f, cfg.resamples, derive_seed(cfg.seed, 1))
+             - resample(sample_i, cfg.resamples, derive_seed(cfg.seed, 0)))
+    return sample_i, sample_f, diffs
 
 
 @pytest.fixture

@@ -668,13 +668,19 @@ def test_analyze_resamples_each_record_once(tmp_path, monkeypatch, stages):
     sim = str(tmp_path / "sim")
     assert main(["simulate", "--variant", "A", "--out", sim]) == 0
     header, records = read_records(os.path.join(sim, "records.jsonl"))
+    config = config_from_dict(header)
     draw, change = pipeline.resample, pipeline.bootstrap_change
     calls, drawn, changes = [], {}, []
+    stage_of_seed = {  # a draw names its stage by its CI seed
+        pipeline.derive_seed(config.seed, pipeline.CI_SEED_ROLE, role): stage
+        for stage, role in pipeline.STAGE_SEED_ROLE.items()
+    }
 
-    def resample(record, resamples, seed):
-        calls.append(record.stage)
-        drawn[record.stage] = draw(record, resamples, seed)
-        return drawn[record.stage]
+    def resample(sample, resamples, seed):
+        stage = stage_of_seed[seed]
+        calls.append(stage)
+        drawn[stage] = draw(sample, resamples, seed)
+        return drawn[stage]
 
     def bootstrap_change(sample_i, sample_f, diffs, *args):
         changes.append(diffs)
@@ -683,8 +689,7 @@ def test_analyze_resamples_each_record_once(tmp_path, monkeypatch, stages):
     monkeypatch.setattr(pipeline, "resample", resample)
     monkeypatch.setattr(pipeline, "bootstrap_change", bootstrap_change)
     verdict = pipeline.analyze_records(
-        [rec for rec in records if rec.stage in stages], config_from_dict(header),
-        str(tmp_path / "run"))
+        [rec for rec in records if rec.stage in stages], config, str(tmp_path / "run"))
 
     assert sorted(calls) == sorted(stages)  # one call per record
     assert "global-passivity" in {t["test"] for t in verdict.thresholds}
@@ -1589,19 +1594,22 @@ def test_verdict_does_not_depend_on_resamples(tmp_path):
     """Strengths and thresholds, with their std errors and CIs, are closed
     forms of the counts: analyze of one simulated A file (alpha threshold)
     and one simulated B file (xi threshold) writes the same verdict.json
-    bytes at 100 and at 2000 resamples."""
+    bytes at 100 and at 2000 resamples, and at the analysis seed 4 in place
+    of the file's 3, which does reach the CSV CIs."""
     for variant, shots in (("A", "6700"), ("B", "3200")):
         sim = str(tmp_path / variant)
         assert main(["simulate", "--variant", variant, "--seed", "3",
                      "--shots-per-stage", shots, "--out", sim]) == 0
-        verdicts = []
-        for resamples in ("100", "2000"):
-            out = tmp_path / f"{variant}-{resamples}"
+        outs = []
+        for flags in (["--resamples", "100"], ["--resamples", "2000"], ["--seed", "4"]):
+            outs.append(tmp_path / f"{variant}{''.join(flags)}")
             assert main(["analyze", os.path.join(sim, "records.jsonl"),
-                         "--resamples", resamples, "--out", str(out)]) == 2
-            verdicts.append((out / "verdict.json").read_bytes())
-        assert verdicts[0] == verdicts[1]
+                         *flags, "--out", str(outs[-1])]) == 2
+        verdicts = [(out / "verdict.json").read_bytes() for out in outs]
+        assert verdicts[0] == verdicts[1] == verdicts[2]
         assert json.loads(verdicts[0])["thresholds"]
+        csv = "alpha_sweep_i_to_iii.csv"
+        assert (outs[1] / csv).read_bytes() != (outs[2] / csv).read_bytes()
 
 
 _HUGE = "9" * 401  # a JSON integer that no float holds

@@ -581,7 +581,7 @@ def test_crossings_match_bisection_on_benchmark_records(tmp_path, variant):
         config = config_from_dict(header)
         by_stage = {rec.stage: rec for rec in records}
         rates = {
-            rec.stage: resample(rec, 50, derive_seed(
+            rec.stage: resample((rec.probabilities(), rec.shots), 50, derive_seed(
                 config.seed, pipeline.CI_SEED_ROLE, pipeline.STAGE_SEED_ROLE[rec.stage]))
             for rec in records
         }
