@@ -54,7 +54,7 @@ _SUBCOMMANDS = {
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and shared by later calls
-    (building it costs about a millisecond); callers must not modify it."""
+    (a first build takes a few milliseconds); callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="heatleak",
         description="Passivity-based heat-leak detection on small qubit registers",

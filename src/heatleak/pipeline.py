@@ -291,15 +291,13 @@ def analyze_records(records, config: ExperimentConfig, out_dir: str) -> Verdict:
         if stage not in by_stage:
             continue
         sample_i, sample_f = samples["i"], samples[stage]
-        estimates = bootstrap_change(sample_i, sample_f, rates[stage] - rates["i"],
-                                     table, confidence)
         values, _, depths = _evaluate(sample_i, sample_f, table)
+        ci = bootstrap_change(values, rates[stage] - rates["i"], table, confidence)
         zeros = exact_zeros(by_stage["i"], by_stage[stage])
         depths[zeros] = 0.0  # a change that is zero in exact arithmetic
         for name, group in groups.items():
             strengths[name] = max([strengths[name], *depths[group].tolist()])
         diff = sample_f[0] - sample_i[0]
-        _, *ci, _ = zip(*estimates)  # the ci_low and ci_high columns
         for sweep in sweeps:
             _write_sweep(out_dir, sweep, groups, stage, diff, values, *ci)
             if zeros[groups[sweep.channel]].all():

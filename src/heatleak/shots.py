@@ -6,12 +6,14 @@ CIs are bit-reproducible from a single root seed, independently of
 evaluation order.
 
 Every standard error is multinomial_std's closed form of the counts of
-(rates, shots) pairs: per table column in bootstrap_change, and over the
-sweep's slope at a crossing in threshold_estimate (the delta method), which
-take the pairs too.  Only bootstrap_change's CIs resample: resample takes a
-record's (rates, shots) pair too and redraws it once into a (resamples,
-outcomes) matrix of rates, and the CIs are quantiles of matrix products,
-interpolated from the four order statistics per column that they read.
+(rates, shots) pairs: per table column in pipeline._evaluate, which also
+gives each column's value, and over the sweep's slope at a crossing in
+threshold_estimate (the delta method), which takes the pairs too.  Only
+the CIs resample: resample takes a record's (rates, shots) pair and redraws
+it once into a (resamples, outcomes) matrix of rates, and bootstrap_change
+takes a stage pair's point values and returns only its CI columns,
+quantiles of matrix products interpolated from the four order statistics
+per column that they read.
 """
 
 from __future__ import annotations
@@ -229,23 +231,20 @@ def threshold_estimate(sample_i, sample_f, observable, slope, crossing: float,
     return EstimateWithCI(crossing, crossing - half, crossing + half, std)
 
 
-def bootstrap_change(sample_i, sample_f, diffs: np.ndarray, table,
-                     confidence: float) -> list[EstimateWithCI]:
-    """Bootstrap of the rate change from sample_i to sample_f, (rates, shots)
-    pairs, times table, one estimate per column.
+def bootstrap_change(point, diffs: np.ndarray, table,
+                     confidence: float) -> tuple[np.ndarray, np.ndarray]:
+    """(ci_low, ci_high) column arrays: the bootstrap CI of each column of
+    table around point, the rate change (p_f - p_i) @ table.
 
     diffs holds the (resamples, outcomes) resampled changes; a resample's
     statistic is the same product on its row, _BLOCK_COLUMNS table columns
     at a time to bound memory, and a non-finite one raises HeatleakError.
-    The std_errors are multinomial_std of the two samples.
     The CIs are the empirical quantiles at (1 +- confidence)/2 by numpy's
     default "linear" rule, equal to np.quantile bit for bit, widened to
-    enclose the point estimate as min(ci_low, point) and max(ci_high,
-    point) would.
+    enclose point as min(ci_low, point) and max(ci_high, point) would.
+    Each column's value and standard error come from pipeline._evaluate.
     """
     table = np.asarray(table, dtype=float)
-    point = (sample_f[0] - sample_i[0]) @ table
-    std = multinomial_std(table, sample_i, sample_f)
     # numpy's rule at q: virtual index v = (n - 1) q, between the order
     # statistics below and above it, or at the last one with weight v + 1
     last, lo_q = len(diffs) - 1, (1.0 - confidence) / 2.0
@@ -276,7 +275,5 @@ def bootstrap_change(sample_i, sample_f, diffs: np.ndarray, table,
         step = high - low  # numpy's two-sided lerp
         bounds.append(high - step * (1 - weight) if weight >= 0.5 else low + step * weight)
     ci_low, ci_high = bounds
-    ci_low = np.where(point < ci_low, point, ci_low)
-    ci_high = np.where(point > ci_high, point, ci_high)
-    return list(map(EstimateWithCI, point.tolist(), ci_low.tolist(), ci_high.tolist(),
-                    std.tolist()))
+    return (np.where(point < ci_low, point, ci_low),
+            np.where(point > ci_high, point, ci_high))

@@ -31,17 +31,17 @@ def random_density(num_qubits, rng, rank=None):
 
 
 def samples(*records):
-    """Each record as the (rates, shots) pair that bootstrap_change,
+    """Each record as the (rates, shots) pair that pipeline._evaluate,
     threshold_estimate and multinomial_std take."""
     return [(rec.probabilities(), rec.shots) for rec in records]
 
 
 def record_changes(rec_i, rec_f, cfg):
-    """((p_i, n_i), (p_f, n_f), diffs), the leading arguments of
-    bootstrap_change: the two records as (rates, shots) pairs and their
-    (cfg.resamples, outcomes) resampled rate changes, record j of (rec_i,
-    rec_f) redrawn from seed derive_seed(cfg.seed, j), as the oracle
-    bootstraps of tests/oracles.py draw them."""
+    """((p_i, n_i), (p_f, n_f), diffs): the two records as (rates, shots)
+    pairs and their (cfg.resamples, outcomes) resampled rate changes, the
+    diffs of bootstrap_change, record j of (rec_i, rec_f) redrawn from seed
+    derive_seed(cfg.seed, j), as the oracle bootstraps of tests/oracles.py
+    draw them."""
     sample_i, sample_f = samples(rec_i, rec_f)
     diffs = (resample(sample_f, cfg.resamples, derive_seed(cfg.seed, 1))
              - resample(sample_i, cfg.resamples, derive_seed(cfg.seed, 0)))

@@ -287,9 +287,10 @@ def test_criterion_7_bootstrap_coverage():
             rec_f = sample_shots(dists["iii"], 6700, derive_seed(101, rep, 1),
                                  stage="iii")
             bs = BootstrapConfig(resamples=600, seed=derive_seed(101, rep, 2))
-            (est,) = bootstrap_change(*record_changes(rec_i, rec_f, bs), v[:, None],
-                                      bs.confidence)
-            if est.ci_low <= true_delta <= est.ci_high:
+            (p_i, _), (p_f, _), diffs = record_changes(rec_i, rec_f, bs)
+            (ci_low,), (ci_high,) = bootstrap_change((p_f - p_i) @ v[:, None], diffs,
+                                                     v[:, None], bs.confidence)
+            if ci_low <= true_delta <= ci_high:
                 covered += 1
         coverage = covered / reps
         assert 0.63 <= coverage <= 0.73, f"coverage {coverage}"
@@ -319,6 +320,8 @@ def test_criterion_8_full_pipeline_determinism(tmp_path):
             with open(os.path.join(outs[1], fname), "rb") as fb:
                 b = fb.read()
             assert a == b, f"{fname} differs between identical runs"
-        va = json.load(open(os.path.join(outs[0], "verdict.json")))
-        vb = json.load(open(os.path.join(outs[1], "verdict.json")))
+        with open(os.path.join(outs[0], "verdict.json")) as fa:
+            va = json.load(fa)
+        with open(os.path.join(outs[1], "verdict.json")) as fb:
+            vb = json.load(fb)
         assert va == vb

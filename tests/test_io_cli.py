@@ -82,7 +82,8 @@ def test_record_file_round_trip(tmp_path):
 def test_record_file_field_names(tmp_path):
     path = str(tmp_path / "records.jsonl")
     write_records(path, {"x": 1}, _sample_records())
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     first_record = json.loads(lines[1])
     assert set(first_record) >= {"stage", "qubits", "counts", "shots", "meta"}
     assert first_record["counts"] == {"00": 5, "01": 3, "10": 1, "11": 1}
@@ -136,7 +137,8 @@ def test_sweep_csv_format(tmp_path):
         ci_low=np.array([-0.3, 0.4]),
         ci_high=np.array([-0.2, 0.6]),
     )
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "parameter,lhs,rhs,ci_low,ci_high,violated"
     assert lines[1] == "0.5,-0.25,0.0,-0.3,-0.2,true"
     assert lines[2] == "1.0,0.5,0.0,0.4,0.6,false"
@@ -145,7 +147,8 @@ def test_sweep_csv_format(tmp_path):
 def test_sweep_csv_without_ci(tmp_path):
     path = str(tmp_path / "sweep.csv")
     write_sweep_csv(path, np.array([0.1]), np.array([1.0]), np.array([2.0]))
-    assert open(path).read().splitlines()[1] == "0.1,1.0,2.0,,,true"
+    with open(path) as fh:
+        assert fh.read().splitlines()[1] == "0.1,1.0,2.0,,,true"
 
 
 # every float class the CSV must print as Python does: NaN, infinities,
@@ -351,7 +354,8 @@ def test_cli_exact_variant_b_writes_xi(tmp_path):
     out = str(tmp_path / "exact")
     rc = main(["exact", "--variant", "B", "--out", out])
     assert rc == 0
-    csv = open(os.path.join(out, "xi_sweep_i_to_iii.csv")).read().splitlines()
+    with open(os.path.join(out, "xi_sweep_i_to_iii.csv")) as fh:
+        csv = fh.read().splitlines()
     assert csv[0] == "parameter,lhs,rhs,ci_low,ci_high,violated"
     violated = [row.split(",")[-1] for row in csv[1:]]
     assert "true" in violated and "false" in violated
@@ -364,7 +368,8 @@ def test_cli_simulate_analyze_detects_leak(tmp_path, capsys):
     assert rc == 0
     rc = main(["analyze", os.path.join(out, "records.jsonl"), "--out", out])
     assert rc == 2
-    verdict = json.load(open(os.path.join(out, "verdict.json")))
+    with open(os.path.join(out, "verdict.json")) as fh:
+        verdict = json.load(fh)
     assert verdict["detected"] is True
     assert verdict["channel"] == "global-passivity"
     assert verdict["strength"] >= 3.0
@@ -376,7 +381,8 @@ def test_cli_analyze_no_swap_no_detection(tmp_path):
           "--resamples", "300", "--out", out])
     rc = main(["analyze", os.path.join(out, "records.jsonl"), "--out", out])
     assert rc == 0
-    verdict = json.load(open(os.path.join(out, "verdict.json")))
+    with open(os.path.join(out, "verdict.json")) as fh:
+        verdict = json.load(fh)
     assert verdict["detected"] is False
     assert verdict["channel"] is None
 
@@ -387,7 +393,8 @@ def test_cli_analyze_variant_b_detects_via_deformation(tmp_path):
           "3200", "--resamples", "300", "--out", out])
     rc = main(["analyze", os.path.join(out, "records.jsonl"), "--out", out])
     assert rc == 2
-    verdict = json.load(open(os.path.join(out, "verdict.json")))
+    with open(os.path.join(out, "verdict.json")) as fh:
+        verdict = json.load(fh)
     assert verdict["channel"] == "deformation"
     assert verdict["channel_strengths"]["global-passivity"] < 3.0
     xi_thresholds = [t for t in verdict["thresholds"] if t["test"] == "deformation"]
@@ -472,13 +479,15 @@ def test_cli_exact_no_swap_alpha_never_negative(tmp_path):
     out = str(tmp_path / "exact0")
     rc = main(["exact", "--variant", "A", "--no-env-swap", "--out", out])
     assert rc == 0
-    rows = open(os.path.join(out, "alpha_sweep_i_to_iii.csv")).read().splitlines()[1:]
+    with open(os.path.join(out, "alpha_sweep_i_to_iii.csv")) as fh:
+        rows = fh.read().splitlines()[1:]
     assert all(float(r.split(",")[1]) >= 0.0 for r in rows)
     assert all(r.split(",")[-1] == "false" for r in rows)
 
 
 def _csv_rows(path):
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "parameter,lhs,rhs,ci_low,ci_high,violated"
     rows = [line.split(",") for line in lines[1:]]
     for *_, ci_low, ci_high, violated in rows:
@@ -578,8 +587,10 @@ def test_full_pipeline_determinism(tmp_path):
         main(["analyze", os.path.join(out, "records.jsonl"), "--out", out])
         outs.append(out)
     for fname in sorted(os.listdir(outs[0])):
-        a = open(os.path.join(outs[0], fname), "rb").read()
-        b = open(os.path.join(outs[1], fname), "rb").read()
+        with open(os.path.join(outs[0], fname), "rb") as fa:
+            a = fa.read()
+        with open(os.path.join(outs[1], fname), "rb") as fb:
+            b = fb.read()
         assert a == b, f"{fname} differs between identical runs"
 
 
@@ -590,7 +601,8 @@ def _edited_records(tmp_path, edit):
     out = str(tmp_path / "sim")
     assert main(["simulate", "--variant", "A", "--seed", "5", "--shots-per-stage",
                  "400", "--resamples", "100", "--out", out]) == 0
-    lines = [json.loads(t) for t in open(os.path.join(out, "records.jsonl"))]
+    with open(os.path.join(out, "records.jsonl")) as fh:
+        lines = [json.loads(t) for t in fh]
     path = tmp_path / "edited.jsonl"
     path.write_text("".join(json.dumps(obj) + "\n" for obj in edit(lines)))
     return str(path)
@@ -662,7 +674,8 @@ def test_cli_analyze_accepts_records_without_qubits(tmp_path):
 def test_analyze_resamples_each_record_once(tmp_path, monkeypatch, stages):
     """analyze draws every record once: the CIs of a stage pair read one
     matrix of resampled changes, the difference of the pair's draws, and
-    both pairs take stage i's from the same draw."""
+    both pairs take stage i's from the same draw.  The CIs enclose the
+    pair's values from _evaluate, bit for bit."""
     from heatleak import pipeline
 
     sim = str(tmp_path / "sim")
@@ -670,7 +683,7 @@ def test_analyze_resamples_each_record_once(tmp_path, monkeypatch, stages):
     header, records = read_records(os.path.join(sim, "records.jsonl"))
     config = config_from_dict(header)
     draw, change = pipeline.resample, pipeline.bootstrap_change
-    calls, drawn, changes = [], {}, []
+    calls, drawn, changes, points = [], {}, [], []
     stage_of_seed = {  # a draw names its stage by its CI seed
         pipeline.derive_seed(config.seed, pipeline.CI_SEED_ROLE, role): stage
         for stage, role in pipeline.STAGE_SEED_ROLE.items()
@@ -682,9 +695,10 @@ def test_analyze_resamples_each_record_once(tmp_path, monkeypatch, stages):
         drawn[stage] = draw(sample, resamples, seed)
         return drawn[stage]
 
-    def bootstrap_change(sample_i, sample_f, diffs, *args):
+    def bootstrap_change(point, diffs, *args):
+        points.append(point)
         changes.append(diffs)
-        return change(sample_i, sample_f, diffs, *args)
+        return change(point, diffs, *args)
 
     monkeypatch.setattr(pipeline, "resample", resample)
     monkeypatch.setattr(pipeline, "bootstrap_change", bootstrap_change)
@@ -694,9 +708,13 @@ def test_analyze_resamples_each_record_once(tmp_path, monkeypatch, stages):
     assert sorted(calls) == sorted(stages)  # one call per record
     assert "global-passivity" in {t["test"] for t in verdict.thresholds}
     pairs = [stage for stage in ("ii", "iii") if stage in stages]
-    assert len(changes) == len(pairs)
-    for stage, diffs in zip(pairs, changes):
+    assert len(changes) == len(points) == len(pairs)
+    table = pipeline._plan(config)[0]
+    by_stage = {rec.stage: rec for rec in records}
+    for stage, diffs, point in zip(pairs, changes, points):
         assert np.array_equal(diffs, drawn[stage] - drawn["i"])
+        values, _, _ = pipeline._evaluate(*samples(by_stage["i"], by_stage[stage]), table)
+        assert point.tobytes() == values.tobytes()
 
 
 def test_config_rejects_malformed_sections():

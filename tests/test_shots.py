@@ -160,11 +160,13 @@ def _degenerate(stage, label, shots=100):
 
 def test_bootstrap_degenerate_record_zero_width():
     cfg = BootstrapConfig(resamples=200, seed=4)
-    (est,) = bootstrap_change(
-        *record_changes(_degenerate("i", "00"), _degenerate("iii", "11"), cfg),
-        np.array([[1.0], [2.0], [3.0], [4.0]]), cfg.confidence)
-    assert est.ci_low == est.ci_high == est.value == 3.0
-    assert est.std_error == 0.0
+    sample_i, sample_f, diffs = record_changes(
+        _degenerate("i", "00"), _degenerate("iii", "11"), cfg)
+    table = np.array([[1.0], [2.0], [3.0], [4.0]])
+    values, sigmas, _ = _evaluate(sample_i, sample_f, table)
+    (ci_low,), (ci_high,) = bootstrap_change(values, diffs, table, cfg.confidence)
+    assert ci_low == ci_high == values[0] == 3.0
+    assert sigmas[0] == 0.0
 
 
 def test_bootstrap_matches_analytic_multinomial_error():
@@ -172,13 +174,13 @@ def test_bootstrap_matches_analytic_multinomial_error():
     rec_i = sample_shots([0.4, 0.3, 0.2, 0.1], 5000, seed=21)
     rec_f = sample_shots([0.1, 0.2, 0.3, 0.4], 3000, seed=23)
     cfg = BootstrapConfig(resamples=2000, seed=22)
-    (est,) = bootstrap_change(*record_changes(rec_i, rec_f, cfg), v[:, None],
-                              cfg.confidence)
+    sample_i, sample_f, _ = record_changes(rec_i, rec_f, cfg)
+    (std_error,) = multinomial_std(v[:, None], sample_i, sample_f)
     # multinomial error of a change: sqrt(var_i / n_i + var_f / n_f)
     analytic = math.sqrt(sum(
         float(r.probabilities() @ (v - r.probabilities() @ v) ** 2) / r.shots
         for r in (rec_i, rec_f)))
-    assert abs(est.std_error - analytic) <= 1e-12 * analytic
+    assert abs(std_error - analytic) <= 1e-12 * analytic
 
 
 def test_bootstrap_deterministic():
@@ -186,9 +188,13 @@ def test_bootstrap_deterministic():
     rec_f = sample_shots([0.3, 0.3, 0.2, 0.2], 1000, seed=10)
     cfg = BootstrapConfig(resamples=300, seed=9)
     table = np.array([[0.0], [1.0], [2.0], [3.0]])
-    one = bootstrap_change(*record_changes(rec_i, rec_f, cfg), table, cfg.confidence)
-    two = bootstrap_change(*record_changes(rec_i, rec_f, cfg), table, cfg.confidence)
-    assert one == two
+
+    def ci():
+        sample_i, sample_f, diffs = record_changes(rec_i, rec_f, cfg)
+        point = (sample_f[0] - sample_i[0]) @ table
+        return bootstrap_change(point, diffs, table, cfg.confidence)
+
+    assert np.array_equal(ci(), ci())
 
 
 def test_bootstrap_ci_encloses_point_estimate():
@@ -196,11 +202,12 @@ def test_bootstrap_ci_encloses_point_estimate():
     rec_f = sample_shots([0.1, 0.2, 0.3, 0.4], 400, seed=33)
     cfg = BootstrapConfig(resamples=500, seed=32)
     # identity table: the change of each outcome probability
-    ests = bootstrap_change(*record_changes(rec_i, rec_f, cfg), np.eye(4),
-                            cfg.confidence)
-    assert len(ests) == 4
-    for est in ests:
-        assert est.ci_low <= est.value <= est.ci_high
+    sample_i, sample_f, diffs = record_changes(rec_i, rec_f, cfg)
+    point = sample_f[0] - sample_i[0]
+    ci_low, ci_high = bootstrap_change(point, diffs, np.eye(4), cfg.confidence)
+    assert len(ci_low) == len(ci_high) == 4
+    for low, value, high in zip(ci_low, point, ci_high):
+        assert low <= value <= high
 
 
 def test_bootstrap_error_shrinks_with_shots():
@@ -210,9 +217,8 @@ def test_bootstrap_error_shrinks_with_shots():
     for n in (2000, 32000):  # 16x shots -> expect ~4x smaller error
         rec_i = sample_shots([0.4, 0.3, 0.2, 0.1], n, seed=40 + n)
         rec_f = sample_shots([0.1, 0.2, 0.3, 0.4], n, seed=41 + n)
-        (est,) = bootstrap_change(*record_changes(rec_i, rec_f, cfg), v[:, None],
-                                  cfg.confidence)
-        errs.append(est.std_error)
+        sample_i, sample_f, _ = record_changes(rec_i, rec_f, cfg)
+        errs.append(float(multinomial_std(v[:, None], sample_i, sample_f)[0]))
     ratio = errs[0] / errs[1]
     assert 4.0 * 0.7 < ratio < 4.0 * 1.3
 
@@ -222,9 +228,11 @@ def test_bootstrap_change_non_finite_column_names_resample_0():
     rec_f = sample_shots([0.1, 0.2, 0.3, 0.4], 100, seed=4)
     table = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, np.inf], [3.0, 1.0]])
     cfg = BootstrapConfig(resamples=100, seed=3)
+    sample_i, sample_f, diffs = record_changes(rec_i, rec_f, cfg)
     with np.errstate(invalid="ignore"), \
             pytest.raises(HeatleakError, match="not finite on resample 0;"):
-        bootstrap_change(*record_changes(rec_i, rec_f, cfg), table, cfg.confidence)
+        point = (sample_f[0] - sample_i[0]) @ table
+        bootstrap_change(point, diffs, table, cfg.confidence)
 
 
 def test_bootstrap_change_non_finite_diffs_names_first_bad_resample():
@@ -232,8 +240,9 @@ def test_bootstrap_change_non_finite_diffs_names_first_bad_resample():
     rec_f = sample_shots([0.1, 0.2, 0.3, 0.4], 100, seed=4)
     diffs = np.zeros((20, 4))
     diffs[7, 2] = np.nan
+    sample_i, sample_f = samples(rec_i, rec_f)
     with pytest.raises(HeatleakError, match="not finite on resample 7;"):
-        bootstrap_change(*samples(rec_i, rec_f), diffs, np.eye(4), 0.6827)
+        bootstrap_change(sample_f[0] - sample_i[0], diffs, np.eye(4), 0.6827)
 
 
 def test_bootstrap_config_validation():
@@ -394,12 +403,12 @@ class _GivenStatistics:
 @pytest.mark.parametrize("kind", ["continuous", "integer ties"])
 @pytest.mark.parametrize("resamples", [1, 2, 3, 100, 2000])
 def test_summary_matches_np_quantile_reference(resamples, kind):
-    """bootstrap_change gives the estimates of the np.quantile reference
-    exactly: every float as printed, so zeros keep their sign.  All shots of
-    stage i are on 01 and of stage f on 00, so the point change is row 00 of
-    the table, the given point, and every std_error is 0.  The resample
-    statistics are given as they are by _GivenStatistics, since a matrix
-    product would turn their -0.0 into 0.0."""
+    """bootstrap_change gives the CIs of the np.quantile reference exactly,
+    and _evaluate its values: every float as printed, so zeros keep their
+    sign.  All shots of stage i are on 01 and of stage f on 00, so the point
+    change is row 00 of the table, the given point, and every sigma is 0.
+    The resample statistics are given as they are by _GivenStatistics, since
+    a matrix product would turn their -0.0 into 0.0."""
     rng = np.random.default_rng(derive_seed(91, resamples))
     if kind == "integer ties":
         stats = rng.integers(-3, 4, size=(resamples, 16)).astype(float)
@@ -418,11 +427,13 @@ def test_summary_matches_np_quantile_reference(resamples, kind):
             table = np.zeros((4, columns))
             table[0] = point[:columns]
             given = _GivenStatistics(stats[:, :columns].T)
-            got = bootstrap_change(*samples(rec_i, rec_f), given, table, confidence)
+            values, sigmas, _ = _evaluate(*samples(rec_i, rec_f), table)
+            ci_low, ci_high = bootstrap_change(values, given, table, confidence)
+            got = zip(values.tolist(), ci_low.tolist(), ci_high.tolist())
             want = oracle_summary(point[:columns], stats[:, :columns], confidence)
-            assert [tuple(map(repr, e[:3])) for e in got] == [
+            assert [tuple(map(repr, e)) for e in got] == [
                 tuple(map(repr, w[:3])) for w in want]
-            assert [e.std_error for e in got] == [0.0] * columns
+            assert sigmas.tolist() == [0.0] * columns
 
 
 # ------------------------------------------ std error in closed form
@@ -507,8 +518,9 @@ def test_evaluate_at_exact_distributions(variant):
     analyze call: at the exact i->iii distributions and the reference shots
     its depths give the predicted channel strengths, global passivity
     17.60 sigma for A at 6700 shots and deformation 8.03 for B at 3200, every
-    other channel 0; its values and sigmas are bootstrap_change's points and
-    std_errors bit for bit."""
+    other channel 0; its values and sigmas are (p_f - p_i) @ table and
+    multinomial_std bit for bit, and bootstrap_change on resampled changes
+    that are all 0 widens its CIs from 0 to enclose the values."""
     shots = {"A": 6700, "B": 3200}[variant]
     config = ExperimentConfig(protocol=reference_protocol(variant))
     dists = stage_distributions(config)
@@ -520,14 +532,16 @@ def test_evaluate_at_exact_distributions(variant):
     predicted = {"A": {"second-law": 0.0, "global-passivity": 17.60, "deformation": 0.0},
                  "B": {"second-law": 0.0, "global-passivity": 0.0, "deformation": 8.03}}
     assert strengths == predicted[variant]
-    estimates = bootstrap_change(*pair, np.zeros((100, 4)), table, 0.6827)
-    assert values.tolist() == [e.value for e in estimates]
-    assert sigmas.tolist() == [e.std_error for e in estimates]
+    assert values.tolist() == ((dists["iii"] - dists["i"]) @ table).tolist()
+    assert sigmas.tolist() == multinomial_std(table, *pair).tolist()
+    ci_low, ci_high = bootstrap_change(values, np.zeros((100, 4)), table, 0.6827)
+    assert np.array_equal(ci_low, np.minimum(values, 0.0))
+    assert np.array_equal(ci_high, np.maximum(values, 0.0))
 
 
 @pytest.mark.parametrize("variant", ["A", "B"])
 def test_bootstrap_std_error_is_plug_in_multinomial(variant):
-    """std_error is the closed form of every column, for stage pairs of
+    """The sigma is the closed form of every column, for stage pairs of
     equal and unequal shots and a record with a zero-count outcome: a
     constant column reads exactly 0, even where the rates' sum rounds below
     1, and a column scaled to 1e300 stays finite.  The ddof=1 std of
@@ -550,18 +564,19 @@ def test_bootstrap_std_error_is_plug_in_multinomial(variant):
     pairs = [(records[0], rec_f) for rec_f in records[1:]] + [(records[3], records[4])]
     for k, (rec_i, rec_f) in enumerate(pairs):
         cfg = BootstrapConfig(resamples=resamples, seed=derive_seed(78, k))
-        _, _, diffs = changes = record_changes(rec_i, rec_f, cfg)
-        got = np.array([e.std_error for e in bootstrap_change(*changes, table,
-                                                              cfg.confidence)])
+        sample_i, sample_f, diffs = record_changes(rec_i, rec_f, cfg)
+        _, got, _ = _evaluate(sample_i, sample_f, table)
         want = np.array([_plug_in_std(rec_i, rec_f, v) for v in table.T[:-1]])
         assert np.all(np.abs(got[:-1] - want) <= 1e-12 * want)
         assert got[-1] == 0.0
         resampled = np.std(diffs @ table[:, :-1], axis=0, ddof=1)
         assert np.all(np.abs(resampled - want) <= bound * want)
         unit = table[:, 0] / np.abs(table[:, 0]).max()
-        (huge,) = bootstrap_change(*changes, 1e300 * unit[:, None], cfg.confidence)
+        huge = 1e300 * unit[:, None]
+        values, (sigma,), _ = _evaluate(sample_i, sample_f, huge)
+        bootstrap_change(values, diffs, huge, cfg.confidence)  # raises if not finite
         std = 1e300 * _plug_in_std(rec_i, rec_f, unit)
-        assert abs(huge.std_error - std) <= 1e-12 * std
+        assert abs(sigma - std) <= 1e-12 * std
 
 
 # ------------------------------------------- count-matrix path vs reference
@@ -579,23 +594,24 @@ def test_matrix_path_matches_per_resample_reference(variant):
     for k, rec_f in enumerate(records[1:]):
         cfg = BootstrapConfig(resamples=400, seed=derive_seed(78, k))
         setup = (cfg.resamples, cfg.confidence, cfg.seed)
-        _, _, diffs = changes = record_changes(records[0], rec_f, cfg)
-        matrix = bootstrap_change(*changes, table, cfg.confidence)
+        sample_i, sample_f, diffs = record_changes(records[0], rec_f, cfg)
+        values, sigmas, _ = _evaluate(sample_i, sample_f, table)
+        ci_low, ci_high = bootstrap_change(values, diffs, table, cfg.confidence)
         reference = oracle_bootstrap_statistic(
             [records[0], rec_f],
             lambda recs: (recs[1].probabilities() - recs[0].probabilities()) @ table,
             *setup,
         )
-        assert len(matrix) == len(reference) == table.shape[1]
-        for m, r, v in zip(matrix, reference, table.T):
+        assert len(ci_low) == len(ci_high) == len(reference) == table.shape[1]
+        for *m, sigma, r, v in zip(values, ci_low, ci_high, sigmas, reference, table.T):
             # relative to the column's magnitude: entries near zero carry
             # cancellation error of that scale in either summation order
             scale = max(abs(r[0]), abs(r[1]), abs(r[2]), r[3])
-            for name, want in zip(("value", "ci_low", "ci_high"), r):
-                assert abs(getattr(m, name) - want) <= 1e-12 * scale, name
+            for name, got, want in zip(("value", "ci_low", "ci_high"), m, r):
+                assert abs(got - want) <= 1e-12 * scale, name
             # the std error is the closed form, not the resamples' std
             std = _plug_in_std(records[0], rec_f, v)
-            assert abs(m.std_error - std) <= 1e-12 * std
+            assert abs(sigma - std) <= 1e-12 * std
         # the threshold half: the delta std error against the std of 500
         # resampled crossings, whose relative noise is about 1/sqrt(2 * 500);
         # the band is 5 of them
