@@ -44,12 +44,14 @@ class GlobalPassivityOperator:
     """Diagonal globally passive operator built from inverse temperatures.
 
     basis_values[k] = sum_j beta_j * E_j(k) shifted so that
-    min(basis_values) is exactly epsilon > 0 (see build_B).
+    min(basis_values) is exactly epsilon > 0; classes is B's order, the
+    outcomes grouped by equal eigenvalue in increasing order (see build_B).
     """
 
     betas: dict[str, float]
     epsilon: float
     basis_values: np.ndarray
+    classes: tuple[tuple[int, ...], ...]
 
 
 def build_B(betas, epsilon: float) -> GlobalPassivityOperator:
@@ -57,11 +59,11 @@ def build_B(betas, epsilon: float) -> GlobalPassivityOperator:
 
     The shift is d = min_k(sum_j beta_j E_j(k)) - epsilon, which makes every
     eigenvalue positive with minimum exactly epsilon (a negative minimum
-    would break non-integer powers).  An epsilon so large that the shifted
-    eigenvalues lose the order of the raw energies (two outcomes of
-    different energy rounding to equal or swapped values) is rejected;
-    outcomes of equal energy stay tied.  So are betas whose energies or
-    shifted eigenvalues overflow.
+    would break non-integer powers).  B's classes are the rank classes of
+    the raw energies; an epsilon so large that the shifted eigenvalues fall
+    into other classes (two outcomes of different energy rounding to equal
+    or swapped values) is rejected, so outcomes of equal energy stay tied.
+    So are betas whose energies or shifted eigenvalues overflow.
     """
     betas = dict(betas)
     if not betas:
@@ -81,11 +83,17 @@ def build_B(betas, epsilon: float) -> GlobalPassivityOperator:
     if not np.isfinite(values).all():
         raise HeatleakError(f"betas {betas} overflow: the outcome energies "
                             "sum_j beta_j E_j exceed the float range")
-    if not np.array_equal(np.sign(raw[:, None] - raw), np.sign(values[:, None] - values)):
+    classes = _rank_classes(raw.tolist())
+    if _rank_classes(values.tolist()) != classes:
         raise HeatleakError(f"epsilon = {epsilon} swamps the betas: the eigenvalues "
                             "of B lose the order of the outcome energies")
     values.setflags(write=False)
-    return GlobalPassivityOperator(betas=betas, epsilon=epsilon, basis_values=values)
+    return GlobalPassivityOperator(betas, epsilon, values, classes)
+
+
+def _rank_classes(values) -> tuple[tuple[int, ...], ...]:
+    """The indices of values grouped by equal value, the groups in increasing order."""
+    return tuple(tuple(k for k, v in enumerate(values) if v == u) for u in sorted(set(values)))
 
 
 def observable_table(B: GlobalPassivityOperator, alpha_grid,

@@ -119,7 +119,8 @@ class Sweep:
 def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep], dict, Callable]:
     """The observable table, the sweeps this config runs, each channel's
     column group of the table, in verdict order, and the exact-zero rule of
-    its columns; the only code that states the table's layout."""
+    its columns; the only code that states the table's layout.  The rule
+    sums over B.classes, the energies' rank classes that build_B's swamp check compares."""
     B = build_B(
         {"c": config.protocol.beta_c, "h": config.protocol.beta_h}, config.epsilon
     )
@@ -155,14 +156,12 @@ def _plan(config: ExperimentConfig) -> tuple[np.ndarray, list[Sweep], dict, Call
     def exact_zeros(rec_i, rec_f) -> np.ndarray:
         """Mask of the columns whose change from rec_i to rec_f is 0 exactly.
         D = n_i*c_f - n_f*c_i, in Python ints (n_i*c_f can pass int64), is
-        n_i*n_f*(p_f - p_i): the alpha block is 0 iff D sums to 0 on each tie
-        class of B, the xi block iff d<H_c> = d<H_h> = 0, and each copy of B
+        n_i*n_f*(p_f - p_i): the alpha block is 0 iff D sums to 0 on each of
+        B.classes, the xi block iff d<H_c> = d<H_h> = 0, and each copy of B
         also iff d<B> is."""
         d = [rec_i.shots * rec_f.counts.get(label, 0) - rec_f.shots * rec_i.counts.get(label, 0)
              for label in outcome_labels(2)]
-        b = B.basis_values.tolist()
-        zeros = np.full(table.shape[1], all(
-            sum(d_j for d_j, b_j in zip(d, b) if b_j == b_k) == 0 for b_k in b))
+        zeros = np.full(table.shape[1], all(sum(d[k] for k in c) == 0 for c in B.classes))
         d_c, d_h = d[2] + d[3], d[1] + d[3]  # n_i*n_f times d<H_c> and d<H_h>
         zeros[groups["deformation"]] = d_c == d_h == 0
         zeros[b_copies] |= B.betas["c"] * d_c + B.betas["h"] * d_h == 0
@@ -337,7 +336,8 @@ def run_analyze(records_path: str, config: ExperimentConfig | None,
 
 def run_bounds(beta_c: float, beta_h: float, observable: str = "Hh") -> tuple:
     """Deformation bounds for B on (c, h) against a named observable."""
-    # the bounds take differences of B's eigenvalues, so its shift cancels
+    # the interval the auto xi grid uses at the default epsilon: B's shift
+    # cancels in the eigenvalue differences only up to rounding
     B = build_B({"c": beta_c, "h": beta_h}, 1e-3)
     qubit = {"Hc": 0, "Hh": 1}.get(observable)
     if qubit is None:

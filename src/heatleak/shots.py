@@ -224,7 +224,7 @@ def threshold_estimate(sample_i, sample_f, observable, slope, crossing: float,
     derivative = abs(float((sample_f[0] - sample_i[0]) @ slope(crossing)))
     if derivative == 0.0:
         return EstimateWithCI(crossing, crossing, crossing, math.nan)
-    from statistics import NormalDist  # ~4 ms to import; only a threshold needs it
+    from statistics import NormalDist  # 2-5 ms to import; only a threshold needs it
     column = observable(crossing)[:, None]
     std = float(multinomial_std(column, sample_i, sample_f)[0]) / derivative
     half = -NormalDist().inv_cdf((1.0 - confidence) / 2.0) * std

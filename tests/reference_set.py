@@ -5,9 +5,12 @@
 For protocol A at 6700 and B at 3200 shots per stage, seeds 3, 7 and 11,
 each with and without the environment SWAP, it runs `simulate` and
 `analyze`, and `analyze` again at 100 resamples; then `exact` of A and of B,
-each with and without the SWAP; then `analyze --variant B` of two record
-files of B count moves that are zero in exact arithmetic on some channels,
-which it writes itself.  OUT_DIR/exit_codes.txt lists every command
+each with and without the SWAP; then `simulate` and `analyze` of two
+configs whose B ties outcomes (A at beta_c = beta_h, B at beta_h = 0);
+then `analyze` of three record files of count moves that are zero in exact
+arithmetic on some channels or all of them, two of B and one inside the
+tied class of the A tie config.  It writes the tie configs and the move
+record files itself.  OUT_DIR/exit_codes.txt lists every command
 with its exit code.  All paths in it are relative to OUT_DIR, so two trees
 written by two versions of heatleak compare with `diff -r`.
 
@@ -25,17 +28,30 @@ import os
 import sys
 
 from heatleak.cli import main
+from heatleak.config import REFERENCE_PARAMS
 
 SHOTS = {"A": 6700, "B": 3200}
 SEEDS = (3, 7, 11)
 SWAP_FLAGS = {"": [], "-noswap": ["--no-env-swap"]}
-# record files of B count moves: shots per stage, stage-i counts and the
-# counts of stages ii and iii (outcomes 00/01/10/11); both leave d<B>, d<H_c>
-# and d<H_h> at 0, the 6700-shot one by moving one shot from each of 00 and
-# 11 onto 01 and 10
+# configs whose B ties outcomes: beta_c = beta_h ties 01 with 10, and
+# beta_h = 0 ties 00 with 01 and 10 with 11 (B then runs its auto xi grid)
+TIES = {
+    "tie-A": {"protocol": {"variant": "A", "beta_c": 1.2, "beta_h": 1.2, "beta_e": 2.0},
+              "shots_per_stage": SHOTS["A"], "seed": 3},
+    "tie-B": {"protocol": {"variant": "B", **REFERENCE_PARAMS["B"], "beta_h": 0.0},
+              "shots_per_stage": SHOTS["B"], "seed": 3},
+}
+# record files of count moves: the config the header echoes, shots per
+# stage, stage-i counts and the counts of stages ii and iii (outcomes
+# 00/01/10/11); the B moves leave d<B>, d<H_c> and d<H_h> at 0, the
+# 6700-shot one by moving one shot from each of 00 and 11 onto 01 and 10,
+# and the tie move moves one shot from 01 to 10, inside a class of its B,
+# which leaves every column at 0
+REFERENCE_B = {"protocol": {"variant": "B", **REFERENCE_PARAMS["B"]}}
 MOVES = {
-    "move-3": (3, (1, 1, 0, 1), (0, 2, 1, 0)),
-    "move-6700": (6700, (1675, 1675, 1675, 1675), (1674, 1676, 1676, 1674)),
+    "move-3": (REFERENCE_B, 3, (1, 1, 0, 1), (0, 2, 1, 0)),
+    "move-6700": (REFERENCE_B, 6700, (1675, 1675, 1675, 1675), (1674, 1676, 1676, 1674)),
+    "move-tie": (TIES["tie-A"], 6700, (1675, 1675, 1675, 1675), (1675, 1674, 1676, 1675)),
 }
 
 
@@ -54,25 +70,33 @@ def commands():
     for variant in SHOTS:
         for suffix, swap in SWAP_FLAGS.items():
             yield ["exact", "--variant", variant, *swap, "--out", f"exact-{variant}{suffix}"]
+    for name in TIES:
+        yield ["simulate", "--config", f"{name}.json", "--out", f"{name}/sim"]
+        yield ["analyze", f"{name}/sim/records.jsonl", "--out", f"{name}/analyze"]
     for name in MOVES:
-        yield ["analyze", f"{name}.jsonl", "--variant", "B", "--out", name]
+        yield ["analyze", f"{name}.jsonl", "--out", name]
 
 
-def write_moves() -> None:
-    """The record file of each count move, its header echoing no config."""
-    for name, (shots, counts_i, counts_f) in MOVES.items():
-        lines = [{"config": {}}] + [
+def write_inputs() -> None:
+    """The config file of each tie and the record file of each count move."""
+    for name, config in TIES.items():
+        _write(f"{name}.json", [config])
+    for name, (config, shots, counts_i, counts_f) in MOVES.items():
+        _write(f"{name}.jsonl", [{"config": config}] + [
             {"stage": stage, "shots": shots,
              "counts": dict(zip(("00", "01", "10", "11"), counts))}
-            for stage, counts in (("i", counts_i), ("ii", counts_f), ("iii", counts_f))]
-        with open(f"{name}.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("".join(json.dumps(line) + "\n" for line in lines))
+            for stage, counts in (("i", counts_i), ("ii", counts_f), ("iii", counts_f))])
+
+
+def _write(path: str, lines) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(json.dumps(line) + "\n" for line in lines))
 
 
 def write_reference_set(out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     os.chdir(out_dir)
-    write_moves()
+    write_inputs()
     lines = []
     for argv in commands():
         with contextlib.redirect_stdout(io.StringIO()):

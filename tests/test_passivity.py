@@ -26,7 +26,7 @@ from heatleak import (
     thermal_qubit,
     xi_observable,
 )
-from heatleak.config import config_from_dict
+from heatleak.config import REFERENCE_PARAMS, config_from_dict
 from heatleak.passivity import alpha_slope, xi_slope
 from heatleak.recordio import read_records
 from heatleak.shots import derive_seed
@@ -87,6 +87,29 @@ def test_build_B_rejects_bad_epsilon():
 def test_build_B_rejects_overflowing_betas(betas):
     with pytest.raises(HeatleakError, match=r"^betas .* overflow"):
         build_B(betas, 1e-3)
+
+
+@pytest.mark.parametrize("betas, classes", [
+    ({"c": 2.23, "h": 0.43}, ((0,), (1,), (2,), (3,))),     # reference A
+    ({"c": 1.627, "h": 1.099}, ((0,), (1,), (2,), (3,))),   # reference B
+    ({"c": 1.2, "h": 1.2}, ((0,), (1, 2), (3,))),           # 01 and 10 tie
+    ({"c": 1.627, "h": 0.0}, ((0, 1), (2, 3))),             # the h qubit drops out
+    ({"c": 0.3, "h": -1.0}, ((1,), (3,), (0,), (2,))),
+    ({"c": 1.0, "h": -0.5}, ((1,), (0,), (3,), (2,))),
+    ({"c": 0.0, "h": 0.0}, ((0, 1, 2, 3),)),
+    ({"c": 1.0}, ((0,), (1,))),
+    ({"c": -1.0}, ((1,), (0,))),
+])
+def test_build_B_classes_state_its_order(betas, classes):
+    """B.classes: the outcomes grouped by equal eigenvalue, in increasing
+    order, at any epsilon that keeps the order of the energies."""
+    for epsilon in (1e-3, 1e3):
+        B = build_B(betas, epsilon)
+        assert B.classes == classes
+        for lower, upper in zip(classes, classes[1:]):
+            assert B.basis_values[list(lower)].max() < B.basis_values[list(upper)].min()
+        for tied in classes:
+            assert len(set(B.basis_values[list(tied)].tolist())) == 1
 
 
 # ------------------------------------------------- alpha columns of the table
@@ -432,6 +455,51 @@ def test_slopes_are_the_observables_derivatives():
             central = (observable(x + 1e-6) - observable(x - 1e-6)) / 2e-6
             assert np.allclose(slope(x), central, rtol=1e-7, atol=1e-9)
         assert slope(np.array([0.2, 0.4])).shape == observable(np.array([0.2, 0.4])).shape
+
+
+def _class_gaps(config):
+    """Per column of _plan's table, the least gap min(upper class) - max(lower
+    class) over B's adjacent classes."""
+    table = pipeline._plan(config)[0]
+    p = config.protocol
+    classes = build_B({"c": p.beta_c, "h": p.beta_h}, config.epsilon).classes
+    return np.min([table[list(upper)].min(axis=0) - table[list(lower)].max(axis=0)
+                   for lower, upper in zip(classes, classes[1:])], axis=0)
+
+
+def _protocol(variant, **betas):
+    return ProtocolConfig(variant, **{**REFERENCE_PARAMS[variant], **betas})
+
+
+@pytest.mark.parametrize("config, least_gap", [
+    (ExperimentConfig(protocol=_protocol("A")), 0.0084),
+    (ExperimentConfig(protocol=_protocol("A"), xi_grid="auto"), 0.0),
+    (ExperimentConfig(protocol=_protocol("B")), 0.0),
+    (ExperimentConfig(protocol=_protocol("B", beta_h=0.0)), 0.0),
+    (ExperimentConfig(protocol=_protocol("A", beta_c=1.2, beta_h=1.2, beta_e=2.0)), 0.0337),
+])
+def test_table_columns_keep_the_order_of_B(config, least_gap):
+    """Every column of the table is non-decreasing along B.classes: its
+    largest value on a class is no greater than its least on the next, so it
+    is a constant plus a non-negative combination of the up-set steps of B's
+    order.  An auto xi grid meets the order at its ends (gap exactly 0)."""
+    gaps = _class_gaps(config)
+    assert gaps.min() >= 0.0
+    assert gaps.min() == pytest.approx(least_gap, rel=0.01, abs=0.0)
+
+
+def test_table_columns_past_the_xi_interval_stay_within_the_grid_slack():
+    """An explicit xi grid may reach a relative 1e-12 past the admissible
+    interval (config.deformation_grid's slack); 5e-13 past each end of
+    reference B's interval breaks the order of its two end columns by less
+    than that slack."""
+    config = ExperimentConfig(protocol=_protocol("B"))
+    lo, hi = config.deformation_grid()[[0, -1]]
+    past = [float(lo - 5e-13 * abs(lo)), 0.0, float(hi + 5e-13 * abs(hi))]
+    gaps = _class_gaps(ExperimentConfig(protocol=_protocol("B"), xi_grid=past))
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+    assert np.flatnonzero(gaps < 0).tolist() == [len(gaps) - 3, len(gaps) - 1]
+    assert -slack <= gaps.min() < 0.0
 
 
 # ---------------------------------------------------------- crossing search
